@@ -3,8 +3,9 @@
 All runners are bulk-synchronous: within one inner iteration the N worker
 updates are independent (and may execute on a thread pool), barriers and
 metrics run on the coordinator between them. Runners never mutate the
-suite they are given; each run works on a private copy, so repeated and
-concurrent runs over one suite object are safe.
+suite they are given; each run works on private counters over shared
+read-only data, so repeated and concurrent runs over one suite object are
+safe.
 
 ``run_pr_spider_finite`` restarts every epoch from exact local full
 gradients averaged at the server; ``run_pr_spider_online`` replaces those
@@ -472,11 +473,12 @@ def _run_local_sgd(
                 obj = w.obj
                 if obj.is_finite_sum and batch == obj.sample_count:
                     # a batch covering the whole sample set is a full pass
-                    idx = np.arange(obj.sample_count)
+                    grad = obj.full_gradient(w.x)
                 else:
                     gen = rng.substream(w.worker_id, 0, _k, DRAW_INNER)
                     idx = obj.draw_indices(gen, batch)
-                return axpy(w.x, -gamma, obj.batch_gradient_mean(w.x, idx))
+                    grad = obj.batch_gradient_mean(w.x, idx)
+                return axpy(w.x, -gamma, grad)
 
             for w, x_new in zip(workers, _map_workers(pool, one_step, workers)):
                 w.x = x_new

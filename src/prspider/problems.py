@@ -16,6 +16,17 @@ Per-sample oracle calls are metered on the owning worker's counter.
 The analytic mean-value / mean-gradient oracles used for metrics are free:
 they never touch the counters.
 
+The metered batch means sum their per-sample rows in index order, the
+order ``rows.mean(axis=0)`` uses, so they match the row-materialising
+formula bit for bit. The quadratic kernels get there without materialising
+the rows: they walk the batch in blocks of ``BLOCK_ROWS`` rows, gather each
+sampled center once per block and carry the running sum from block to
+block.
+
+Data arrays (centers, features, offsets) are read-only. A deep copy of an
+objective shares them and copies only its counter state, so every run gets
+private counters over the same data.
+
 Online suites expose a sampler only. Internally the sampler draws from a
 finite atom pool, which is what makes the analytic expectation oracles
 exact; the pool is not enumerable through the public sample-id surface.
@@ -23,6 +34,7 @@ exact; the pool is not enumerable through the public sample-id surface.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from contextlib import ExitStack, contextmanager
@@ -56,6 +68,47 @@ class UnsupportedOperationError(RuntimeError):
 # |phi''| peaks at 2 (t=0).
 PHI_GRAD_MAX = 3.0 * math.sqrt(3.0) / 8.0
 PHI_CURV_MAX = 2.0
+
+# Rows per kernel block: at d=2048 a block of float64 rows is 512 KiB, so
+# the gather buffer and the row buffer fit a 2 MiB L2 together.
+BLOCK_ROWS = 32
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Read-only view of ``array``; the caller's array stays writable."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def _block_rows(count: int, dim: int) -> int:
+    # numpy sums a lone column pairwise rather than in order, so a d=1
+    # batch stays one block
+    if count < 1:
+        raise ValueError("a batch mean needs at least one sample")
+    return min(count, BLOCK_ROWS) if dim > 1 else count
+
+
+def _blocked_mean(count: int, dim: int, fill) -> np.ndarray:
+    """Mean of ``count`` rows that ``fill(lo, hi, out)`` writes by blocks.
+
+    ``fill`` writes rows ``lo:hi`` into ``out``, one block at a time. Rows
+    are summed in index order, bit for bit as ``rows.mean(axis=0)`` sums
+    them: the first block is reduced on its own, and row 0 of the buffer
+    carries the running sum into each later block.
+    """
+    step = _block_rows(count, dim)
+    buf = np.empty((step + 1, dim))
+    acc = np.empty(dim)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        fill(lo, hi, buf[1 : 1 + hi - lo])
+        if lo:
+            buf[0] = acc
+            np.add.reduce(buf[: 1 + hi - lo], axis=0, out=acc)
+        else:
+            np.add.reduce(buf[1 : 1 + hi - lo], axis=0, out=acc)
+    return acc / count
 
 
 class LocalObjective:
@@ -144,9 +197,9 @@ class LocalObjective:
     def batch_gradient_mean(self, x: ParamVector, indices) -> ParamVector:
         """Mean gradient over a drawn batch; costs ``len(indices)``."""
         idx = np.asarray(indices)
-        grads = self._sample_gradients(x, idx)
+        grad = self._gradient_mean(x, idx)
         self._charge(idx.shape[0])
-        return grads.mean(axis=0)
+        return grad
 
     def pair_difference_mean(
         self, x_new: ParamVector, x_old: ParamVector, indices
@@ -158,10 +211,9 @@ class LocalObjective:
         averaging: equal inputs give an exactly zero result.
         """
         idx = np.asarray(indices)
-        g_new = self._sample_gradients(x_new, idx)
-        g_old = self._sample_gradients(x_old, idx)
+        delta = self._pair_difference_mean(x_new, x_old, idx)
         self._charge(2 * idx.shape[0])
-        return (g_new - g_old).mean(axis=0)
+        return delta
 
     def full_gradient(self, x: ParamVector) -> ParamVector:
         """Exact local gradient by one pass over all samples; costs n."""
@@ -169,9 +221,20 @@ class LocalObjective:
             raise UnsupportedOperationError(
                 "full gradient requires an enumerable sample set"
             )
-        grads = self._sample_gradients(x, np.arange(self.sample_count))
+        grad = self._gradient_mean(x, None)
         self._charge(self.sample_count)
-        return grads.mean(axis=0)
+        return grad
+
+    def __deepcopy__(self, memo):
+        # read-only data arrays are shared; everything else, the counter
+        # state included, is deep-copied
+        clone = copy.copy(self)
+        memo[id(self)] = clone
+        for name, value in vars(self).items():
+            shared = isinstance(value, np.ndarray) and not value.flags.writeable
+            if not shared:
+                setattr(clone, name, copy.deepcopy(value, memo))
+        return clone
 
     # -- analytic oracles (metrics only, never metered) ---------------------
 
@@ -182,12 +245,29 @@ class LocalObjective:
         raise NotImplementedError
 
     # -- family internals ----------------------------------------------------
+    # Families override these hooks, never the metered methods above, which
+    # own the charging.
 
     def _sample_values(self, x: ParamVector, idx: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _sample_gradients(self, x: ParamVector, idx: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _gradient_mean(
+        self, x: ParamVector, idx: np.ndarray | None
+    ) -> ParamVector:
+        """Mean gradient over ``idx``, or over every sample when it is None."""
+        if idx is None:
+            idx = np.arange(self.sample_count)
+        return self._sample_gradients(x, idx).mean(axis=0)
+
+    def _pair_difference_mean(
+        self, x_new: ParamVector, x_old: ParamVector, idx: np.ndarray
+    ) -> ParamVector:
+        g_new = self._sample_gradients(x_new, idx)
+        g_old = self._sample_gradients(x_old, idx)
+        return (g_new - g_old).mean(axis=0)
 
 
 class QuadraticObjective(LocalObjective):
@@ -197,6 +277,7 @@ class QuadraticObjective(LocalObjective):
 
     def __init__(self, worker_id: int, centers: np.ndarray):
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+        centers = _read_only(centers)
         n, d = centers.shape
         super().__init__(
             worker_id,
@@ -207,7 +288,7 @@ class QuadraticObjective(LocalObjective):
             variance_bound=0.0,  # assigned by the suite factory
         )
         self.centers = centers
-        self.center_mean = centers.mean(axis=0)
+        self.center_mean = _read_only(centers.mean(axis=0))
         # mean squared spread around the local mean; exact value offset
         self.center_spread_sq = float(
             np.mean(np.sum((centers - self.center_mean) ** 2, axis=1))
@@ -219,6 +300,46 @@ class QuadraticObjective(LocalObjective):
 
     def _sample_gradients(self, x, idx):
         return x[None, :] - self.centers[idx]
+
+    def _check_indices(self, idx):
+        # checked once per call, so the block gathers can take
+        # mode="wrap": under the default mode="raise", np.take works in a
+        # copy of its ``out`` buffer and copies it back
+        n = self.sample_count
+        if idx.size and (idx.min() < -n or idx.max() >= n):
+            raise IndexError(f"sample index out of range for {n} samples")
+
+    def _gradient_mean(self, x, idx):
+        centers = self.centers
+        if idx is None:
+            def fill(lo, hi, rows):
+                np.subtract(x, centers[lo:hi], out=rows)
+
+            return _blocked_mean(self.sample_count, self.dim, fill)
+
+        self._check_indices(idx)
+
+        def fill(lo, hi, rows):
+            np.take(centers, idx[lo:hi], axis=0, out=rows, mode="wrap")
+            np.subtract(x, rows, out=rows)
+
+        return _blocked_mean(idx.shape[0], self.dim, fill)
+
+    def _pair_difference_mean(self, x_new, x_old, idx):
+        self._check_indices(idx)
+        centers = self.centers
+        gathered = np.empty((_block_rows(idx.shape[0], self.dim), self.dim))
+
+        def fill(lo, hi, rows):
+            # each sampled center is read once for both points; the
+            # difference stays (x_new - c) - (x_old - c), row by row
+            c = gathered[: hi - lo]
+            np.take(centers, idx[lo:hi], axis=0, out=c, mode="wrap")
+            np.subtract(x_new, c, out=rows)
+            np.subtract(x_old, c, out=c)
+            np.subtract(rows, c, out=rows)
+
+        return _blocked_mean(idx.shape[0], self.dim, fill)
 
     def mean_value(self, x):
         return 0.5 * sq_norm(x - self.center_mean) + 0.5 * self.center_spread_sq
@@ -240,7 +361,8 @@ class SigmoidObjective(LocalObjective):
         online: bool = False,
     ):
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        offsets = np.asarray(offsets, dtype=np.float64).reshape(-1)
+        features = _read_only(features)
+        offsets = _read_only(np.asarray(offsets, dtype=np.float64).reshape(-1))
         pool, d = features.shape
         if offsets.shape[0] != pool:
             raise ValueError("features and offsets disagree on sample count")
@@ -267,15 +389,21 @@ class SigmoidObjective(LocalObjective):
         t2 = t * t
         return 2.0 * t / ((1.0 + t2) ** 2)
 
-    def _margins(self, x, idx):
-        return self.features[idx] @ x - self.offsets[idx]
-
     def _sample_values(self, x, idx):
-        return self._phi(self._margins(x, idx))
+        return self._phi(self.features[idx] @ x - self.offsets[idx])
+
+    def _gradients(self, x, a, b):
+        # per-sample gradients over gathered rows ``a`` and offsets ``b``
+        return self._phi_prime(a @ x - b)[:, None] * a
 
     def _sample_gradients(self, x, idx):
-        slope = self._phi_prime(self._margins(x, idx))
-        return slope[:, None] * self.features[idx]
+        return self._gradients(x, self.features[idx], self.offsets[idx])
+
+    def _pair_difference_mean(self, x_new, x_old, idx):
+        a, b = self.features[idx], self.offsets[idx]
+        g_new = self._gradients(x_new, a, b)
+        g_old = self._gradients(x_old, a, b)
+        return (g_new - g_old).mean(axis=0)
 
     def mean_value(self, x):
         t = self.features @ x - self.offsets
@@ -414,9 +542,12 @@ def make_quadratic_suite(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     scale = 1.0 / math.sqrt(d)
     worker_means = heterogeneity * rng.normal(0.0, scale, size=(N, d))
-    centers = worker_means[:, None, :] + center_spread * rng.normal(
-        0.0, scale, size=(N, n, d)
-    )
+    # built in place: the same draws and bits as
+    # worker_means[:, None, :] + center_spread * draws, with no second
+    # dataset-sized temporary
+    centers = rng.normal(0.0, scale, size=(N, n, d))
+    centers *= center_spread
+    centers += worker_means[:, None, :]
     grand_mean = centers.reshape(-1, d).mean(axis=0)
     offset = rng.normal(0.0, scale, size=d)
     if initial_offset is not None:

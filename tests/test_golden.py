@@ -1,0 +1,166 @@
+"""Golden digests: every runner's trace CSV and sidecar, pinned byte for byte.
+
+Each config goes through the same calls as ``prspider run``
+(``build_suite``, ``resolve_algorithm``, ``run_one``, ``write_csv``,
+``write_sidecar``) and the SHA-256 of both files must match the digest
+recorded here. Together the configs cover all four algorithms, both
+families, finite and online sampling, ``parallel`` on and off, batches that
+span several kernel blocks and the single-column (d=1) quadratic.
+
+The quadratic path is pure elementwise numpy, so its digests hold on any
+machine. The sigmoid path goes through a BLAS matvec: a BLAS or CPU change
+can move the ``sigmoid-*`` digests without any change to prspider.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from prspider.cli import build_suite, resolve_algorithm, run_one
+
+
+def _config(problem, name, params, parallel):
+    return {
+        "problem": problem,
+        "algorithm": {"name": name, "params": params},
+        "run": {"seeds": [0], "metrics_every": 1, "parallel": parallel},
+    }
+
+
+QUAD_FINITE = {"family": "quadratic", "N": 3, "n": 70, "d": 6,
+               "heterogeneity": 0.5, "seed": 11}
+QUAD_SPIDER = {"gamma": 0.1, "I": 3, "m": 12, "B": 40, "S": 3}
+SIGMOID_FINITE = {"family": "sigmoid", "N": 4, "n": 256, "d": 4,
+                  "heterogeneity": 0.5, "seed": 9}
+
+CONFIGS = {
+    "quadratic-spider-finite-serial": _config(
+        QUAD_FINITE, "pr-spider-finite", QUAD_SPIDER, False
+    ),
+    "quadratic-spider-finite-parallel": _config(
+        QUAD_FINITE, "pr-spider-finite", QUAD_SPIDER, True
+    ),
+    "quadratic-d1-spider-online-parallel": _config(
+        {"family": "quadratic", "N": 2, "n": 50, "d": 1,
+         "heterogeneity": 1.0, "seed": 5},
+        "pr-spider-online",
+        {"gamma": 0.2, "I": 2, "m": 10, "B": 20, "S": 3, "n_b": 45},
+        True,
+    ),
+    # batch == n takes the runner's full-pass branch
+    "quadratic-par-sgd-full-batch": _config(
+        {"family": "quadratic", "N": 2, "n": 40, "d": 5,
+         "heterogeneity": 0.3, "seed": 2},
+        "par-sgd",
+        {"gamma": 0.2, "batch": 40, "horizon": 20},
+        False,
+    ),
+    "quadratic-par-restarted-sgd-parallel": _config(
+        {"family": "quadratic", "N": 3, "n": 64, "d": 3,
+         "heterogeneity": 0.8, "seed": 4},
+        "par-restarted-sgd",
+        {"gamma": 0.1, "batch": 35, "I": 4, "horizon": 30},
+        True,
+    ),
+    # sigmoid digests can move with the BLAS build or the CPU (see above)
+    "sigmoid-spider-finite-serial": _config(
+        SIGMOID_FINITE,
+        "pr-spider-finite",
+        {"gamma": 0.0186, "I": 4, "m": 32, "B": 40, "S": 3},
+        False,
+    ),
+    "sigmoid-spider-online-parallel": _config(
+        {"family": "sigmoid", "N": 2, "n": "online", "d": 8,
+         "heterogeneity": 0.5, "seed": 3, "online_pool": 64},
+        "pr-spider-online",
+        {"gamma": 0.1, "I": 4, "m": 20, "B": 10, "S": 2, "n_b": 50},
+        True,
+    ),
+    "sigmoid-par-restarted-sgd-serial": _config(
+        {"family": "sigmoid", "N": 3, "n": 32, "d": 4,
+         "heterogeneity": 0.5, "seed": 6},
+        "par-restarted-sgd",
+        {"gamma": 0.1, "batch": 5, "I": 3, "horizon": 40},
+        False,
+    ),
+    "sigmoid-online-par-sgd-parallel": _config(
+        {"family": "sigmoid", "N": 2, "n": "online", "d": 4,
+         "heterogeneity": 0.5, "seed": 8, "online_pool": 32},
+        "par-sgd",
+        {"gamma": 0.1, "batch": 8, "horizon": 25},
+        True,
+    ),
+}
+
+# name -> (sha256 of trace CSV, sha256 of sidecar)
+GOLDEN = {
+    "quadratic-d1-spider-online-parallel": (
+        "ef918efd48e32c882035ddfe3f7e7b0a7f141a26a28419c602604e4b5854cff8",
+        "53026811bbb3f096b44a9bd6c3409b9e8804944aab27d79aab22df93d3f32dbc",
+    ),
+    "quadratic-par-restarted-sgd-parallel": (
+        "bea58097a9fed6c1793398455cf16ff88d1dc1bdccf12be18e67fa82b7955922",
+        "0819e848dbf6096d3cfba02615c10c3b19c5cb7a2beb9b157498f1ee9b286a4a",
+    ),
+    "quadratic-par-sgd-full-batch": (
+        "374f65e044421b94e0835a002fff62afd9524a09a456b34ac28dc497d37d096f",
+        "517366cabcd1253183566331395b33e0ccd9906fd710cc256356d803304e0330",
+    ),
+    "quadratic-spider-finite-parallel": (
+        "82bfe3194b56a5a0afd3f807a67798713a0d97440172af004b7d48e355dbc7f5",
+        "c36a1f7bf2488f00377fc24a067899b0b97a403e616244c05f5ad25c048a1c40",
+    ),
+    "quadratic-spider-finite-serial": (
+        "82bfe3194b56a5a0afd3f807a67798713a0d97440172af004b7d48e355dbc7f5",
+        "9b296020a02b39c62633a3c063aad09bf77335a9a6792d9363ddbb5a2c952581",
+    ),
+    "sigmoid-online-par-sgd-parallel": (
+        "0c203c5b3080a604e2ebae087de4bc4d2f0bdfc3d9541fdaa1eb7ea5d761285a",
+        "9538afd48ce2fea6c99eac9a285c9b19455768e932bf79852f01205ddf4cd385",
+    ),
+    "sigmoid-par-restarted-sgd-serial": (
+        "cc991f97e9be8ca5fbc5960c7229cafc9d237c932102df815ace5295fe2ed9d5",
+        "7fa1342c0af2d0f7573382d40f6f9bfbe74efef1deedd35a5e47b796f1103a09",
+    ),
+    "sigmoid-spider-finite-serial": (
+        "1fc29e3f4b23a1d088cd0ff5e888cabaccd7ffe155ca6d735cdcc8900f33aac5",
+        "5f41513c5cd51f23c14e61015dec866403f349427da7d844f7d041e12885b76b",
+    ),
+    "sigmoid-spider-online-parallel": (
+        "4da5fc6c9a73fe032c0c7cbeb69298c860b3950b10d10f7cf1bc55be98f44c09",
+        "51b4c68b2f6c16ceee7b21e7fbcec1f75135b6d3ee1c45491b0d6c453169fd1d",
+    ),
+}
+
+
+def trace_digests(config: dict, out_dir) -> tuple[str, str]:
+    suite = build_suite(config["problem"])
+    name, params = resolve_algorithm(config["algorithm"], suite)
+    run = config["run"]
+    trace = run_one(name, params, suite, run["seeds"][0], run)
+    assert trace.outcome == "completed"
+    csv_path, sidecar_path = out_dir / "trace.csv", out_dir / "trace.json"
+    trace.write_csv(csv_path)
+    trace.write_sidecar(sidecar_path)
+    return tuple(
+        hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in (csv_path, sidecar_path)
+    )
+
+
+def test_golden_covers_every_algorithm_family_and_mode():
+    configs = CONFIGS.values()
+    assert {c["algorithm"]["name"] for c in configs} == {
+        "pr-spider-finite", "pr-spider-online", "par-sgd", "par-restarted-sgd"
+    }
+    assert {c["problem"]["family"] for c in configs} == {"quadratic", "sigmoid"}
+    assert {c["problem"]["n"] == "online" for c in configs} == {True, False}
+    assert {c["run"]["parallel"] for c in configs} == {True, False}
+    assert set(GOLDEN) == set(CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_trace_matches_golden_digest(name, tmp_path):
+    assert trace_digests(CONFIGS[name], tmp_path) == GOLDEN[name]
