@@ -16,7 +16,7 @@ from .algorithms import (
     run_pr_spider_finite,
     run_pr_spider_online,
 )
-from .estimator import EstimatorState, is_averaging_step, spider_update, tau
+from .estimator import EstimatorState, is_averaging_step, spider_update
 from .harness import (
     BarrierError,
     CommLedger,
@@ -33,6 +33,7 @@ from .harness import (
 from .numerics import ParamVector, RngStream, axpy, mean_reduce, sq_norm
 from .problems import (
     LocalObjective,
+    Meter,
     ProblemSuite,
     QuadraticObjective,
     SigmoidObjective,
@@ -41,7 +42,6 @@ from .problems import (
     make_quadratic_suite,
     quadratic_suite_from_centers,
     sigmoid_suite_from_params,
-    true_global_gradient,
 )
 
 __version__ = "0.1.0"
@@ -54,6 +54,7 @@ __all__ = [
     "FirstHit",
     "HyperParams",
     "LocalObjective",
+    "Meter",
     "MetricsRecord",
     "MetricsTrace",
     "ParamVector",
@@ -84,6 +85,4 @@ __all__ = [
     "spider_update",
     "sq_norm",
     "sync_round",
-    "tau",
-    "true_global_gradient",
 ]

@@ -3,9 +3,10 @@
 All runners are bulk-synchronous: within one inner iteration the N worker
 updates are independent (and may execute on a thread pool), barriers and
 metrics run on the coordinator between them. Runners never mutate the
-suite they are given; each run works on private counters over shared
-read-only data, so repeated and concurrent runs over one suite object are
-safe.
+suite they are given: objectives hold no run state, and each run charges
+its oracle calls to a ``Meter`` of its own, so repeated and concurrent runs
+over one suite object are safe. Every runner shares one set-up and teardown
+(``_Run``) and keeps only its argument checks and its loop.
 
 ``run_pr_spider_finite`` restarts every epoch from exact local full
 gradients averaged at the server; ``run_pr_spider_online`` replaces those
@@ -19,14 +20,14 @@ distributed SGD with iterate averaging every iteration
 
 from __future__ import annotations
 
-import copy
+import copy  # noqa: F401 -- perfbench/spans.py swaps ``algorithms.copy``
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .estimator import EstimatorState, is_averaging_step, spider_update
+from .estimator import is_averaging_step, spider_update
 from .harness import (
     CommLedger,
     MetricsTrace,
@@ -45,7 +46,7 @@ from .numerics import (
     mean_reduce,
     sq_norm,
 )
-from .problems import ProblemSuite, UnsupportedOperationError
+from .problems import Meter, ProblemSuite, UnsupportedOperationError
 
 __all__ = [
     "HyperParams",
@@ -98,16 +99,9 @@ class HyperParams:
         return self.S * self.m
 
     def as_dict(self) -> dict:
-        d = {
-            "gamma": self.gamma,
-            "I": self.I,
-            "m": self.m,
-            "B": self.B,
-            "S": self.S,
-            "N": self.N,
-        }
-        if self.n_b is not None:
-            d["n_b"] = self.n_b
+        d = asdict(self)
+        if self.n_b is None:
+            del d["n_b"]
         return d
 
 
@@ -171,17 +165,19 @@ def draw_restart_direction(
     epoch: int,
     iteration: int,
     purpose: int = DRAW_RESTART,
+    meter: Meter | None = None,
 ) -> list[ParamVector]:
     """Per-worker batch gradients of size ``n_b`` at a common point.
 
-    Each worker draws its own independent batch; every worker's counter
-    increases by exactly ``n_b``. The caller averages via a gradient round.
+    Each worker draws its own independent batch and charges exactly
+    ``n_b`` to its row of ``meter``. The caller averages via a gradient
+    round.
     """
     vectors = []
     for i, obj in enumerate(suite.objectives):
         gen = rng.substream(i, epoch, iteration, purpose)
         idx = obj.draw_indices(gen, n_b)
-        vectors.append(obj.batch_gradient_mean(x, idx))
+        vectors.append(obj.batch_gradient_mean(x, idx, meter))
     return vectors
 
 
@@ -203,6 +199,74 @@ def _map_workers(pool, fn, workers):
     if pool is None:
         return [fn(w) for w in workers]
     return list(pool.map(fn, workers))
+
+
+class _Run:
+    """One run's state: keyed randomness, ledger, meter, workers, records.
+
+    As a context manager it shuts the worker thread pool down however the
+    run ends; ``trace`` snapshots the run as a ``MetricsTrace``.
+    """
+
+    def __init__(self, suite, seed, algorithm, metrics_every, parallel, hooks):
+        if metrics_every < 1:
+            raise ValueError("metrics_every must be at least 1")
+        self.suite = suite
+        self.seed = seed
+        self.metrics_every = metrics_every
+        self.hooks = hooks or RunHooks()
+        self.rng = RngStream(seed)
+        self.ledger = CommLedger()
+        self.meter = Meter(suite.num_workers)
+        self.workers = [
+            WorkerState(worker_id=i, obj=obj, x=suite.initial_point.copy())
+            for i, obj in enumerate(suite.objectives)
+        ]
+        self.records: list = []
+        self.residuals: list[float] = []
+        self.echo = {
+            "problem": dict(suite.config),
+            "algorithm": algorithm,
+            "run": {
+                "seeds": [seed],
+                "metrics_every": metrics_every,
+                "parallel": parallel,
+            },
+        }
+        N = suite.num_workers
+        self.pool = ThreadPoolExecutor(max_workers=N) if parallel and N > 1 else None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def record(self, s: int, t: int, k: int) -> None:
+        """Metrics point at ``(s, t)``, the run's ``k``-th iteration."""
+        if k % self.metrics_every == 0:
+            self.records.append(
+                make_record(s, t, self.suite, self.workers, self.ledger, self.meter)
+            )
+        if self.hooks.on_record:
+            self.hooks.on_record(s, t, self.workers)
+
+    def sync(self, s: int, t: int, payload: str, gradients=None) -> None:
+        sync_round(self.workers, payload, self.ledger, gradients=gradients)
+        if self.hooks.on_sync:
+            self.hooks.on_sync(s, t, payload, self.workers)
+
+    def trace(self, outcome: str = "diverged") -> MetricsTrace:
+        return MetricsTrace(
+            records=self.records,
+            config_echo=self.echo,
+            seed=self.seed,
+            outcome=outcome,
+            ledger=self.ledger,
+            ifo_breakdown=self.meter.breakdown(),
+            epoch_restart_residuals=self.residuals,
+        )
 
 
 def _run_spider(
@@ -227,70 +291,36 @@ def _run_spider(
         raise UnsupportedOperationError(
             "finite-sum variant needs enumerable samples; use the online one"
         )
-    if metrics_every < 1:
-        raise ValueError("metrics_every must be at least 1")
-    hooks = hooks or RunHooks()
-
-    suite = copy.deepcopy(suite)
-    suite.reset_counters()
-    rng = RngStream(seed)
-    ledger = CommLedger()
-    breakdown = {"init": 0, "inner": 0, "refresh": 0}
-    x0 = suite.initial_point
-    workers = [
-        WorkerState(worker_id=i, obj=obj, x=x0.copy(), rng=rng)
-        for i, obj in enumerate(suite.objectives)
-    ]
-
     algo = "pr-spider-online" if online else "pr-spider-finite"
-    echo = {
-        "problem": dict(suite.config),
-        "algorithm": {"name": algo, "params": hp.as_dict()},
-        "run": {
-            "seeds": [seed],
-            "metrics_every": metrics_every,
-            "parallel": parallel,
-        },
-    }
-    records: list = []
-    residuals: list[float] = []
+    run = _Run(
+        suite, seed, {"name": algo, "params": hp.as_dict()},
+        metrics_every, parallel, hooks,
+    )
+    workers, meter, rng = run.workers, run.meter, run.rng
 
-    def build_partial() -> MetricsTrace:
-        return MetricsTrace(
-            records=records,
-            config_echo=echo,
-            seed=seed,
-            outcome="diverged",
-            ledger=ledger,
-            ifo_breakdown=breakdown,
-            epoch_restart_residuals=residuals,
-        )
-
-    pool = ThreadPoolExecutor(max_workers=hp.N) if parallel and hp.N > 1 else None
-    # float overflow is a detected failure mode here, not a warning
-    errstate = np.errstate(over="ignore", invalid="ignore")
-    try:
-        errstate.__enter__()
-        # initial direction: exact local full gradients (finite-sum) or
-        # per-worker restart batches (online), averaged in one round
+    def restart_gradients(s, t, purpose):
+        # exact local full gradients (finite-sum) or per-worker restart
+        # batches (online), at the workers' common iterate
         if online:
-            grads = draw_restart_direction(
-                suite, x0, hp.n_b, rng, epoch=0, iteration=0, purpose=DRAW_INIT
+            return draw_restart_direction(
+                suite, workers[0].x, hp.n_b, rng, s, t, purpose, meter
             )
-            breakdown["init"] += hp.N * hp.n_b
-        else:
-            grads = [w.obj.full_gradient(w.x) for w in workers]
-            breakdown["init"] += hp.N * suite.sample_count
-        sync_round(workers, "gradients", ledger, gradients=grads)
+        return [w.obj.full_gradient(w.x, meter) for w in workers]
+
+    # float overflow is a detected failure mode here, not a warning
+    with run, np.errstate(over="ignore", invalid="ignore"):
+        grads = restart_gradients(0, 0, DRAW_INIT)
+        sync_round(workers, "gradients", run.ledger, gradients=grads)
 
         for s in range(hp.S):
+            meter.phase = "inner"
             for w in workers:
                 w.epoch = s
                 w.t = 0
                 w.est = replace(w.est, x_prev=w.x, t=0)
-            if hooks.on_epoch_start:
-                hooks.on_epoch_start(s, workers)
-            residuals.append(_restart_residual(suite, workers))
+            if run.hooks.on_epoch_start:
+                run.hooks.on_epoch_start(s, workers)
+            run.residuals.append(_restart_residual(suite, workers))
 
             for t in range(hp.m):
                 for w in workers:
@@ -298,50 +328,27 @@ def _run_spider(
                 if t >= 1:
                     def one_step(w, _s=s, _t=t):
                         gen = rng.substream(w.worker_id, _s, _t, DRAW_INNER)
-                        return spider_update(w.est, w.obj, w.x, hp.B, gen)
+                        return spider_update(w.est, w.obj, w.x, hp.B, gen, meter)
 
-                    for w, est in zip(workers, _map_workers(pool, one_step, workers)):
+                    for w, est in zip(workers, _map_workers(run.pool, one_step, workers)):
                         w.est = est
-                    breakdown["inner"] += 2 * hp.B * hp.N
                     if is_averaging_step(t, hp.I):
-                        sync_round(workers, "both", ledger)
-                        if hooks.on_sync:
-                            hooks.on_sync(s, t, "both", workers)
-                if (s * hp.m + t) % metrics_every == 0:
-                    records.append(make_record(s, t, suite, workers, ledger))
-                if hooks.on_record:
-                    hooks.on_record(s, t, workers)
+                        run.sync(s, t, "both")
+                run.record(s, t, s * hp.m + t)
                 for w in workers:
                     if t == 0:
                         w.est = replace(w.est, x_prev=w.x)
                     w.x = axpy(w.x, -hp.gamma, w.est.v)
-                _check_finite(workers, s, t, build_partial)
+                _check_finite(workers, s, t, run.trace)
 
             if s < hp.S - 1 and not skip_epoch_restart:
                 for w in workers:
                     w.t = hp.m
-                sync_round(workers, "iterates", ledger)
-                if hooks.on_sync:
-                    hooks.on_sync(s, hp.m, "iterates", workers)
-                if online:
-                    grads = draw_restart_direction(
-                        suite, workers[0].x, hp.n_b, rng, epoch=s, iteration=hp.m
-                    )
-                    breakdown["refresh"] += hp.N * hp.n_b
-                else:
-                    grads = [w.obj.full_gradient(w.x) for w in workers]
-                    breakdown["refresh"] += hp.N * suite.sample_count
-                sync_round(workers, "gradients", ledger, gradients=grads)
-                if hooks.on_sync:
-                    hooks.on_sync(s, hp.m, "gradients", workers)
-    finally:
-        errstate.__exit__(None, None, None)
-        if pool is not None:
-            pool.shutdown()
-
-    trace = build_partial()
-    trace.outcome = "completed"
-    return trace
+                run.sync(s, hp.m, "iterates")
+                meter.phase = "refresh"
+                grads = restart_gradients(s, hp.m, DRAW_RESTART)
+                run.sync(s, hp.m, "gradients", grads)
+    return run.trace("completed")
 
 
 def _restart_residual(suite: ProblemSuite, workers) -> float:
@@ -365,19 +372,13 @@ def run_pr_spider_finite(
 
     Emits one record per inner iteration (at the default cadence); the
     record at ``(s, t)`` reflects the state after all exchanges scheduled
-    at that index, together with the cost counters at that moment.
+    at that index, together with the cost totals at that moment.
     ``_skip_epoch_restart`` is a fault-injection hook for the verification
     suite and must stay off in real runs.
     """
     return _run_spider(
-        suite,
-        hp,
-        seed,
-        online=False,
-        metrics_every=metrics_every,
-        parallel=parallel,
-        hooks=hooks,
-        skip_epoch_restart=_skip_epoch_restart,
+        suite, hp, seed, online=False, metrics_every=metrics_every,
+        parallel=parallel, hooks=hooks, skip_epoch_restart=_skip_epoch_restart,
     )
 
 
@@ -392,14 +393,8 @@ def run_pr_spider_online(
 ) -> MetricsTrace:
     """Online variant: initialization and restarts use size-``n_b`` batches."""
     return _run_spider(
-        suite,
-        hp,
-        seed,
-        online=True,
-        metrics_every=metrics_every,
-        parallel=parallel,
-        hooks=hooks,
-        skip_epoch_restart=False,
+        suite, hp, seed, online=True, metrics_every=metrics_every,
+        parallel=parallel, hooks=hooks, skip_epoch_restart=False,
     )
 
 
@@ -420,84 +415,41 @@ def _run_local_sgd(
         raise ValueError("horizon, batch and I must be at least 1")
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError("step size must be finite and nonnegative")
-    if metrics_every < 1:
-        raise ValueError("metrics_every must be at least 1")
-    hooks = hooks or RunHooks()
-
-    suite = copy.deepcopy(suite)
-    suite.reset_counters()
-    rng = RngStream(seed)
-    ledger = CommLedger()
-    breakdown = {"init": 0, "inner": 0, "refresh": 0}
-    workers = [
-        WorkerState(worker_id=i, obj=obj, x=suite.initial_point.copy(), rng=rng)
-        for i, obj in enumerate(suite.objectives)
-    ]
     params = {"gamma": gamma, "batch": batch, "horizon": horizon}
     if name == "par-restarted-sgd":
         params["I"] = I
-    echo = {
-        "problem": dict(suite.config),
-        "algorithm": {"name": name, "params": params},
-        "run": {
-            "seeds": [seed],
-            "metrics_every": metrics_every,
-            "parallel": parallel,
-        },
-    }
-    records: list = []
+    run = _Run(
+        suite, seed, {"name": name, "params": params},
+        metrics_every, parallel, hooks,
+    )
+    workers, meter, rng = run.workers, run.meter, run.rng
+    meter.phase = "inner"
 
-    def build_partial() -> MetricsTrace:
-        return MetricsTrace(
-            records=records,
-            config_echo=echo,
-            seed=seed,
-            outcome="diverged",
-            ledger=ledger,
-            ifo_breakdown=breakdown,
-        )
-
-    pool = ThreadPoolExecutor(max_workers=len(workers)) if parallel and len(workers) > 1 else None
-    errstate = np.errstate(over="ignore", invalid="ignore")
-    try:
-        errstate.__enter__()
+    with run, np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):
             for w in workers:
                 w.t = k
-            if k % metrics_every == 0:
-                records.append(make_record(0, k, suite, workers, ledger))
-            if hooks.on_record:
-                hooks.on_record(0, k, workers)
+            run.record(0, k, k)
 
             def one_step(w, _k=k):
                 obj = w.obj
                 if obj.is_finite_sum and batch == obj.sample_count:
                     # a batch covering the whole sample set is a full pass
-                    grad = obj.full_gradient(w.x)
+                    grad = obj.full_gradient(w.x, meter)
                 else:
                     gen = rng.substream(w.worker_id, 0, _k, DRAW_INNER)
                     idx = obj.draw_indices(gen, batch)
-                    grad = obj.batch_gradient_mean(w.x, idx)
+                    grad = obj.batch_gradient_mean(w.x, idx, meter)
                 return axpy(w.x, -gamma, grad)
 
-            for w, x_new in zip(workers, _map_workers(pool, one_step, workers)):
+            for w, x_new in zip(workers, _map_workers(run.pool, one_step, workers)):
                 w.x = x_new
-            breakdown["inner"] += batch * len(workers)
-            _check_finite(workers, 0, k, build_partial)
+            _check_finite(workers, 0, k, run.trace)
             if (k + 1) % I == 0 or k + 1 == horizon:
                 for w in workers:
                     w.t = k + 1
-                sync_round(workers, "iterates", ledger)
-                if hooks.on_sync:
-                    hooks.on_sync(0, k + 1, "iterates", workers)
-    finally:
-        errstate.__exit__(None, None, None)
-        if pool is not None:
-            pool.shutdown()
-
-    trace = build_partial()
-    trace.outcome = "completed"
-    return trace
+                run.sync(0, k + 1, "iterates")
+    return run.trace("completed")
 
 
 def run_parallel_minibatch_sgd(
@@ -513,16 +465,8 @@ def run_parallel_minibatch_sgd(
 ) -> MetricsTrace:
     """Baseline: local batch step then iterate averaging, every iteration."""
     return _run_local_sgd(
-        suite,
-        gamma,
-        batch,
-        1,
-        horizon,
-        seed,
-        name="par-sgd",
-        metrics_every=metrics_every,
-        parallel=parallel,
-        hooks=hooks,
+        suite, gamma, batch, 1, horizon, seed, name="par-sgd",
+        metrics_every=metrics_every, parallel=parallel, hooks=hooks,
     )
 
 
@@ -546,14 +490,6 @@ def run_parallel_restarted_sgd(
     to one-shot averaging.
     """
     return _run_local_sgd(
-        suite,
-        gamma,
-        batch,
-        I,
-        horizon,
-        seed,
-        name="par-restarted-sgd",
-        metrics_every=metrics_every,
-        parallel=parallel,
-        hooks=hooks,
+        suite, gamma, batch, I, horizon, seed, name="par-restarted-sgd",
+        metrics_every=metrics_every, parallel=parallel, hooks=hooks,
     )

@@ -38,6 +38,7 @@ import json
 import os
 import statistics
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .algorithms import (
@@ -84,6 +85,17 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+@contextmanager
+def _config_errors(where: str):
+    """Report a ValueError raised while building from a config block."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -106,41 +118,42 @@ def load_config(path) -> dict:
 
 
 def build_suite(problem: dict) -> ProblemSuite:
-    family = _require(problem, "family", "problem")
-    if family == "quadratic":
-        offset = problem.get("initial_offset")
-        return make_quadratic_suite(
-            N=int(_require(problem, "N", "problem")),
-            n=int(_require(problem, "n", "problem")),
-            d=int(_require(problem, "d", "problem")),
-            heterogeneity=float(problem.get("heterogeneity", 0.0)),
-            seed=int(_require(problem, "seed", "problem")),
-            center_spread=float(problem.get("center_spread", 1.0)),
-            initial_offset=None if offset is None else float(offset),
-        )
-    if family == "sigmoid":
-        n = _require(problem, "n", "problem")
-        return make_nonconvex_suite(
-            N=int(_require(problem, "N", "problem")),
-            n=n if n == "online" else int(n),
-            d=int(_require(problem, "d", "problem")),
-            heterogeneity=float(problem.get("heterogeneity", 0.0)),
-            seed=int(_require(problem, "seed", "problem")),
-            online_pool=int(problem.get("online_pool", 512)),
-        )
-    if family == "quadratic-explicit":
-        return quadratic_suite_from_centers(
-            _require(problem, "centers", "problem"),
-            _require(problem, "initial_point", "problem"),
-        )
-    if family == "sigmoid-explicit":
-        return sigmoid_suite_from_params(
-            _require(problem, "features", "problem"),
-            _require(problem, "offsets", "problem"),
-            _require(problem, "initial_point", "problem"),
-            online=bool(problem.get("online", False)),
-        )
-    raise ConfigError(f"unknown problem family {family!r}")
+    with _config_errors("problem"):
+        family = _require(problem, "family", "problem")
+        if family == "quadratic":
+            offset = problem.get("initial_offset")
+            return make_quadratic_suite(
+                N=int(_require(problem, "N", "problem")),
+                n=int(_require(problem, "n", "problem")),
+                d=int(_require(problem, "d", "problem")),
+                heterogeneity=float(problem.get("heterogeneity", 0.0)),
+                seed=int(_require(problem, "seed", "problem")),
+                center_spread=float(problem.get("center_spread", 1.0)),
+                initial_offset=None if offset is None else float(offset),
+            )
+        if family == "sigmoid":
+            n = _require(problem, "n", "problem")
+            return make_nonconvex_suite(
+                N=int(_require(problem, "N", "problem")),
+                n=n if n == "online" else int(n),
+                d=int(_require(problem, "d", "problem")),
+                heterogeneity=float(problem.get("heterogeneity", 0.0)),
+                seed=int(_require(problem, "seed", "problem")),
+                online_pool=int(problem.get("online_pool", 512)),
+            )
+        if family == "quadratic-explicit":
+            return quadratic_suite_from_centers(
+                _require(problem, "centers", "problem"),
+                _require(problem, "initial_point", "problem"),
+            )
+        if family == "sigmoid-explicit":
+            return sigmoid_suite_from_params(
+                _require(problem, "features", "problem"),
+                _require(problem, "offsets", "problem"),
+                _require(problem, "initial_point", "problem"),
+                online=bool(problem.get("online", False)),
+            )
+        raise ConfigError(f"unknown problem family {family!r}")
 
 
 def _auto_params(name: str, auto: dict, suite: ProblemSuite) -> dict:
@@ -187,6 +200,12 @@ def resolve_algorithm(algorithm: dict, suite: ProblemSuite) -> tuple[str, dict]:
         raise ConfigError("pr-spider-finite needs a finite-sum problem")
     if name == "pr-spider-online" and "n_b" not in params:
         raise ConfigError("pr-spider-online needs a restart batch size n_b")
+    with _config_errors("algorithm"):
+        if int(params.get("N", suite.num_workers)) != suite.num_workers:
+            raise ConfigError(
+                f"params N={params['N']} but the problem has "
+                f"{suite.num_workers} workers"
+            )
     return name, params
 
 
@@ -196,15 +215,16 @@ def run_one(name: str, params: dict, suite: ProblemSuite, seed: int, run_block: 
     kwargs = {"metrics_every": metrics_every, "parallel": parallel}
     try:
         if name in ("pr-spider-finite", "pr-spider-online"):
-            hp = HyperParams(
-                gamma=float(params["gamma"]),
-                I=int(params["I"]),
-                m=int(params["m"]),
-                B=int(params["B"]),
-                S=int(params["S"]),
-                N=int(params.get("N", suite.num_workers)),
-                n_b=int(params["n_b"]) if "n_b" in params else None,
-            )
+            with _config_errors(f"algorithm {name!r}"):
+                hp = HyperParams(
+                    gamma=float(params["gamma"]),
+                    I=int(params["I"]),
+                    m=int(params["m"]),
+                    B=int(params["B"]),
+                    S=int(params["S"]),
+                    N=int(params.get("N", suite.num_workers)),
+                    n_b=int(params["n_b"]) if "n_b" in params else None,
+                )
             runner = (
                 run_pr_spider_finite
                 if name == "pr-spider-finite"
@@ -312,16 +332,17 @@ AXES = ("N", "I", "eps", "heterogeneity")
 def _apply_axis(config: dict, axis: str, value, hold_total_data: bool) -> dict:
     derived = copy.deepcopy(config)
     if axis == "N":
-        base_n = int(derived["problem"].get("n", 0))
-        base_N = int(derived["problem"]["N"])
-        derived["problem"]["N"] = int(value)
+        problem = derived["problem"]
         if hold_total_data:
-            total = base_N * base_n
+            if problem.get("n") in (None, "online"):
+                raise ConfigError("--hold-total-data needs a finite n")
+            total = int(problem["N"]) * int(problem["n"])
             if total % int(value) != 0:
                 raise ConfigError(
                     f"total data {total} not divisible by N={value}"
                 )
-            derived["problem"]["n"] = total // int(value)
+            problem["n"] = total // int(value)
+        problem["N"] = int(value)
     elif axis == "I":
         block = "auto" if "auto" in derived["algorithm"] else "params"
         derived["algorithm"][block]["I"] = int(value)

@@ -3,8 +3,8 @@
 The estimator tracks a direction ``v`` by adding, at each inner step, the
 batch-mean difference of per-sample gradients between the current and the
 previous iterate. The same batch is evaluated at both points: the variance
-cancellation depends on the shared samples, and the cost is two oracle
-accesses per sample.
+cancellation depends on the shared samples, and the cost, charged to the
+run's meter, is two oracle accesses per sample.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import ParamVector
-from .problems import LocalObjective
+from .problems import LocalObjective, Meter
 
 __all__ = [
     "EstimatorState",
     "spider_update",
     "spider_update_with_samples",
-    "tau",
     "is_averaging_step",
 ]
 
@@ -39,6 +38,7 @@ def spider_update_with_samples(
     obj: LocalObjective,
     x_curr: ParamVector,
     indices,
+    meter: Meter | None = None,
 ) -> EstimatorState:
     """Apply one recursion step using an explicit sample batch.
 
@@ -47,7 +47,7 @@ def spider_update_with_samples(
     indices = np.asarray(indices)
     if indices.size < 1:
         raise ValueError("batch must contain at least one sample")
-    delta = obj.pair_difference_mean(x_curr, state.x_prev, indices)
+    delta = obj.pair_difference_mean(x_curr, state.x_prev, indices, meter)
     return EstimatorState(v=state.v + delta, x_prev=x_curr, t=state.t + 1)
 
 
@@ -57,31 +57,17 @@ def spider_update(
     x_curr: ParamVector,
     B: int,
     rng: np.random.Generator,
+    meter: Meter | None = None,
 ) -> EstimatorState:
     """One recursion step on a freshly drawn i.i.d. batch of size ``B``.
 
-    Adds exactly ``2 * B`` to the worker's oracle counter and moves the
-    reference point to ``x_curr``.
+    Charges exactly ``2 * B`` oracle calls to the worker's row of
+    ``meter`` and moves the reference point to ``x_curr``.
     """
     if B < 1:
         raise ValueError(f"batch size must be positive, got {B}")
     indices = obj.draw_indices(rng, B)
-    return spider_update_with_samples(state, obj, x_curr, indices)
-
-
-def tau(ell: int, I: int) -> int:
-    """Most recent averaging index at or before ``ell``.
-
-    Returns ``ell`` itself when it is a multiple of ``I``, otherwise the
-    largest multiple of ``I`` strictly below it.
-    """
-    if ell < 0:
-        raise ValueError("iteration index must be nonnegative")
-    if I < 1:
-        raise ValueError("averaging period must be at least 1")
-    if ell % I == 0:
-        return ell
-    return (ell // I) * I
+    return spider_update_with_samples(state, obj, x_curr, indices, meter)
 
 
 def is_averaging_step(t: int, I: int) -> bool:

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .estimator import EstimatorState
-from .numerics import ParamVector, RngStream, mean_reduce, sq_norm
-from .problems import LocalObjective, ProblemSuite
+from .numerics import ParamVector, mean_reduce, sq_norm
+from .problems import LocalObjective, Meter, ProblemSuite
 
 __all__ = [
     "BarrierError",
@@ -35,7 +35,7 @@ __all__ = [
     "read_trace_csv",
 ]
 
-PAYLOADS = ("iterates", "estimates", "both", "gradients")
+PAYLOADS = ("iterates", "both", "gradients")
 
 CSV_HEADER = "s,t,f_bar,grad_sq,consensus,fos,ifo_total,comm_rounds"
 
@@ -67,15 +67,6 @@ class WorkerState:
     est: EstimatorState | None = None
     t: int = 0
     epoch: int = 0
-    rng: RngStream | None = None
-
-    @property
-    def ifo_count(self) -> int:
-        return self.obj.ifo_count
-
-    @property
-    def v(self) -> ParamVector | None:
-        return self.est.v if self.est is not None else None
 
 
 @dataclass(frozen=True)
@@ -225,7 +216,7 @@ def sync_round(
     v_bar = None
     if payload in ("iterates", "both"):
         x_bar = mean_reduce([w.x for w in workers])
-    if payload in ("estimates", "both"):
+    if payload == "both":
         v_bar = mean_reduce([w.est.v for w in workers])
     if payload == "gradients":
         if gradients is None:
@@ -276,6 +267,7 @@ def make_record(
     suite: ProblemSuite,
     workers: Sequence[WorkerState],
     ledger: CommLedger,
+    meter: Meter,
 ) -> MetricsRecord:
     f_bar, grad_sq, consensus = evaluate_fos(suite, workers)
     # opportunistic certificate: the advertised optimum is a true lower
@@ -293,7 +285,7 @@ def make_record(
         grad_sq=grad_sq,
         consensus=consensus,
         fos=grad_sq + consensus,
-        ifo_total=suite.total_ifo(),
+        ifo_total=meter.total,
         comm_rounds=ledger.rounds,
     )
 

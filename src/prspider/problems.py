@@ -12,9 +12,10 @@ Two families are provided:
   follows from ``max|phi'| = 3*sqrt(3)/8`` and the compact draw of the
   ``a`` vectors, so both hold uniformly rather than just empirically.
 
-Per-sample oracle calls are metered on the owning worker's counter.
-The analytic mean-value / mean-gradient oracles used for metrics are free:
-they never touch the counters.
+Objectives hold data, never run state. Each metered oracle takes the
+run's ``Meter`` and charges the samples it evaluated to the owning worker's
+row; called without one it charges nothing. The analytic mean-value /
+mean-gradient oracles used for metrics are free.
 
 The metered batch means sum their per-sample rows in index order, the
 order ``rows.mean(axis=0)`` uses, so they match the row-materialising
@@ -23,9 +24,8 @@ the rows: they walk the batch in blocks of ``BLOCK_ROWS`` rows, gather each
 sampled center once per block and carry the running sum from block to
 block.
 
-Data arrays (centers, features, offsets) are read-only. A deep copy of an
-objective shares them and copies only its counter state, so every run gets
-private counters over the same data.
+Data arrays (centers, features, offsets) are read-only, so any number of
+runs, serial or concurrent, can share one suite.
 
 Online suites expose a sampler only. Internally the sampler draws from a
 finite atom pool, which is what makes the analytic expectation oracles
@@ -34,10 +34,8 @@ exact; the pool is not enumerable through the public sample-id surface.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +44,7 @@ from .numerics import ParamVector, as_vector, mean_reduce, sq_norm
 
 __all__ = [
     "UnsupportedOperationError",
+    "Meter",
     "LocalObjective",
     "QuadraticObjective",
     "SigmoidObjective",
@@ -54,7 +53,6 @@ __all__ = [
     "make_nonconvex_suite",
     "quadratic_suite_from_centers",
     "sigmoid_suite_from_params",
-    "true_global_gradient",
     "PHI_GRAD_MAX",
     "PHI_CURV_MAX",
 ]
@@ -68,6 +66,9 @@ class UnsupportedOperationError(RuntimeError):
 # |phi''| peaks at 2 (t=0).
 PHI_GRAD_MAX = 3.0 * math.sqrt(3.0) / 8.0
 PHI_CURV_MAX = 2.0
+
+# Phases of a run that a Meter tells apart, in the order it reports them.
+PHASES = ("init", "inner", "refresh")
 
 # Rows per kernel block: at d=2048 a block of float64 rows is 512 KiB, so
 # the gather buffer and the row buffer fit a 2 MiB L2 together.
@@ -111,8 +112,31 @@ def _blocked_mean(count: int, dim: int, fill) -> np.ndarray:
     return acc / count
 
 
+class Meter:
+    """Oracle calls of one run, per worker and phase.
+
+    The runner sets ``phase`` between dispatches. Each worker charges only
+    its own row, so workers stepping on a thread pool need no lock.
+    """
+
+    def __init__(self, num_workers: int):
+        self.phase = PHASES[0]
+        self.rows = [dict.fromkeys(PHASES, 0) for _ in range(num_workers)]
+
+    def charge(self, worker: int, amount: int) -> None:
+        self.rows[worker][self.phase] += int(amount)
+
+    @property
+    def total(self) -> int:
+        return sum(sum(row.values()) for row in self.rows)
+
+    def breakdown(self) -> dict:
+        """Calls per phase over all workers, in ``PHASES`` order."""
+        return {p: sum(row[p] for row in self.rows) for p in PHASES}
+
+
 class LocalObjective:
-    """One worker's cost function plus its metered per-sample oracle.
+    """One worker's cost function plus its metered per-sample oracles.
 
     ``sample_count`` is ``None`` for online objectives, which then expose
     sampling only. ``smoothness`` and ``variance_bound`` are the advertised
@@ -135,27 +159,15 @@ class LocalObjective:
         self.sample_count = sample_count
         self.smoothness = smoothness
         self.variance_bound = variance_bound
-        self.ifo_count = 0
         self._pool_size = pool_size
-        self._counting = True
 
     @property
     def is_finite_sum(self) -> bool:
         return self.sample_count is not None
 
-    @contextmanager
-    def counters_suspended(self):
-        """Temporarily disable IFO metering (diagnostics only)."""
-        previous = self._counting
-        self._counting = False
-        try:
-            yield self
-        finally:
-            self._counting = previous
-
-    def _charge(self, amount: int) -> None:
-        if self._counting:
-            self.ifo_count += int(amount)
+    def _charge(self, meter: Meter | None, amount: int) -> None:
+        if meter is not None:
+            meter.charge(self.worker_id, amount)
 
     # -- sampling ---------------------------------------------------------
 
@@ -178,31 +190,42 @@ class LocalObjective:
         return np.array([s])
 
     # -- metered oracle surface --------------------------------------------
+    # Each cost below is charged to ``meter``, when one is given.
 
-    def stochastic_eval(self, x: ParamVector, sample) -> tuple[float, ParamVector]:
+    def stochastic_eval(
+        self, x: ParamVector, sample, meter: Meter | None = None
+    ) -> tuple[float, ParamVector]:
         """One oracle access: the (value, gradient) pair for one sample."""
         idx = self._resolve_sample(sample)
         value = float(self._sample_values(x, idx)[0])
         grad = self._sample_gradients(x, idx)[0]
-        self._charge(1)
+        self._charge(meter, 1)
         return value, grad
 
-    def stochastic_gradient(self, x: ParamVector, sample) -> ParamVector:
+    def stochastic_gradient(
+        self, x: ParamVector, sample, meter: Meter | None = None
+    ) -> ParamVector:
         """Gradient of one sample; costs exactly one oracle access."""
         idx = self._resolve_sample(sample)
         grad = self._sample_gradients(x, idx)[0]
-        self._charge(1)
+        self._charge(meter, 1)
         return grad
 
-    def batch_gradient_mean(self, x: ParamVector, indices) -> ParamVector:
+    def batch_gradient_mean(
+        self, x: ParamVector, indices, meter: Meter | None = None
+    ) -> ParamVector:
         """Mean gradient over a drawn batch; costs ``len(indices)``."""
         idx = np.asarray(indices)
         grad = self._gradient_mean(x, idx)
-        self._charge(idx.shape[0])
+        self._charge(meter, idx.shape[0])
         return grad
 
     def pair_difference_mean(
-        self, x_new: ParamVector, x_old: ParamVector, indices
+        self,
+        x_new: ParamVector,
+        x_old: ParamVector,
+        indices,
+        meter: Meter | None = None,
     ) -> ParamVector:
         """Mean of per-sample gradient differences over a shared batch.
 
@@ -212,29 +235,20 @@ class LocalObjective:
         """
         idx = np.asarray(indices)
         delta = self._pair_difference_mean(x_new, x_old, idx)
-        self._charge(2 * idx.shape[0])
+        self._charge(meter, 2 * idx.shape[0])
         return delta
 
-    def full_gradient(self, x: ParamVector) -> ParamVector:
+    def full_gradient(
+        self, x: ParamVector, meter: Meter | None = None
+    ) -> ParamVector:
         """Exact local gradient by one pass over all samples; costs n."""
         if not self.is_finite_sum:
             raise UnsupportedOperationError(
                 "full gradient requires an enumerable sample set"
             )
         grad = self._gradient_mean(x, None)
-        self._charge(self.sample_count)
+        self._charge(meter, self.sample_count)
         return grad
-
-    def __deepcopy__(self, memo):
-        # read-only data arrays are shared; everything else, the counter
-        # state included, is deep-copied
-        clone = copy.copy(self)
-        memo[id(self)] = clone
-        for name, value in vars(self).items():
-            shared = isinstance(value, np.ndarray) and not value.flags.writeable
-            if not shared:
-                setattr(clone, name, copy.deepcopy(value, memo))
-        return clone
 
     # -- analytic oracles (metrics only, never metered) ---------------------
 
@@ -467,30 +481,11 @@ class ProblemSuite:
         """Upper bound on the optimality gap at the start point."""
         return self.value(self.initial_point) - self.optimum_value
 
-    def total_ifo(self) -> int:
-        return sum(obj.ifo_count for obj in self.objectives)
-
-    def reset_counters(self) -> None:
-        for obj in self.objectives:
-            obj.ifo_count = 0
-
-    @contextmanager
-    def counters_suspended(self):
-        with ExitStack() as stack:
-            for obj in self.objectives:
-                stack.enter_context(obj.counters_suspended())
-            yield self
-
     def with_initial_point(self, x0) -> "ProblemSuite":
         """Copy of the suite starting from a caller-chosen point."""
         return dataclasses.replace(
             self, initial_point=as_vector(x0, self.dim)
         )
-
-
-def true_global_gradient(suite: ProblemSuite, x: ParamVector) -> ParamVector:
-    """Exact gradient of the global objective; a free metrics oracle."""
-    return suite.gradient(x)
 
 
 def _finish_quadratic_suite(

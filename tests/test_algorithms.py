@@ -137,8 +137,15 @@ class TestSpiderFinite:
     def test_input_suite_not_mutated(self):
         suite = quad_suite()
         hp = HyperParams(gamma=1.0 / 16, I=2, m=4, B=1, S=2, N=4)
+        objectives = list(suite.objectives)
+        before = [dict(vars(obj)) for obj in objectives]
+        x0 = suite.initial_point.copy()
         run_pr_spider_finite(suite, hp, 0)
-        assert suite.total_ifo() == 0
+        assert suite.objectives == objectives
+        for obj, state in zip(objectives, before):
+            assert vars(obj).keys() == state.keys()
+            assert all(vars(obj)[k] is v for k, v in state.items())
+        assert suite.initial_point.tobytes() == x0.tobytes()
 
     def test_average_iterate_recursion(self):
         # server-side averages follow x_{t+1} = x_t - gamma * v_t even at

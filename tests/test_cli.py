@@ -141,6 +141,33 @@ class TestCmdRun:
         write_config(cfg, problem={"family": "rosenbrock"})
         assert main(["run", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "N, params",
+        [
+            (2, {"I": 0}),
+            (2, {"N": 3}),
+            (0, {}),
+        ],
+        ids=["period-zero", "params-N-mismatch", "problem-N-zero"],
+    )
+    def test_bad_value_exits_config_with_one_line(self, tmp_path, capsys, N, params):
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            problem={
+                "family": "quadratic", "N": N, "n": 8, "d": 2,
+                "heterogeneity": 0.5, "seed": 1,
+            },
+            algorithm={
+                "name": "pr-spider-finite",
+                "params": {"gamma": 0.1, "I": 1, "m": 2, "B": 1, "S": 1, **params},
+            },
+        )
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
     def test_divergence_exit_code_and_partial_trace(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(
@@ -286,6 +313,41 @@ class TestCmdSweep:
              "--hold-total-data", "--out", str(tmp_path / "out")]
         )
         assert code == EXIT_CONFIG
+
+    @staticmethod
+    def _online_config(path):
+        write_config(
+            path,
+            problem={
+                "family": "sigmoid", "N": 2, "n": "online", "d": 3,
+                "heterogeneity": 0.5, "seed": 1, "online_pool": 16,
+            },
+            algorithm={
+                "name": "pr-spider-online",
+                "params": {"gamma": 0.1, "I": 2, "m": 4, "B": 2, "S": 2, "n_b": 8},
+            },
+            run={"seeds": [0], "eps_targets": [1e-3]},
+        )
+
+    def test_axis_workers_on_online_problem(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        self._online_config(cfg)
+        out = tmp_path / "out"
+        code = main(
+            ["sweep", str(cfg), "--axis", "N", "--values", "1,3", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        assert [r["value"] for r in read_rows(out / "sweep.csv")] == ["1", "3"]
+
+    def test_hold_total_data_needs_finite_n(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        self._online_config(cfg)
+        code = main(
+            ["sweep", str(cfg), "--axis", "N", "--values", "1,3",
+             "--hold-total-data", "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_CONFIG
+        assert "needs a finite n" in capsys.readouterr().err
 
     def test_sweep_rows_cover_values_and_seeds(self, tmp_path):
         cfg = tmp_path / "cfg.json"

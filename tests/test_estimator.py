@@ -1,50 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from prspider.estimator import (
     EstimatorState,
     is_averaging_step,
     spider_update,
     spider_update_with_samples,
-    tau,
 )
 from prspider.numerics import RngStream, sq_norm
 from prspider.problems import (
+    Meter,
     make_quadratic_suite,
     quadratic_suite_from_centers,
     sigmoid_suite_from_params,
 )
-
-
-class TestTau:
-    def test_on_multiple_returns_itself(self):
-        assert tau(6, 3) == 6
-
-    def test_off_multiple_returns_previous(self):
-        assert tau(7, 3) == 6
-
-    def test_below_first_multiple(self):
-        assert tau(2, 3) == 0
-
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=64))
-    def test_latest_averaging_index_properties(self, ell, I):
-        out = tau(ell, I)
-        assert out % I == 0
-        assert out <= ell
-        # nothing between out and ell is a multiple of I (except ell itself
-        # when it is one, in which case out == ell)
-        if ell % I == 0:
-            assert out == ell
-        else:
-            assert ell - out < I
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            tau(-1, 3)
-        with pytest.raises(ValueError):
-            tau(3, 0)
 
 
 class TestIsAveragingStep:
@@ -94,8 +63,10 @@ class TestSpiderUpdate:
         obj = suite.objectives[0]
         state = EstimatorState(v=np.zeros(3), x_prev=np.zeros(3), t=0)
         gen = RngStream(0).substream(0, 0, 1)
-        spider_update(state, obj, np.ones(3), B=7, rng=gen)
-        assert obj.ifo_count == 14
+        meter = Meter(1)
+        meter.phase = "inner"
+        spider_update(state, obj, np.ones(3), B=7, rng=gen, meter=meter)
+        assert meter.rows == [{"init": 0, "inner": 14, "refresh": 0}]
 
     def test_rejects_nonpositive_batch(self):
         suite = one_worker_quadratic()
@@ -175,24 +146,21 @@ class TestErrorAccumulation:
         for _ in range(reps):
             states = []
             for i, obj in enumerate(suite.objectives):
-                with obj.counters_suspended():
-                    v0 = obj.mean_gradient(trajs[i][0])
+                v0 = obj.mean_gradient(trajs[i][0])
                 states.append(EstimatorState(v=v0, x_prev=trajs[i][0], t=0))
             for t in range(1, steps + 1):
                 for i, obj in enumerate(suite.objectives):
                     idx = stream_root.integers(0, n, size=B)
-                    with obj.counters_suspended():
-                        states[i] = spider_update_with_samples(
-                            states[i], obj, trajs[i][t], idx
-                        )
+                    states[i] = spider_update_with_samples(
+                        states[i], obj, trajs[i][t], idx
+                    )
                 v_bar = np.stack([s.v for s in states]).mean(axis=0)
-                with suite.counters_suspended():
-                    g_bar = np.stack(
-                        [
-                            obj.mean_gradient(trajs[i][t])
-                            for i, obj in enumerate(suite.objectives)
-                        ]
-                    ).mean(axis=0)
+                g_bar = np.stack(
+                    [
+                        obj.mean_gradient(trajs[i][t])
+                        for i, obj in enumerate(suite.objectives)
+                    ]
+                ).mean(axis=0)
                 err_sums[t] += sq_norm(v_bar - g_bar)
         estimates = err_sums / reps
         stderr = estimates / np.sqrt(reps)  # generous per-step allowance

@@ -5,7 +5,8 @@ Each config goes through the same calls as ``prspider run``
 ``write_sidecar``) and the SHA-256 of both files must match the digest
 recorded here. Together the configs cover all four algorithms, both
 families, finite and online sampling, ``parallel`` on and off, batches that
-span several kernel blocks and the single-column (d=1) quadratic.
+span several kernel blocks, the single-column (d=1) quadratic, an explicit
+quadratic suite, and runs that diverge (their partial trace is pinned).
 
 The quadratic path is pure elementwise numpy, so its digests hold on any
 machine. The sigmoid path goes through a BLAS matvec: a BLAS or CPU change
@@ -18,6 +19,7 @@ import hashlib
 
 import pytest
 
+from prspider.algorithms import DivergedError
 from prspider.cli import build_suite, resolve_algorithm, run_one
 
 
@@ -92,10 +94,48 @@ CONFIGS = {
         {"gamma": 0.1, "batch": 8, "horizon": 25},
         True,
     ),
+    "quadratic-explicit-spider-finite": _config(
+        {"family": "quadratic-explicit",
+         "centers": [[[0.0, 1.0], [2.0, -1.0], [0.5, 0.25]],
+                     [[-1.0, 3.0], [1.5, 0.0], [4.0, 2.0]]],
+         "initial_point": [3.0, -2.0]},
+        "pr-spider-finite",
+        {"gamma": 0.2, "I": 2, "m": 6, "B": 2, "S": 3},
+        False,
+    ),
+    # the step size makes these overflow partway; the partial trace that
+    # DivergedError carries is what gets written
+    "quadratic-spider-finite-diverged": _config(
+        QUAD_FINITE,
+        "pr-spider-finite",
+        {"gamma": 64.0, "I": 3, "m": 12, "B": 40, "S": 20},
+        False,
+    ),
+    "quadratic-par-sgd-diverged": _config(
+        {"family": "quadratic", "N": 2, "n": 40, "d": 5,
+         "heterogeneity": 0.3, "seed": 2},
+        "par-sgd",
+        {"gamma": 1e3, "batch": 7, "horizon": 200},
+        True,
+    ),
 }
+
+DIVERGING = {"quadratic-spider-finite-diverged", "quadratic-par-sgd-diverged"}
 
 # name -> (sha256 of trace CSV, sha256 of sidecar)
 GOLDEN = {
+    "quadratic-explicit-spider-finite": (
+        "44789de2819875012c7a9481691cf3be2b93c6be2cecdd97ce74132fe48362fa",
+        "41accea6d81fa2eec3a545a286675d2bbad61c3f8262f992356cc7f931da00b4",
+    ),
+    "quadratic-par-sgd-diverged": (
+        "9a367a88888f5784adc9b40ead1a2fac9c900bfe9eb79c6ab8b8fd02ce3b39a6",
+        "1d608cb5645e4f23dd19adb79f1e1eb15aa84aeaf355fd7d7edde08893666353",
+    ),
+    "quadratic-spider-finite-diverged": (
+        "0ac5352e35f302c8ccd02a1a77cce8cafa5f16b6251d1537a1a31d2e521961ad",
+        "26329426c3128f753959819f9f0a0eb20fcae45e5e555df37731f206a0742564",
+    ),
     "quadratic-d1-spider-online-parallel": (
         "ef918efd48e32c882035ddfe3f7e7b0a7f141a26a28419c602604e4b5854cff8",
         "53026811bbb3f096b44a9bd6c3409b9e8804944aab27d79aab22df93d3f32dbc",
@@ -135,12 +175,15 @@ GOLDEN = {
 }
 
 
-def trace_digests(config: dict, out_dir) -> tuple[str, str]:
+def trace_digests(config: dict, out_dir, outcome="completed") -> tuple[str, str]:
     suite = build_suite(config["problem"])
     name, params = resolve_algorithm(config["algorithm"], suite)
     run = config["run"]
-    trace = run_one(name, params, suite, run["seeds"][0], run)
-    assert trace.outcome == "completed"
+    try:
+        trace = run_one(name, params, suite, run["seeds"][0], run)
+    except DivergedError as exc:
+        trace = exc.trace
+    assert trace.outcome == outcome
     csv_path, sidecar_path = out_dir / "trace.csv", out_dir / "trace.json"
     trace.write_csv(csv_path)
     trace.write_sidecar(sidecar_path)
@@ -155,12 +198,18 @@ def test_golden_covers_every_algorithm_family_and_mode():
     assert {c["algorithm"]["name"] for c in configs} == {
         "pr-spider-finite", "pr-spider-online", "par-sgd", "par-restarted-sgd"
     }
-    assert {c["problem"]["family"] for c in configs} == {"quadratic", "sigmoid"}
-    assert {c["problem"]["n"] == "online" for c in configs} == {True, False}
+    assert {c["problem"]["family"] for c in configs} == {
+        "quadratic", "sigmoid", "quadratic-explicit"
+    }
+    assert {c["problem"].get("n") == "online" for c in configs} == {True, False}
     assert {c["run"]["parallel"] for c in configs} == {True, False}
+    assert {c["algorithm"]["name"] for c in map(CONFIGS.get, DIVERGING)} == {
+        "pr-spider-finite", "par-sgd"
+    }
     assert set(GOLDEN) == set(CONFIGS)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_trace_matches_golden_digest(name, tmp_path):
-    assert trace_digests(CONFIGS[name], tmp_path) == GOLDEN[name]
+    outcome = "diverged" if name in DIVERGING else "completed"
+    assert trace_digests(CONFIGS[name], tmp_path, outcome) == GOLDEN[name]

@@ -15,7 +15,11 @@ from prspider.harness import (
     read_trace_csv,
     sync_round,
 )
-from prspider.problems import make_quadratic_suite, quadratic_suite_from_centers
+from prspider.problems import (
+    Meter,
+    make_quadratic_suite,
+    quadratic_suite_from_centers,
+)
 
 
 def make_workers(suite, xs, with_est=True):
@@ -119,9 +123,9 @@ class TestEvaluateFos:
     def test_metrics_are_free(self):
         suite = make_quadratic_suite(N=2, n=8, d=2, heterogeneity=0.5, seed=10)
         workers = make_workers(suite, [[0.0, 0.0], [1.0, 1.0]], with_est=False)
-        ledger = CommLedger()
-        make_record(0, 0, suite, workers, ledger)
-        assert suite.total_ifo() == 0
+        ledger, meter = CommLedger(), Meter(2)
+        record = make_record(0, 0, suite, workers, ledger, meter)
+        assert record.ifo_total == meter.total == 0
         assert ledger.rounds == 0
 
 
@@ -168,8 +172,11 @@ class TestTraceSerialization:
     def test_record_invariants(self):
         suite = make_quadratic_suite(N=2, n=4, d=2, heterogeneity=0.2, seed=11)
         workers = make_workers(suite, [[0.0, 1.0], [1.0, 0.0]], with_est=False)
-        rec = make_record(2, 3, suite, workers, CommLedger(rounds=5))
+        meter = Meter(2)
+        meter.charge(1, 7)
+        rec = make_record(2, 3, suite, workers, CommLedger(rounds=5), meter)
         assert rec.fos == rec.grad_sq + rec.consensus  # exact sum
+        assert (rec.ifo_total, rec.comm_rounds) == (7, 5)
 
     def test_csv_round_trip_full_precision(self, tmp_path):
         values = [0.1, 1 / 3, 2.0 ** -40, 123456.789012345]

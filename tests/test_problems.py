@@ -4,12 +4,12 @@ import pytest
 from prspider.numerics import RngStream, sq_norm
 from prspider.problems import (
     PHI_GRAD_MAX,
+    Meter,
     UnsupportedOperationError,
     make_nonconvex_suite,
     make_quadratic_suite,
     quadratic_suite_from_centers,
     sigmoid_suite_from_params,
-    true_global_gradient,
 )
 
 
@@ -74,17 +74,18 @@ class TestStochasticOracle:
     def test_counter_increments_by_one(self):
         suite = single_center_suite()
         obj = suite.objectives[0]
-        before = obj.ifo_count
-        obj.stochastic_gradient(np.array([1.0]), 0)
-        assert obj.ifo_count == before + 1
+        meter = Meter(1)
+        obj.stochastic_gradient(np.array([1.0]), 0, meter)
+        assert meter.total == 1
 
     def test_eval_returns_value_gradient_pair(self):
         suite = single_center_suite()
         obj = suite.objectives[0]
-        value, grad = obj.stochastic_eval(np.array([5.0]), 0)
+        meter = Meter(1)
+        value, grad = obj.stochastic_eval(np.array([5.0]), 0, meter)
         assert value == pytest.approx(2.0)  # 0.5 * (5-3)^2
         assert grad[0] == pytest.approx(2.0)
-        assert obj.ifo_count == 1
+        assert meter.total == 1
 
     def test_sample_id_out_of_range(self):
         suite = single_center_suite()
@@ -103,8 +104,9 @@ class TestStochasticOracle:
     def test_full_gradient_counter_and_online_rejection(self):
         suite = make_quadratic_suite(N=1, n=7, d=2, heterogeneity=0, seed=6)
         obj = suite.objectives[0]
-        obj.full_gradient(np.zeros(2))
-        assert obj.ifo_count == 7
+        meter = Meter(1)
+        obj.full_gradient(np.zeros(2), meter)
+        assert meter.total == 7
         online = make_nonconvex_suite(N=1, n="online", d=2, heterogeneity=0, seed=6)
         with pytest.raises(UnsupportedOperationError):
             online.objectives[0].full_gradient(np.zeros(2))
@@ -115,33 +117,64 @@ class TestStochasticOracle:
         with pytest.raises(UnsupportedOperationError):
             obj.stochastic_gradient(np.zeros(2), 0)
         gen = RngStream(0).substream(0, 0, 0)
-        g = obj.stochastic_gradient(np.zeros(2), gen)
+        meter = Meter(1)
+        g = obj.stochastic_gradient(np.zeros(2), gen, meter)
         assert g.shape == (2,)
-        assert obj.ifo_count == 1
+        assert meter.total == 1
 
     def test_counters_suspended(self):
+        # called without a meter, an oracle charges nothing: it leaves the
+        # objective as it was, since objectives hold no run state
         suite = make_quadratic_suite(N=2, n=4, d=2, heterogeneity=0, seed=7)
-        with suite.counters_suspended():
-            for obj in suite.objectives:
-                obj.full_gradient(np.zeros(2))
-        assert suite.total_ifo() == 0
+        for obj in suite.objectives:
+            before = dict(vars(obj))
+            obj.full_gradient(np.zeros(2))
+            obj.stochastic_eval(np.zeros(2), 1)
+            obj.pair_difference_mean(np.zeros(2), np.ones(2), [0, 3])
+            assert vars(obj).keys() == before.keys()
+            assert all(vars(obj)[k] is v for k, v in before.items())
+
+
+class TestMeter:
+    def test_charge_lands_on_owning_worker_row_under_current_phase(self):
+        suite = make_quadratic_suite(N=3, n=5, d=2, heterogeneity=0.5, seed=1)
+        meter = Meter(3)
+        x = np.zeros(2)
+        suite.objectives[1].full_gradient(x, meter)
+        meter.phase = "inner"
+        suite.objectives[2].pair_difference_mean(x, x + 1.0, [0, 4, 4], meter)
+        suite.objectives[0].batch_gradient_mean(x, [1, 2], meter)
+        meter.phase = "refresh"
+        suite.objectives[2].stochastic_gradient(x, 3, meter)
+        assert meter.rows == [
+            {"init": 0, "inner": 2, "refresh": 0},
+            {"init": 5, "inner": 0, "refresh": 0},
+            {"init": 0, "inner": 6, "refresh": 1},
+        ]
+        assert meter.total == 14
+
+    def test_breakdown_sums_workers_in_phase_order(self):
+        meter = Meter(2)
+        for phase, worker, amount in (
+            ("refresh", 1, 4), ("inner", 0, 6), ("init", 1, 3), ("inner", 1, 2)
+        ):
+            meter.phase = phase
+            meter.charge(worker, np.int64(amount))
+        breakdown = meter.breakdown()
+        assert list(breakdown) == ["init", "inner", "refresh"]
+        assert breakdown == {"init": 3, "inner": 8, "refresh": 4}
+        # plain ints, so the sidecar's json.dumps takes them
+        assert {type(v) for v in breakdown.values()} == {int}
+        assert type(meter.total) is int and meter.total == 15
 
 
 class TestGlobalGradientOracle:
     def test_matches_mean_of_full_gradients(self):
         suite = make_quadratic_suite(N=3, n=5, d=4, heterogeneity=0.8, seed=8)
         x = np.array([0.1, 0.2, -0.3, 0.4])
-        with suite.counters_suspended():
-            fulls = [obj.full_gradient(x) for obj in suite.objectives]
+        fulls = [obj.full_gradient(x) for obj in suite.objectives]
         mean = np.stack(fulls).mean(axis=0)
-        assert np.max(np.abs(true_global_gradient(suite, x) - mean)) <= 1e-12
-        assert suite.total_ifo() == 0
-
-    def test_no_ifo_charge(self):
-        suite = make_quadratic_suite(N=2, n=4, d=2, heterogeneity=0, seed=9)
-        true_global_gradient(suite, np.zeros(2))
-        suite.value(np.zeros(2))
-        assert suite.total_ifo() == 0
+        assert np.max(np.abs(suite.gradient(x) - mean)) <= 1e-12
 
     def test_online_symmetric_pair_is_stationary_at_zero(self):
         # one worker, sample pair (a, 0) and (-a, 0): slopes cancel at x=0
@@ -200,9 +233,8 @@ class TestAdvertisedConstants:
             obj = suite.objectives[rng.integers(0, 2)]
             x, y = rng.normal(size=4), rng.normal(size=4)
             j = rng.integers(0, 16)
-            with obj.counters_suspended():
-                gx = obj.stochastic_gradient(x, int(j))
-                gy = obj.stochastic_gradient(y, int(j))
+            gx = obj.stochastic_gradient(x, int(j))
+            gy = obj.stochastic_gradient(y, int(j))
             lhs = np.linalg.norm(gx - gy)
             assert lhs <= L * np.linalg.norm(x - y) * (1 + 1e-12)
 
@@ -214,9 +246,8 @@ class TestAdvertisedConstants:
             obj = suite.objectives[rng.integers(0, 2)]
             x, y = rng.normal(size=4), rng.normal(size=4)
             j = rng.integers(0, 16)
-            with obj.counters_suspended():
-                gx = obj.stochastic_gradient(x, int(j))
-                gy = obj.stochastic_gradient(y, int(j))
+            gx = obj.stochastic_gradient(x, int(j))
+            gy = obj.stochastic_gradient(y, int(j))
             lhs = np.linalg.norm(gx - gy)
             assert lhs <= L * np.linalg.norm(x - y) * (1 + 1e-12)
 
@@ -232,11 +263,10 @@ class TestAdvertisedConstants:
             for _ in range(100):
                 x = rng.normal(size=4)
                 g_global = suite.gradient(x)
-                with obj.counters_suspended():
-                    devs = [
-                        sq_norm(obj.stochastic_gradient(x, j) - g_global)
-                        for j in range(16)
-                    ]
+                devs = [
+                    sq_norm(obj.stochastic_gradient(x, j) - g_global)
+                    for j in range(16)
+                ]
                 assert np.mean(devs) <= sigma_sq * (1 + 1e-9)
 
     def test_sigmoid_slope_extremum_constant(self):
