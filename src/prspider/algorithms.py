@@ -183,8 +183,8 @@ def draw_restart_direction(
 
 def _check_finite(workers, s, t, build_partial):
     for w in workers:
-        bad_x = not np.all(np.isfinite(w.x))
-        bad_v = w.est is not None and not np.all(np.isfinite(w.est.v))
+        bad_x = not np.isfinite(w.x).all()
+        bad_v = w.est is not None and not np.isfinite(w.est.v).all()
         if bad_x or bad_v:
             raise DivergedError(
                 f"non-finite values at worker {w.worker_id}, epoch {s}, "
@@ -198,7 +198,14 @@ def _map_workers(pool, fn, workers):
     # cannot change the outcome
     if pool is None:
         return [fn(w) for w in workers]
-    return list(pool.map(fn, workers))
+    # numpy's error state is thread-local: each task takes the caller's
+    errors = np.geterr()
+
+    def task(w):
+        with np.errstate(**errors):
+            return fn(w)
+
+    return list(pool.map(task, workers))
 
 
 class _Run:

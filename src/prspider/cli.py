@@ -20,11 +20,12 @@ Configs are JSON with three blocks::
 
 ``algorithm`` takes either ``auto`` (hyperparameters derived from the
 suite's certified constants for the target ``eps``) or explicit
-``params``. Every run writes one trace CSV and one JSON sidecar per seed;
-the sidecar echoes the fully resolved configuration and is itself a valid
-config, so any experiment can be rerun exactly from its outputs. The
-``PRSPIDER_OUT`` environment variable prefixes relative output
-directories.
+``params``. A key that a block does not take is a configuration error, so
+a misspelt key cannot silently fall back to its default. Every run writes
+one trace CSV and one JSON sidecar per seed; the sidecar echoes the fully
+resolved configuration and is itself a valid config, so any experiment can
+be rerun exactly from its outputs. The ``PRSPIDER_OUT`` environment
+variable prefixes relative output directories.
 
 Exit codes: 0 success, 2 configuration error, 3 divergence,
 4 verification failure.
@@ -75,6 +76,33 @@ ALGORITHMS = (
 )
 
 
+# The keys each config block takes. The top level also takes the
+# ``result`` block that sidecars carry, so a sidecar reruns as a config.
+TOP_KEYS = ("problem", "algorithm", "run", "result")
+PROBLEM_KEYS = {
+    "quadratic": (
+        "family", "N", "n", "d", "heterogeneity", "seed", "center_spread",
+        "initial_offset",
+    ),
+    "sigmoid": (
+        "family", "N", "n", "d", "heterogeneity", "seed", "online_pool",
+    ),
+    "quadratic-explicit": ("family", "centers", "initial_point"),
+    "sigmoid-explicit": (
+        "family", "features", "offsets", "initial_point", "online",
+    ),
+}
+ALGORITHM_KEYS = ("name", "auto", "params")
+AUTO_KEYS = ("eps", "I")
+PARAM_KEYS = {
+    "pr-spider-finite": ("gamma", "I", "m", "B", "S", "N"),
+    "pr-spider-online": ("gamma", "I", "m", "B", "S", "N", "n_b"),
+    "par-sgd": ("gamma", "batch", "horizon"),
+    "par-restarted-sgd": ("gamma", "batch", "I", "horizon"),
+}
+RUN_KEYS = ("seeds", "out_dir", "eps_targets", "metrics_every", "parallel")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -83,6 +111,22 @@ def _require(block: dict, key: str, where: str):
     if key not in block:
         raise ConfigError(f"missing key {key!r} in {where} block")
     return block[key]
+
+
+def _as_object(block, where: str) -> dict:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} block must be an object")
+    return block
+
+
+def _check_keys(block, allowed, where: str) -> None:
+    """Reject a block that is not an object or has a key it does not take."""
+    for key in _as_object(block, where):
+        if key not in allowed:
+            raise ConfigError(
+                f"unknown key {key!r} in {where} block; it takes "
+                f"{', '.join(allowed)}"
+            )
 
 
 @contextmanager
@@ -110,16 +154,21 @@ def load_config(path) -> dict:
         ) from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    _check_keys(config, TOP_KEYS, "top-level")
     for block in ("problem", "algorithm"):
         if block not in config:
             raise ConfigError(f"{path}: missing {block!r} block")
     config.setdefault("run", {})
+    _check_keys(config["run"], RUN_KEYS, "run")
     return config
 
 
 def build_suite(problem: dict) -> ProblemSuite:
     with _config_errors("problem"):
-        family = _require(problem, "family", "problem")
+        family = _require(_as_object(problem, "problem"), "family", "problem")
+        if not isinstance(family, str) or family not in PROBLEM_KEYS:
+            raise ConfigError(f"unknown problem family {family!r}")
+        _check_keys(problem, PROBLEM_KEYS[family], "problem")
         if family == "quadratic":
             offset = problem.get("initial_offset")
             return make_quadratic_suite(
@@ -153,7 +202,6 @@ def build_suite(problem: dict) -> ProblemSuite:
                 _require(problem, "initial_point", "problem"),
                 online=bool(problem.get("online", False)),
             )
-        raise ConfigError(f"unknown problem family {family!r}")
 
 
 def _auto_params(name: str, auto: dict, suite: ProblemSuite) -> dict:
@@ -183,6 +231,7 @@ def _auto_params(name: str, auto: dict, suite: ProblemSuite) -> dict:
 
 
 def resolve_algorithm(algorithm: dict, suite: ProblemSuite) -> tuple[str, dict]:
+    _check_keys(algorithm, ALGORITHM_KEYS, "algorithm")
     name = _require(algorithm, "name", "algorithm")
     if name not in ALGORITHMS:
         raise ConfigError(
@@ -193,8 +242,10 @@ def resolve_algorithm(algorithm: dict, suite: ProblemSuite) -> tuple[str, dict]:
     if has_auto == has_params:
         raise ConfigError("algorithm needs exactly one of 'auto' or 'params'")
     if has_auto:
+        _check_keys(algorithm["auto"], AUTO_KEYS, "algorithm.auto")
         params = _auto_params(name, algorithm["auto"], suite)
     else:
+        _check_keys(algorithm["params"], PARAM_KEYS[name], "algorithm.params")
         params = dict(algorithm["params"])
     if name == "pr-spider-finite" and not suite.is_finite_sum:
         raise ConfigError("pr-spider-finite needs a finite-sum problem")

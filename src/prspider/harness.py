@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .estimator import EstimatorState
-from .numerics import ParamVector, mean_reduce, sq_norm
+from .numerics import ParamVector, mean_reduce, ordered_sum, sq_norm, sq_norms
 from .problems import LocalObjective, Meter, ProblemSuite
 
 __all__ = [
@@ -252,12 +252,11 @@ def evaluate_fos(
 
     Uses the analytic oracles only: no oracle charge, no round charge.
     """
-    x_bar = mean_reduce([w.x for w in workers])
+    iterates = np.array([w.x for w in workers])
+    x_bar = mean_reduce(iterates)
     grad_sq = sq_norm(suite.gradient(x_bar))
-    consensus = 0.0
-    for w in workers:
-        consensus += sq_norm(w.x - x_bar)
-    consensus /= len(workers)
+    # summed in worker order, as a loop of sq_norm(w.x - x_bar) sums it
+    consensus = ordered_sum(sq_norms(iterates - x_bar)) / len(workers)
     return suite.value(x_bar), grad_sq, consensus
 
 

@@ -19,10 +19,17 @@ mean-gradient oracles used for metrics are free.
 
 The metered batch means sum their per-sample rows in index order, the
 order ``rows.mean(axis=0)`` uses, so they match the row-materialising
-formula bit for bit. The quadratic kernels get there without materialising
-the rows: they walk the batch in blocks of ``BLOCK_ROWS`` rows, gather each
-sampled center once per block and carry the running sum from block to
-block.
+formula bit for bit. The quadratic kernels and the sigmoid restart
+gradients get there without materialising the rows: they walk the batch in
+blocks of rows (``BLOCK_ROWS`` for the quadratic kernels, the same bytes
+for the sigmoid ones), gather each sample once per block and carry the
+running sum from block to block.
+
+The analytic oracles behind ``ProblemSuite.value``/``gradient`` evaluate
+all workers at once, as one stacked ``np.matmul`` over worker-stacked data
+that the suite factories share with the objectives. Each worker's slice
+goes through the same BLAS call as its own ``mean_value``/
+``mean_gradient``, so the results are the same bits.
 
 Data arrays (centers, features, offsets) are read-only, so any number of
 runs, serial or concurrent, can share one suite.
@@ -40,7 +47,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import ParamVector, as_vector, mean_reduce, sq_norm
+from .numerics import (
+    ParamVector,
+    as_vector,
+    mean_reduce,
+    ordered_sum,
+    sq_norm,
+    sq_norms,
+)
 
 __all__ = [
     "UnsupportedOperationError",
@@ -49,6 +63,9 @@ __all__ = [
     "QuadraticObjective",
     "SigmoidObjective",
     "ProblemSuite",
+    "PerWorkerAnalytic",
+    "QuadraticAnalytic",
+    "SigmoidAnalytic",
     "make_quadratic_suite",
     "make_nonconvex_suite",
     "quadratic_suite_from_centers",
@@ -75,6 +92,19 @@ PHASES = ("init", "inner", "refresh")
 BLOCK_ROWS = 32
 
 
+def sigmoid_block_rows(dim: int) -> int:
+    """Rows per sigmoid restart block: ``BLOCK_ROWS`` rows of d=2048 in bytes.
+
+    A sigmoid block costs a dozen numpy calls whatever its height, so at
+    small d it holds more rows. The height stays a multiple of
+    ``BLOCK_ROWS``, which keeps each row in the same BLAS gemv row group
+    as in the whole batch; and a block of 64 Ki entries stays below the
+    size at which OpenBLAS splits a gemv across threads, so its bits do
+    not depend on the thread count.
+    """
+    return BLOCK_ROWS * max(1, 2048 // dim)
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """Read-only view of ``array``; the caller's array stays writable."""
     view = array.view()
@@ -82,15 +112,47 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-def _block_rows(count: int, dim: int) -> int:
-    # numpy sums a lone column pairwise rather than in order, so a d=1
-    # batch stays one block
+def _block_edges(count: int, dim: int, rows: int) -> list[int]:
+    """Edges ``0, ..., count`` of the row blocks of a batch mean.
+
+    Blocks hold ``rows`` rows, with two exceptions. numpy sums a lone
+    column pairwise rather than in order, so a d=1 batch stays one block.
+    And a lone last row joins the block before it: BLAS takes a one-row
+    product through its dot, not through the gemv kernel that multiplies
+    the same row inside a taller matrix, and the two can differ in the last
+    bit.
+    """
     if count < 1:
         raise ValueError("a batch mean needs at least one sample")
-    return min(count, BLOCK_ROWS) if dim > 1 else count
+    if dim == 1:
+        return [0, count]
+    edges = list(range(0, count, rows)) + [count]
+    if len(edges) > 2 and count - edges[-2] == 1:
+        del edges[-2]
+    return edges
 
 
-def _blocked_mean(count: int, dim: int, fill) -> np.ndarray:
+def _block_height(edges: list[int]) -> int:
+    """Rows in the tallest block between ``edges``."""
+    return max(hi - lo for lo, hi in zip(edges, edges[1:]))
+
+
+def _row_mean(rows: np.ndarray) -> np.ndarray:
+    """``rows.mean(axis=0)``, bit for bit, without its Python wrapper."""
+    return np.add.reduce(rows, axis=0) / rows.shape[0]
+
+
+def _check_indices(idx: np.ndarray, n: int) -> None:
+    # checked once per call, so block gathers can take mode="wrap": under
+    # the default mode="raise", np.take works in a copy of its ``out``
+    # buffer and copies it back
+    if idx.size and (idx.min() < -n or idx.max() >= n):
+        raise IndexError(f"sample index out of range for {n} samples")
+
+
+def _blocked_mean(
+    count: int, dim: int, fill, rows: int = BLOCK_ROWS
+) -> np.ndarray:
     """Mean of ``count`` rows that ``fill(lo, hi, out)`` writes by blocks.
 
     ``fill`` writes rows ``lo:hi`` into ``out``, one block at a time. Rows
@@ -98,11 +160,10 @@ def _blocked_mean(count: int, dim: int, fill) -> np.ndarray:
     them: the first block is reduced on its own, and row 0 of the buffer
     carries the running sum into each later block.
     """
-    step = _block_rows(count, dim)
-    buf = np.empty((step + 1, dim))
+    edges = _block_edges(count, dim, rows)
+    buf = np.empty((_block_height(edges) + 1, dim))
     acc = np.empty(dim)
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
+    for lo, hi in zip(edges, edges[1:]):
         fill(lo, hi, buf[1 : 1 + hi - lo])
         if lo:
             buf[0] = acc
@@ -274,14 +335,14 @@ class LocalObjective:
         """Mean gradient over ``idx``, or over every sample when it is None."""
         if idx is None:
             idx = np.arange(self.sample_count)
-        return self._sample_gradients(x, idx).mean(axis=0)
+        return _row_mean(self._sample_gradients(x, idx))
 
     def _pair_difference_mean(
         self, x_new: ParamVector, x_old: ParamVector, idx: np.ndarray
     ) -> ParamVector:
         g_new = self._sample_gradients(x_new, idx)
         g_old = self._sample_gradients(x_old, idx)
-        return (g_new - g_old).mean(axis=0)
+        return _row_mean(g_new - g_old)
 
 
 class QuadraticObjective(LocalObjective):
@@ -315,14 +376,6 @@ class QuadraticObjective(LocalObjective):
     def _sample_gradients(self, x, idx):
         return x[None, :] - self.centers[idx]
 
-    def _check_indices(self, idx):
-        # checked once per call, so the block gathers can take
-        # mode="wrap": under the default mode="raise", np.take works in a
-        # copy of its ``out`` buffer and copies it back
-        n = self.sample_count
-        if idx.size and (idx.min() < -n or idx.max() >= n):
-            raise IndexError(f"sample index out of range for {n} samples")
-
     def _gradient_mean(self, x, idx):
         centers = self.centers
         if idx is None:
@@ -331,7 +384,7 @@ class QuadraticObjective(LocalObjective):
 
             return _blocked_mean(self.sample_count, self.dim, fill)
 
-        self._check_indices(idx)
+        _check_indices(idx, self._pool_size)
 
         def fill(lo, hi, rows):
             np.take(centers, idx[lo:hi], axis=0, out=rows, mode="wrap")
@@ -340,9 +393,11 @@ class QuadraticObjective(LocalObjective):
         return _blocked_mean(idx.shape[0], self.dim, fill)
 
     def _pair_difference_mean(self, x_new, x_old, idx):
-        self._check_indices(idx)
+        _check_indices(idx, self._pool_size)
         centers = self.centers
-        gathered = np.empty((_block_rows(idx.shape[0], self.dim), self.dim))
+        edges = _block_edges(idx.shape[0], self.dim, BLOCK_ROWS)
+        height = _block_height(edges)
+        gathered = np.empty((height, self.dim))
 
         def fill(lo, hi, rows):
             # each sampled center is read once for both points; the
@@ -413,11 +468,36 @@ class SigmoidObjective(LocalObjective):
     def _sample_gradients(self, x, idx):
         return self._gradients(x, self.features[idx], self.offsets[idx])
 
+    def _gradient_mean(self, x, idx):
+        # the restart gradient: row blocks, so an online restart batch of
+        # any size needs memory for one block only
+        features, offsets = self.features, self.offsets
+        rows = sigmoid_block_rows(self.dim)
+        if idx is None:
+            def fill(lo, hi, out):
+                a = features[lo:hi]
+                t = a @ x
+                t -= offsets[lo:hi]
+                np.multiply(a, self._phi_prime(t)[:, None], out=out)
+
+            return _blocked_mean(self.sample_count, self.dim, fill, rows)
+
+        _check_indices(idx, self._pool_size)
+
+        def fill(lo, hi, out):
+            block = idx[lo:hi]
+            np.take(features, block, axis=0, out=out, mode="wrap")
+            t = out @ x
+            t -= np.take(offsets, block, mode="wrap")
+            out *= self._phi_prime(t)[:, None]
+
+        return _blocked_mean(idx.shape[0], self.dim, fill, rows)
+
     def _pair_difference_mean(self, x_new, x_old, idx):
         a, b = self.features[idx], self.offsets[idx]
         g_new = self._gradients(x_new, a, b)
         g_old = self._gradients(x_old, a, b)
-        return (g_new - g_old).mean(axis=0)
+        return _row_mean(g_new - g_old)
 
     def mean_value(self, x):
         t = self.features @ x - self.offsets
@@ -428,19 +508,79 @@ class SigmoidObjective(LocalObjective):
         return (self.features.T @ self._phi_prime(t)) / self._pool_size
 
 
+class PerWorkerAnalytic:
+    """Analytic oracles of any objectives, one worker at a time."""
+
+    def __init__(self, objectives: list[LocalObjective]):
+        self.objectives = objectives
+
+    def values(self, x: ParamVector) -> np.ndarray:
+        return np.array([obj.mean_value(x) for obj in self.objectives])
+
+    def gradients(self, x: ParamVector) -> np.ndarray:
+        return np.array([obj.mean_gradient(x) for obj in self.objectives])
+
+
+class QuadraticAnalytic:
+    """Quadratic ``mean_value``/``mean_gradient`` of all workers at once."""
+
+    def __init__(self, objectives: list[QuadraticObjective]):
+        self.center_means = np.array([o.center_mean for o in objectives])
+        self.spread_sq = np.array([o.center_spread_sq for o in objectives])
+
+    def values(self, x: ParamVector) -> np.ndarray:
+        return 0.5 * sq_norms(x - self.center_means) + 0.5 * self.spread_sq
+
+    def gradients(self, x: ParamVector) -> np.ndarray:
+        return x - self.center_means
+
+
+class SigmoidAnalytic:
+    """Sigmoid ``mean_value``/``mean_gradient`` of all workers at once.
+
+    ``features`` (N, n, d) and ``offsets`` (N, n) are the arrays whose
+    worker slices the objectives hold, not copies of them.
+    """
+
+    def __init__(self, features: np.ndarray, offsets: np.ndarray):
+        self.features = features
+        self.offsets = offsets
+
+    def _margins(self, x):
+        return np.matmul(self.features, x) - self.offsets
+
+    def values(self, x: ParamVector) -> np.ndarray:
+        phi = SigmoidObjective._phi(self._margins(x))
+        return np.add.reduce(phi, axis=1) / phi.shape[1]
+
+    def gradients(self, x: ParamVector) -> np.ndarray:
+        slopes = SigmoidObjective._phi_prime(self._margins(x))
+        # a stack of (d, n) @ (n, 1): per worker, the gemv of features.T @ p
+        grads = np.matmul(self.features.transpose(0, 2, 1), slopes[:, :, None])
+        return grads[:, :, 0] / slopes.shape[1]
+
+
 @dataclass
 class ProblemSuite:
     """N worker objectives sharing a dimension and a common start point.
 
     ``optimum_value`` is exact for the quadratic family and a certified
     lower bound (zero) for the nonnegative sigmoid family. ``config`` echoes
-    the construction parameters for experiment bookkeeping.
+    the construction parameters for experiment bookkeeping. ``analytic``
+    evaluates every worker's analytic oracles at once (``values``/
+    ``gradients``); the factories pass their family's stacked evaluator,
+    and without one the suite asks each objective in turn.
     """
 
     objectives: list[LocalObjective]
     optimum_value: float
     initial_point: ParamVector
     config: dict = field(default_factory=dict)
+    analytic: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.analytic is None:
+            self.analytic = PerWorkerAnalytic(self.objectives)
 
     @property
     def num_workers(self) -> int:
@@ -467,15 +607,15 @@ class ProblemSuite:
         return max(o.variance_bound for o in self.objectives)
 
     def value(self, x: ParamVector) -> float:
-        """Analytic global objective value (no oracle charge)."""
-        total = 0.0
-        for obj in self.objectives:
-            total += obj.mean_value(x)
-        return total / self.num_workers
+        """Analytic global objective value (no oracle charge).
+
+        The worker values are summed in worker order.
+        """
+        return ordered_sum(self.analytic.values(x)) / self.num_workers
 
     def gradient(self, x: ParamVector) -> ParamVector:
         """Analytic global gradient (no oracle charge)."""
-        return mean_reduce([obj.mean_gradient(x) for obj in self.objectives])
+        return mean_reduce(self.analytic.gradients(x))
 
     def initial_gap(self) -> float:
         """Upper bound on the optimality gap at the start point."""
@@ -508,6 +648,7 @@ def _finish_quadratic_suite(
         optimum_value=0.0,
         initial_point=as_vector(initial_point),
         config=config,
+        analytic=QuadraticAnalytic(objectives),
     )
     # minimum of the averaged quadratic sits at the grand mean
     suite.optimum_value = suite.value(grand_mean)
@@ -585,7 +726,12 @@ def _finish_sigmoid_suite(
     online: bool,
     config: dict,
 ) -> ProblemSuite:
+    # one read-only view of the data: the objectives hold its worker
+    # slices, the stacked analytic oracles the whole of it
+    features = _read_only(np.asarray(features, dtype=np.float64))
     num_workers = features.shape[0]
+    offsets = np.asarray(offsets, dtype=np.float64).reshape(num_workers, -1)
+    offsets = _read_only(offsets)
     objectives = [
         SigmoidObjective(i, features[i], offsets[i], online=online)
         for i in range(num_workers)
@@ -600,6 +746,7 @@ def _finish_sigmoid_suite(
         optimum_value=0.0,  # certified lower bound: the losses are nonnegative
         initial_point=as_vector(initial_point),
         config=config,
+        analytic=SigmoidAnalytic(features, offsets),
     )
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import statistics
@@ -140,6 +141,56 @@ class TestCmdRun:
         assert main(["run", str(cfg)]) == EXIT_CONFIG
         write_config(cfg, problem={"family": "rosenbrock"})
         assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "auto, path, key",
+        [
+            (False, ("problem",), "heterogenity"),
+            (False, ("run",), "metric_every"),
+            (False, ("algorithm",), "parmas"),
+            (False, ("algorithm", "params"), "gama"),
+            (True, ("algorithm", "auto"), "epsilon"),
+            (False, (), "runs"),
+        ],
+    )
+    def test_unknown_key_exits_config_naming_it(
+        self, tmp_path, capsys, auto, path, key
+    ):
+        cfg = tmp_path / "cfg.json"
+        params = {"gamma": 0.1, "I": 1, "m": 2, "B": 1, "S": 1}
+        config = write_config(
+            cfg,
+            algorithm={
+                "name": "pr-spider-finite",
+                **({"auto": {"eps": 0.1}} if auto else {"params": params}),
+            },
+        )
+        functools.reduce(dict.__getitem__, path, config)[key] = 5
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown key ")
+        assert err.count("\n") == 1
+        assert repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sidecar_and_baseline_keys_still_load(self, tmp_path):
+        # a sidecar (with its ``result`` block) reruns as a config, and each
+        # algorithm takes its own params
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            algorithm={
+                "name": "par-restarted-sgd",
+                "params": {"gamma": 0.1, "batch": 4, "I": 2, "horizon": 6},
+            },
+            run={"seeds": [0], "metrics_every": 2, "parallel": True},
+        )
+        assert main(["run", str(cfg)]) == EXIT_OK
+        sidecar = tmp_path / "out" / "trace_seed0.json"
+        assert "result" in json.loads(sidecar.read_text())
+        again = ["run", str(sidecar), "--out", str(tmp_path / "again")]
+        assert main(again) == EXIT_OK
 
     @pytest.mark.parametrize(
         "N, params",

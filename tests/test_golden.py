@@ -16,6 +16,7 @@ can move the ``sigmoid-*`` digests without any change to prspider.
 from __future__ import annotations
 
 import hashlib
+import warnings
 
 import pytest
 
@@ -213,3 +214,13 @@ def test_golden_covers_every_algorithm_family_and_mode():
 def test_trace_matches_golden_digest(name, tmp_path):
     outcome = "diverged" if name in DIVERGING else "completed"
     assert trace_digests(CONFIGS[name], tmp_path, outcome) == GOLDEN[name]
+
+
+def test_parallel_divergence_is_silent(tmp_path):
+    # overflow is a detected divergence, not a warning, in pool threads too:
+    # each task runs under the runner's numpy error state
+    name = "quadratic-par-sgd-diverged"
+    assert CONFIGS[name]["run"]["parallel"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert trace_digests(CONFIGS[name], tmp_path, "diverged") == GOLDEN[name]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,6 +22,7 @@ from prspider.problems import (
     SigmoidObjective,
     make_nonconvex_suite,
     make_quadratic_suite,
+    sigmoid_block_rows,
 )
 
 METERED = ("batch_gradient_mean", "pair_difference_mean", "full_gradient")
@@ -93,14 +96,99 @@ def test_sigmoid_pair_kernel_matches_per_point_gradients():
     assert meter.total == 2 * idx.size
 
 
+def _sigmoid_row_mean(features, offsets, x, idx):
+    # the row-materialising formula: every per-sample gradient, then the mean
+    a = features[idx]
+    t = a @ x - offsets[idx]
+    return ((2.0 * t / ((1.0 + t * t) ** 2))[:, None] * a).mean(axis=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 3, 4, 7, 8, 16, 17, 256, 2048]),
+    online=st.booleans(),
+    data=st.data(),
+)
+def test_blocked_sigmoid_restart_gradients_match_row_formula_bitwise(
+    seed, d, online, data
+):
+    # sizes at the block edges, a lone row past a block among them
+    height = sigmoid_block_rows(d)
+    sizes = st.one_of(
+        st.sampled_from([1, height - 1, height, height + 1, 2 * height + 1]),
+        st.integers(1, 3 * height + 3),
+    )
+    n, B = data.draw(sizes), data.draw(sizes)
+    rng = np.random.default_rng(seed)
+    features = rng.uniform(-1.0, 1.0, size=(n, d)) / np.sqrt(d)
+    offsets = rng.uniform(-0.2, 0.2, size=n)
+    x = rng.normal(size=d) * 10.0 ** rng.uniform(-2, 2)
+    idx = rng.integers(0, n, size=B)
+    obj = SigmoidObjective(0, features, offsets, online=online)
+    meter = Meter(1)
+
+    batch = obj.batch_gradient_mean(x, idx, meter)
+    assert meter.total == B
+    ref = _sigmoid_row_mean(features, offsets, x, idx)
+    assert batch.tobytes() == ref.tobytes()
+    if not online:
+        full = obj.full_gradient(x, meter)
+        assert meter.total == B + n
+        ref = _sigmoid_row_mean(features, offsets, x, np.arange(n))
+        assert full.tobytes() == ref.tobytes()
+
+
+# The row formula over a large batch, in a process whose BLAS runs on one
+# thread: a threaded gemv splits the rows at points that need not fall on
+# its kernel's row groups, so its bits depend on the thread count, while
+# each sigmoid block stays below the size at which BLAS starts threads.
+_SINGLE_THREAD_REFERENCE = """
+import sys
+import numpy as np
+d, count = int(sys.argv[1]), int(sys.argv[2])
+rng = np.random.default_rng(d)
+features = rng.uniform(-1.0, 1.0, size=(512, d)) / np.sqrt(d)
+offsets = rng.uniform(-0.2, 0.2, size=512)
+idx = rng.integers(0, 512, size=count)
+x = rng.normal(size=d)
+a = features[idx]
+t = a @ x - offsets[idx]
+ref = ((2.0 * t / ((1.0 + t * t) ** 2))[:, None] * a).mean(axis=0)
+sys.stdout.write(ref.tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize("d", [4, 256])
+def test_blocked_sigmoid_restart_gradient_on_a_large_batch(d):
+    # several blocks and a lone last row, at least 2**19 entries in all
+    height = sigmoid_block_rows(d)
+    count = max(3, 2**19 // (d * height)) * height + 1
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    ref = subprocess.run(
+        [sys.executable, "-c", _SINGLE_THREAD_REFERENCE, str(d), str(count)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    rng = np.random.default_rng(d)
+    features = rng.uniform(-1.0, 1.0, size=(512, d)) / np.sqrt(d)
+    offsets = rng.uniform(-0.2, 0.2, size=512)
+    idx = rng.integers(0, 512, size=count)
+    x = rng.normal(size=d)
+    obj = SigmoidObjective(0, features, offsets, online=True)
+    assert obj.batch_gradient_mean(x, idx).tobytes().hex() == ref
+
+
 def test_out_of_range_sample_index_raises():
     obj = QuadraticObjective(0, np.zeros((4, 3)))
     x = np.zeros(3)
+    sig = SigmoidObjective(0, np.ones((4, 3)), np.zeros(4))
     for bad in ([0, 4], [-5]):
         with pytest.raises(IndexError):
             obj.pair_difference_mean(x, x, bad)
         with pytest.raises(IndexError):
             obj.batch_gradient_mean(x, bad)
+        with pytest.raises(IndexError):
+            sig.batch_gradient_mean(x, bad)
     # negative indices count from the end, as in ``centers[idx]``
     centers = np.arange(12.0).reshape(4, 3)
     obj = QuadraticObjective(0, centers)

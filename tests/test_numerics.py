@@ -1,16 +1,23 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prspider.numerics import (
+    DRAW_INIT,
     DRAW_INNER,
     DRAW_RESTART,
+    ITER_BLOCK,
     RngStream,
     as_vector,
     axpy,
     mean_reduce,
+    ordered_sum,
     sq_norm,
+    sq_norms,
 )
 
 
@@ -117,6 +124,28 @@ class TestAsVector:
             as_vector([1.0, 2.0], dim=3)
 
 
+class TestStackedReductions:
+    def test_ordered_sum_is_the_loop_sum(self):
+        # numpy sums eight or more values pairwise; a loop sums in order
+        rng = np.random.default_rng(0)
+        for size in (1, 7, 8, 12, 40):
+            for _ in range(50):
+                values = rng.uniform(0.0, 10.0, size=size)
+                total = 0.0
+                for v in values:
+                    total += float(v)
+                assert ordered_sum(values) == total
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 2048])
+    def test_sq_norms_are_the_row_sq_norms(self, d):
+        rows = np.random.default_rng(d).normal(size=(5, d))
+        want = [sq_norm(r) for r in rows]
+        assert sq_norms(rows).tolist() == want
+        assert sq_norms(rows[:, ::-1]).tolist() == [
+            sq_norm(r) for r in rows[:, ::-1]
+        ]
+
+
 class TestRngStream:
     def test_same_key_same_sequence(self):
         s = RngStream(seed=42)
@@ -145,3 +174,114 @@ class TestRngStream:
         isolated = RngStream(seed=5).substream(3, 0, 0).normal(size=4)
         interleaved = s.substream(3, 0, 0).normal(size=4)
         assert isolated.tobytes() == interleaved.tobytes()
+
+
+def reference_generator(seed, key):
+    # the key-to-generator map that RngStream reproduces, built the slow way
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    )
+
+
+def draws(gen):
+    return gen.integers(0, 2**63, size=5).tobytes() + gen.random(3).tobytes()
+
+
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3]),
+    st.integers(0, 2**130),
+)
+# iterations near block edges (and the 2**32 word edge), plus a spread
+ITERATIONS = st.one_of(
+    st.sampled_from(
+        [0, 1, ITER_BLOCK - 1, ITER_BLOCK, ITER_BLOCK + 1, 2**32 - 1, 2**32]
+    ),
+    st.integers(0, 5 * ITER_BLOCK),
+    st.integers(0, 2**70),
+)
+KEYS = st.tuples(
+    st.integers(0, 9),
+    st.one_of(st.integers(0, 70), st.just(2**33)),
+    ITERATIONS,
+    st.sampled_from([DRAW_INNER, DRAW_RESTART, DRAW_INIT, 2**40]),
+)
+
+
+class TestRngStreamPin:
+    """``substream`` draws what the SeedSequence-keyed PCG64 draws."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=SEEDS, keys=st.lists(KEYS, min_size=1, max_size=12))
+    def test_matches_seed_sequence_keying(self, seed, keys):
+        # one stream serves every key in turn: forward and backward jumps in
+        # the iteration, across block edges and between slots
+        stream = RngStream(seed)
+        for key in keys:
+            assert draws(stream.substream(*key)) == draws(
+                reference_generator(seed, key)
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, worker=st.integers(0, 5), epoch=st.integers(0, 5))
+    def test_jumps_within_one_slot(self, seed, worker, epoch):
+        stream = RngStream(seed)
+        block = ITER_BLOCK
+        order = [block + 3, 2, block - 1, block, 0, 3 * block, 1]
+        for t in order + order[::-1]:
+            key = (worker, epoch, t, DRAW_INNER)
+            assert draws(stream.substream(*key)) == draws(
+                reference_generator(seed, key)
+            )
+
+    def test_same_key_twice_gives_fresh_equal_generators(self):
+        stream = RngStream(0)
+        a = stream.substream(1, 2, 3)
+        b = stream.substream(1, 2, 3)
+        assert a is not b
+        assert draws(a) == draws(b) == draws(reference_generator(0, (1, 2, 3, 0)))
+
+    def test_live_generators_drawn_interleaved(self):
+        stream = RngStream(2**32)
+        keys = [(0, 0, 5, 0), (0, 0, ITER_BLOCK + 5, 0), (1, 0, 5, 0)]
+        live = [stream.substream(*k) for k in keys]
+        refs = [reference_generator(2**32, k) for k in keys]
+        for _ in range(4):
+            for gen, ref in zip(live, refs):
+                assert gen.integers(0, 1000, size=3).tolist() == ref.integers(
+                    0, 1000, size=3
+                ).tolist()
+
+    def test_calls_from_a_thread_pool(self):
+        stream = RngStream(12345)
+        keys = [
+            (w, e, t, p)
+            for w in range(3)
+            for e in range(2)
+            for t in (0, 7, ITER_BLOCK - 1, ITER_BLOCK, 2 * ITER_BLOCK + 1)
+            for p in (DRAW_INNER, DRAW_RESTART)
+        ]
+
+        def draw(key):
+            return draws(stream.substream(*key))
+
+        # more threads than cores, switching often, over one stream's cache
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(draw, keys * 3, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        want = [draws(reference_generator(12345, key)) for key in keys] * 3
+        assert got == want
+
+    @pytest.mark.parametrize("bad", [-1, 1.0])
+    def test_rejects_non_integer_or_negative_keys(self, bad):
+        with pytest.raises((ValueError, TypeError)):
+            RngStream(bad).substream(0, 0, 0)
+        with pytest.raises((ValueError, TypeError)):
+            RngStream(0).substream(bad, 0, 0)
+        stream = RngStream(0)
+        stream.substream(0, 0, 0)  # a cached block must not excuse the key
+        with pytest.raises((ValueError, TypeError)):
+            stream.substream(0, 0, bad)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from prspider.numerics import RngStream, sq_norm
+from prspider.harness import WorkerState, evaluate_fos
+from prspider.numerics import RngStream, mean_reduce, sq_norm
 from prspider.problems import (
     PHI_GRAD_MAX,
     Meter,
+    PerWorkerAnalytic,
+    ProblemSuite,
     UnsupportedOperationError,
     make_nonconvex_suite,
     make_quadratic_suite,
@@ -298,3 +301,118 @@ class TestSuiteUtilities:
         assert np.array_equal(suite.initial_point, again.initial_point)
         for a, b in zip(suite.objectives, again.objectives):
             assert np.array_equal(a.centers, b.centers)
+
+
+def _stacked_suites():
+    rng = np.random.default_rng(5)
+    yield "sigmoid-finite", make_nonconvex_suite(
+        N=4, n=256, d=4, heterogeneity=0.5, seed=9
+    )
+    yield "sigmoid-online", make_nonconvex_suite(
+        N=3, n=None, d=8, heterogeneity=0.5, seed=3, online_pool=64
+    )
+    yield "sigmoid-explicit", sigmoid_suite_from_params(
+        rng.uniform(-1, 1, size=(3, 17, 5)),
+        rng.uniform(-0.2, 0.2, size=(3, 17)),
+        rng.normal(size=5),
+    )
+    yield "sigmoid-N1", make_nonconvex_suite(
+        N=1, n=40, d=3, heterogeneity=0.5, seed=1
+    )
+    yield "sigmoid-d1", make_nonconvex_suite(
+        N=3, n=50, d=1, heterogeneity=0.5, seed=2
+    )
+    yield "sigmoid-d2048", make_nonconvex_suite(
+        N=2, n=24, d=2048, heterogeneity=0.5, seed=4
+    )
+    yield "quadratic", make_quadratic_suite(
+        N=5, n=30, d=6, heterogeneity=0.5, seed=11
+    )
+    yield "quadratic-explicit", quadratic_suite_from_centers(
+        rng.normal(size=(3, 4, 2)) * 10.0 ** rng.uniform(-6, 6, size=(3, 4, 2)),
+        rng.normal(size=2),
+    )
+    # twelve workers: numpy sums twelve values pairwise, not in worker order
+    yield "quadratic-explicit-N12", quadratic_suite_from_centers(
+        rng.normal(size=(12, 3, 2)) * 10.0 ** rng.uniform(-1, 1, size=(12, 1, 1)),
+        rng.normal(size=2),
+    )
+    yield "quadratic-N1", make_quadratic_suite(
+        N=1, n=9, d=4, heterogeneity=0.5, seed=12
+    )
+    yield "quadratic-d1", make_quadratic_suite(
+        N=4, n=20, d=1, heterogeneity=1.0, seed=5
+    )
+    yield "quadratic-d2048", make_quadratic_suite(
+        N=3, n=8, d=2048, heterogeneity=0.5, seed=7
+    )
+
+
+STACKED = dict(_stacked_suites())
+
+
+class TestStackedAnalytic:
+    """The worker-stacked oracles give the per-objective loop's bits."""
+
+    @staticmethod
+    def _points(suite, count=12):
+        rng = np.random.default_rng(suite.dim)
+        scale = 10.0 ** rng.uniform(-3, 3, size=(count, 1))
+        return [suite.initial_point] + list(
+            rng.normal(size=(count, suite.dim)) * scale
+        )
+
+    @pytest.mark.parametrize("name", sorted(STACKED))
+    def test_value_and_gradient_match_per_objective_loop(self, name):
+        suite = STACKED[name]
+        assert not isinstance(suite.analytic, PerWorkerAnalytic)
+        for x in self._points(suite):
+            total = 0.0
+            for obj in suite.objectives:
+                total += obj.mean_value(x)
+            value = total / suite.num_workers
+            grad = mean_reduce([obj.mean_gradient(x) for obj in suite.objectives])
+            assert suite.value(x) == value
+            assert suite.gradient(x).tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(STACKED))
+    def test_evaluate_fos_matches_per_worker_loop(self, name):
+        suite = STACKED[name]
+        points = self._points(suite, count=suite.num_workers)[1:]
+        workers = [
+            WorkerState(worker_id=i, obj=obj, x=points[i])
+            for i, obj in enumerate(suite.objectives)
+        ]
+        x_bar = mean_reduce([w.x for w in workers])
+        total = 0.0
+        for obj in suite.objectives:
+            total += obj.mean_value(x_bar)
+        consensus = 0.0
+        for w in workers:
+            consensus += sq_norm(w.x - x_bar)
+        consensus /= len(workers)
+        grad = mean_reduce([obj.mean_gradient(x_bar) for obj in suite.objectives])
+        want = (total / suite.num_workers, sq_norm(grad), consensus)
+        assert evaluate_fos(suite, workers) == want
+
+    def test_hand_built_suite_asks_each_objective(self):
+        suite = STACKED["sigmoid-explicit"]
+        plain = ProblemSuite(
+            objectives=suite.objectives,
+            optimum_value=0.0,
+            initial_point=suite.initial_point,
+        )
+        assert isinstance(plain.analytic, PerWorkerAnalytic)
+        for x in self._points(suite):
+            assert plain.value(x) == suite.value(x)
+            assert plain.gradient(x).tobytes() == suite.gradient(x).tobytes()
+
+    def test_sigmoid_stack_shares_the_objectives_data(self):
+        suite = STACKED["sigmoid-finite"]
+        stack = suite.analytic
+        for i, obj in enumerate(suite.objectives):
+            assert np.shares_memory(stack.features[i], obj.features)
+            assert np.shares_memory(stack.offsets[i], obj.offsets)
+        assert not stack.features.flags.writeable
+        moved = suite.with_initial_point(np.zeros(suite.dim))
+        assert moved.analytic is stack

@@ -11,11 +11,12 @@ forms.
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from prspider.cli import build_suite, resolve_algorithm, run_one
+from prspider.cli import build_suite, load_config, resolve_algorithm, run_one
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +47,20 @@ def test_traced_span_counts_match_closed_forms(workload):
     got = tracer.layer_metrics(int(config["problem"]["d"]))
     expected = workloads.expected_layers(config)
     assert {key: got[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_configs_pass_the_config_schema(workload, tmp_path):
+    # the tiny config goes through every check; the full one differs from
+    # it in values only
+    full = workloads.make_config(workload, [0])
+    tiny = workloads.make_config(workload, [0], tiny=True)
+    for block in ("problem", "algorithm", "run"):
+        assert set(full[block]) == set(tiny[block])
+    assert set(full["algorithm"]["params"]) == set(tiny["algorithm"]["params"])
+    for config in (full, tiny):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert load_config(path) == config
+    suite = build_suite(tiny["problem"])
+    resolve_algorithm(tiny["algorithm"], suite)
