@@ -19,6 +19,7 @@ from .algorithms import (
 from .estimator import EstimatorState, is_averaging_step, spider_update
 from .harness import (
     BarrierError,
+    CertificateError,
     CommLedger,
     FirstHit,
     MetricsRecord,
@@ -48,6 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BarrierError",
+    "CertificateError",
     "CommLedger",
     "DivergedError",
     "EstimatorState",

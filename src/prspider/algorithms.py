@@ -29,6 +29,7 @@ import numpy as np
 
 from .estimator import is_averaging_step, spider_update
 from .harness import (
+    CertificateError,
     CommLedger,
     MetricsTrace,
     RunHooks,
@@ -253,9 +254,14 @@ class _Run:
     def record(self, s: int, t: int, k: int) -> None:
         """Metrics point at ``(s, t)``, the run's ``k``-th iteration."""
         if k % self.metrics_every == 0:
-            self.records.append(
-                make_record(s, t, self.suite, self.workers, self.ledger, self.meter)
-            )
+            try:
+                record = make_record(
+                    s, t, self.suite, self.workers, self.ledger, self.meter
+                )
+            except CertificateError as exc:
+                exc.trace = self.trace("below-optimum")
+                raise
+            self.records.append(record)
         if self.hooks.on_record:
             self.hooks.on_record(s, t, self.workers)
 

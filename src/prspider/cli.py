@@ -27,8 +27,13 @@ resolved configuration and is itself a valid config, so any experiment can
 be rerun exactly from its outputs. The ``PRSPIDER_OUT`` environment
 variable prefixes relative output directories.
 
+Outputs are written to a temporary file beside the target and moved into
+place, so a failed or killed run never leaves a partial file.
+
 Exit codes: 0 success, 2 configuration error, 3 divergence,
-4 verification failure.
+4 verification failure, 5 an objective below the problem's certified
+optimum (the certificate is wrong; the partial trace is still written).
+When seeds end differently, the highest code wins.
 """
 
 from __future__ import annotations
@@ -54,7 +59,12 @@ from .algorithms import (
     step_size_rule,
 )
 from .checks import run_suite
-from .harness import MetricsTrace, first_hit
+from .harness import (
+    CertificateError,
+    MetricsTrace,
+    first_hit,
+    write_text_atomic,
+)
 from .problems import (
     ProblemSuite,
     make_nonconvex_suite,
@@ -67,6 +77,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_VERIFY = 4
+EXIT_CERTIFICATE = 5
 
 ALGORITHMS = (
     "pr-spider-finite",
@@ -131,12 +142,16 @@ def _check_keys(block, allowed, where: str) -> None:
 
 @contextmanager
 def _config_errors(where: str):
-    """Report a ValueError raised while building from a config block."""
+    """Report a ValueError or TypeError raised while building from a block.
+
+    A TypeError is what ``int()`` or ``float()`` raises on a value of the
+    wrong JSON type, such as a list or null.
+    """
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -243,7 +258,8 @@ def resolve_algorithm(algorithm: dict, suite: ProblemSuite) -> tuple[str, dict]:
         raise ConfigError("algorithm needs exactly one of 'auto' or 'params'")
     if has_auto:
         _check_keys(algorithm["auto"], AUTO_KEYS, "algorithm.auto")
-        params = _auto_params(name, algorithm["auto"], suite)
+        with _config_errors("algorithm.auto"):
+            params = _auto_params(name, algorithm["auto"], suite)
     else:
         _check_keys(algorithm["params"], PARAM_KEYS[name], "algorithm.params")
         params = dict(algorithm["params"])
@@ -261,12 +277,19 @@ def resolve_algorithm(algorithm: dict, suite: ProblemSuite) -> tuple[str, dict]:
 
 
 def run_one(name: str, params: dict, suite: ProblemSuite, seed: int, run_block: dict) -> MetricsTrace:
-    metrics_every = int(run_block.get("metrics_every", 1))
-    parallel = bool(run_block.get("parallel", False))
-    kwargs = {"metrics_every": metrics_every, "parallel": parallel}
+    with _config_errors("run"):
+        kwargs = {
+            "metrics_every": int(run_block.get("metrics_every", 1)),
+            "parallel": bool(run_block.get("parallel", False)),
+        }
     try:
-        if name in ("pr-spider-finite", "pr-spider-online"):
-            with _config_errors(f"algorithm {name!r}"):
+        with _config_errors(f"algorithm {name!r}"):
+            if name in ("pr-spider-finite", "pr-spider-online"):
+                runner = (
+                    run_pr_spider_finite
+                    if name == "pr-spider-finite"
+                    else run_pr_spider_online
+                )
                 hp = HyperParams(
                     gamma=float(params["gamma"]),
                     I=int(params["I"]),
@@ -276,32 +299,38 @@ def run_one(name: str, params: dict, suite: ProblemSuite, seed: int, run_block: 
                     N=int(params.get("N", suite.num_workers)),
                     n_b=int(params["n_b"]) if "n_b" in params else None,
                 )
-            runner = (
-                run_pr_spider_finite
-                if name == "pr-spider-finite"
-                else run_pr_spider_online
-            )
-            return runner(suite, hp, seed, **kwargs)
-        if name == "par-sgd":
-            return run_parallel_minibatch_sgd(
-                suite,
-                float(params["gamma"]),
-                int(params["batch"]),
-                int(params["horizon"]),
-                seed,
-                **kwargs,
-            )
-        return run_parallel_restarted_sgd(
-            suite,
-            float(params["gamma"]),
-            int(params["batch"]),
-            int(params["I"]),
-            int(params["horizon"]),
-            seed,
-            **kwargs,
-        )
+                args = (hp,)
+            elif name == "par-sgd":
+                runner = run_parallel_minibatch_sgd
+                args = (
+                    float(params["gamma"]),
+                    int(params["batch"]),
+                    int(params["horizon"]),
+                )
+            else:
+                runner = run_parallel_restarted_sgd
+                args = (
+                    float(params["gamma"]),
+                    int(params["batch"]),
+                    int(params["I"]),
+                    int(params["horizon"]),
+                )
     except KeyError as exc:
         raise ConfigError(f"algorithm {name!r} is missing parameter {exc}") from exc
+    return runner(suite, *args, seed, **kwargs)
+
+
+def _run_seed(
+    name, params, suite, seed, run_block
+) -> tuple[MetricsTrace, int]:
+    """One seed's trace and exit code; a typed failure gives its partial trace."""
+    try:
+        return run_one(name, params, suite, seed, run_block), EXIT_OK
+    except DivergedError as exc:
+        return exc.trace, EXIT_DIVERGED
+    except CertificateError as exc:
+        print(f"seed {seed}: {exc}", file=sys.stderr)
+        return exc.trace, EXIT_CERTIFICATE
 
 
 def _out_dir(run_block: dict, override: str | None) -> Path:
@@ -334,7 +363,7 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
     lines = [",".join(fieldnames)]
     for row in rows:
         lines.append(",".join(str(row.get(k, "")) for k in fieldnames))
-    path.write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
@@ -347,13 +376,10 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     out = _out_dir(run_block, out_override)
 
     summary_rows = []
-    diverged = False
+    code = EXIT_OK
     for seed in seeds:
-        try:
-            trace = run_one(name, params, suite, seed, run_block)
-        except DivergedError as exc:
-            trace = exc.trace
-            diverged = True
+        trace, seed_code = _run_seed(name, params, suite, seed, run_block)
+        code = max(code, seed_code)
         trace.write_csv(out / f"trace_seed{seed}.csv")
         trace.write_sidecar(out / f"trace_seed{seed}.json")
         if eps_targets:
@@ -374,7 +400,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
             "per_node_ifo_at_eps",
         ]
     _write_csv(out / "summary.csv", fields, summary_rows)
-    return EXIT_DIVERGED if diverged else EXIT_OK
+    return code
 
 
 AXES = ("N", "I", "eps", "heterogeneity")
@@ -421,7 +447,7 @@ def cmd_sweep(
     out = _out_dir(run_block, out_override)
 
     rows = []
-    diverged = False
+    code = EXIT_OK
     for value in values:
         config = _apply_axis(base, axis, value, hold_total_data)
         suite = build_suite(config["problem"])
@@ -433,11 +459,8 @@ def cmd_sweep(
             if not eps_targets:
                 raise ConfigError("sweep needs run.eps_targets (or axis=eps)")
         for seed in seeds:
-            try:
-                trace = run_one(name, params, suite, seed, config["run"])
-            except DivergedError as exc:
-                trace = exc.trace
-                diverged = True
+            trace, seed_code = _run_seed(name, params, suite, seed, config["run"])
+            code = max(code, seed_code)
             for eps in eps_targets:
                 row = {"axis": axis, "value": value, "seed": seed}
                 row.update(_hit_row(trace, eps, suite.num_workers))
@@ -482,7 +505,7 @@ def cmd_sweep(
             f"ifo median={entry.get('ifo_at_eps_median', 'n/a')} "
             f"misses={entry['misses']}"
         )
-    return EXIT_DIVERGED if diverged else EXIT_OK
+    return code
 
 
 def cmd_verify(selector: str = "all", inject: str | None = None) -> int:

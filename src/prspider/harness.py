@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -22,6 +23,7 @@ from .problems import LocalObjective, Meter, ProblemSuite
 
 __all__ = [
     "BarrierError",
+    "CertificateError",
     "CommLedger",
     "WorkerState",
     "MetricsRecord",
@@ -33,6 +35,7 @@ __all__ = [
     "first_hit",
     "CSV_HEADER",
     "read_trace_csv",
+    "write_text_atomic",
 ]
 
 PAYLOADS = ("iterates", "both", "gradients")
@@ -42,6 +45,38 @@ CSV_HEADER = "s,t,f_bar,grad_sq,consensus,fos,ifo_total,comm_rounds"
 
 class BarrierError(RuntimeError):
     """Workers reached a synchronization point out of step."""
+
+
+class CertificateError(RuntimeError):
+    """The objective fell below the suite's certified optimum.
+
+    The certificate is wrong, not the run. ``make_record`` raises it; the
+    runner attaches the trace so far as ``trace``, as ``DivergedError``
+    carries one.
+    """
+
+    def __init__(self, message: str, trace=None):
+        super().__init__(message)
+        self.trace = trace
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it.
+
+    The temporary file is moved over ``path`` by ``os.replace`` once it is
+    complete, so a reader sees the old file or the new one, never part of
+    one, and a write that fails leaves the old file and no temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -116,7 +151,7 @@ class MetricsTrace:
     records: list[MetricsRecord]
     config_echo: dict
     seed: int
-    outcome: str  # "completed" | "diverged"
+    outcome: str  # "completed" | "diverged" | "below-optimum"
     ledger: CommLedger = field(default_factory=CommLedger)
     ifo_breakdown: dict = field(default_factory=dict)
     epoch_restart_residuals: list[float] = field(default_factory=list)
@@ -139,7 +174,7 @@ class MetricsTrace:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv())
+        write_text_atomic(path, self.to_csv())
 
     def sidecar(self) -> dict:
         """Reloadable config plus run results; run keys stay at top level."""
@@ -162,7 +197,7 @@ class MetricsTrace:
         return doc
 
     def write_sidecar(self, path) -> None:
-        Path(path).write_text(json.dumps(self.sidecar(), indent=2) + "\n")
+        write_text_atomic(path, json.dumps(self.sidecar(), indent=2) + "\n")
 
 
 def read_trace_csv(path) -> list[MetricsRecord]:
@@ -274,7 +309,7 @@ def make_record(
     # divergence check)
     slack = 1e-9 * max(1.0, abs(suite.optimum_value))
     if f_bar < suite.optimum_value - slack:
-        raise RuntimeError(
+        raise CertificateError(
             f"objective {f_bar} below certified optimum {suite.optimum_value}"
         )
     return MetricsRecord(

@@ -34,6 +34,12 @@ goes through the same BLAS call as its own ``mean_value``/
 Data arrays (centers, features, offsets) are read-only, so any number of
 runs, serial or concurrent, can share one suite.
 
+A quadratic suite is set up in two streamed passes over row blocks, with
+no dataset-sized temporaries: one draws the centers block by block into
+the one array that holds them and carries the per-worker and grand row
+sums, and one reads them back for the spreads around both means. Draws,
+means and spreads equal the whole-array formulas bit for bit.
+
 Online suites expose a sampler only. Internally the sampler draws from a
 finite atom pool, which is what makes the analytic expectation oracles
 exact; the pool is not enumerable through the public sample-id surface.
@@ -150,27 +156,95 @@ def _check_indices(idx: np.ndarray, n: int) -> None:
         raise IndexError(f"sample index out of range for {n} samples")
 
 
+def _carry_sum(
+    buf: np.ndarray, rows: int, acc: np.ndarray, first: bool
+) -> None:
+    """Add the block ``buf[1 : 1 + rows]`` to the running row sum ``acc``.
+
+    Rows are summed in index order, bit for bit as ``np.add.reduce`` sums a
+    whole C-ordered batch of d >= 2 columns: the first block is reduced on
+    its own, and row 0 of ``buf`` carries the running sum into each later
+    block.
+    """
+    if first:
+        np.add.reduce(buf[1 : 1 + rows], axis=0, out=acc)
+    else:
+        buf[0] = acc
+        np.add.reduce(buf[: 1 + rows], axis=0, out=acc)
+
+
 def _blocked_mean(
     count: int, dim: int, fill, rows: int = BLOCK_ROWS
 ) -> np.ndarray:
     """Mean of ``count`` rows that ``fill(lo, hi, out)`` writes by blocks.
 
-    ``fill`` writes rows ``lo:hi`` into ``out``, one block at a time. Rows
-    are summed in index order, bit for bit as ``rows.mean(axis=0)`` sums
-    them: the first block is reduced on its own, and row 0 of the buffer
-    carries the running sum into each later block.
+    ``fill`` writes rows ``lo:hi`` into ``out``, one block at a time, and
+    the rows are summed in index order (``_carry_sum``), bit for bit as
+    ``rows.mean(axis=0)`` sums them.
     """
     edges = _block_edges(count, dim, rows)
     buf = np.empty((_block_height(edges) + 1, dim))
     acc = np.empty(dim)
     for lo, hi in zip(edges, edges[1:]):
         fill(lo, hi, buf[1 : 1 + hi - lo])
-        if lo:
-            buf[0] = acc
-            np.add.reduce(buf[: 1 + hi - lo], axis=0, out=acc)
-        else:
-            np.add.reduce(buf[1 : 1 + hi - lo], axis=0, out=acc)
+        _carry_sum(buf, hi - lo, acc, first=not lo)
     return acc / count
+
+
+def _center_means(
+    centers: np.ndarray, fill=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each worker's center mean and the grand mean of (N, n, d) centers.
+
+    The set-up's first pass: one walk over each worker's rows, a block at a
+    time. ``fill(i, out)``, when given, writes the next block of worker
+    ``i``'s rows into ``out`` and the block is stored into ``centers``;
+    otherwise the blocks are read from ``centers``. Both means sum rows in
+    index order (``_carry_sum``), bit for bit as ``centers[i].mean(axis=0)``
+    and ``centers.reshape(-1, d).mean(axis=0)`` do.
+    """
+    N, n, d = centers.shape
+    edges = _block_edges(n, d, BLOCK_ROWS)
+    buf = np.empty((_block_height(edges) + 1, d))
+    sums = np.empty((N, d))
+    total = np.empty(d)
+    for i in range(N):
+        for lo, hi in zip(edges, edges[1:]):
+            block = buf[1 : 1 + hi - lo]
+            if fill is None:
+                block[...] = centers[i, lo:hi]
+            else:
+                fill(i, block)
+                centers[i, lo:hi] = block
+            _carry_sum(buf, hi - lo, sums[i], first=not lo)
+            if d > 1:
+                _carry_sum(buf, hi - lo, total, first=not (i or lo))
+    if d == 1:
+        # a lone column is summed pairwise, not in order, so it is reduced
+        # whole (each worker's already is: its rows are one block)
+        total = np.add.reduce(centers.reshape(-1, 1), axis=0)
+    return sums / n, total / (N * n)
+
+
+def _mean_sq_distances(centers: np.ndarray, *points) -> list[float]:
+    """``np.mean(np.sum((centers - p) ** 2, axis=1))`` for each point ``p``.
+
+    The set-up's second pass: one read of the (n, d) centers, a block of
+    rows at a time. Each block's per-row sums go into an (n,) vector per
+    point, and each vector is averaged whole, so the results are the
+    formula's bits without its (n, d) temporary.
+    """
+    n, d = centers.shape
+    diff = np.empty((min(n, BLOCK_ROWS), d))
+    row_sums = np.empty((len(points), n))
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        block = diff[: hi - lo]
+        for point, out in zip(points, row_sums):
+            np.subtract(centers[lo:hi], point, out=block)
+            np.square(block, out=block)
+            np.add.reduce(block, axis=1, out=out[lo:hi])
+    return [float(np.mean(sums)) for sums in row_sums]
 
 
 class Meter:
@@ -346,11 +420,16 @@ class LocalObjective:
 
 
 class QuadraticObjective(LocalObjective):
-    """Average of ``0.5 * ||x - c_j||^2`` over per-sample centers."""
+    """Average of ``0.5 * ||x - c_j||^2`` over per-sample centers.
+
+    ``stats`` is ``(center_mean, center_spread_sq)`` when the caller has
+    them from its own passes over ``centers``; without it the objective
+    computes the same bits itself.
+    """
 
     kind = "quadratic"
 
-    def __init__(self, worker_id: int, centers: np.ndarray):
+    def __init__(self, worker_id: int, centers: np.ndarray, stats=None):
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
         centers = _read_only(centers)
         n, d = centers.shape
@@ -362,12 +441,15 @@ class QuadraticObjective(LocalObjective):
             smoothness=1.0,
             variance_bound=0.0,  # assigned by the suite factory
         )
+        if stats is None:
+            center_mean = centers.mean(axis=0)
+            [spread_sq] = _mean_sq_distances(centers, center_mean)
+        else:
+            center_mean, spread_sq = stats
         self.centers = centers
-        self.center_mean = _read_only(centers.mean(axis=0))
+        self.center_mean = _read_only(center_mean)
         # mean squared spread around the local mean; exact value offset
-        self.center_spread_sq = float(
-            np.mean(np.sum((centers - self.center_mean) ** 2, axis=1))
-        )
+        self.center_spread_sq = spread_sq
 
     def _sample_values(self, x, idx):
         diff = x[None, :] - self.centers[idx]
@@ -629,18 +711,21 @@ class ProblemSuite:
 
 
 def _finish_quadratic_suite(
-    centers: np.ndarray, initial_point: ParamVector, config: dict
+    centers: np.ndarray,
+    center_means: np.ndarray,
+    grand_mean: np.ndarray,
+    initial_point: ParamVector,
+    config: dict,
 ) -> ProblemSuite:
-    num_workers = centers.shape[0]
-    grand_mean = centers.reshape(-1, centers.shape[-1]).mean(axis=0)
     objectives = []
-    for i in range(num_workers):
-        obj = QuadraticObjective(i, centers[i])
+    for i, center_mean in enumerate(center_means):
+        # the set-up's second pass: both spreads from one read of the worker
+        spread_sq, dev_sq = _mean_sq_distances(
+            centers[i], center_mean, grand_mean
+        )
+        obj = QuadraticObjective(i, centers[i], stats=(center_mean, spread_sq))
         # uniform worker-vs-global deviation: for this family the gradient
         # deviation is x-free and equals the spread around the grand mean
-        dev_sq = float(
-            np.mean(np.sum((centers[i] - grand_mean) ** 2, axis=1))
-        )
         obj.variance_bound = math.sqrt(dev_sq)
         objectives.append(obj)
     suite = ProblemSuite(
@@ -678,13 +763,16 @@ def make_quadratic_suite(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     scale = 1.0 / math.sqrt(d)
     worker_means = heterogeneity * rng.normal(0.0, scale, size=(N, d))
-    # built in place: the same draws and bits as
-    # worker_means[:, None, :] + center_spread * draws, with no second
-    # dataset-sized temporary
-    centers = rng.normal(0.0, scale, size=(N, n, d))
-    centers *= center_spread
-    centers += worker_means[:, None, :]
-    grand_mean = centers.reshape(-1, d).mean(axis=0)
+    centers = np.empty((N, n, d))
+
+    def draw(i, out):
+        # block by block, the same draws and bits as one (N, n, d) draw
+        # times center_spread plus worker_means[:, None, :]
+        draws = rng.normal(0.0, scale, size=out.shape)
+        np.multiply(draws, center_spread, out=out)
+        out += worker_means[i]
+
+    center_means, grand_mean = _center_means(centers, draw)
     offset = rng.normal(0.0, scale, size=d)
     if initial_offset is not None:
         if initial_offset < 0:
@@ -703,20 +791,25 @@ def make_quadratic_suite(
     }
     if initial_offset is not None:
         config["initial_offset"] = initial_offset
-    return _finish_quadratic_suite(centers, initial_point, config)
+    return _finish_quadratic_suite(
+        centers, center_means, grand_mean, initial_point, config
+    )
 
 
 def quadratic_suite_from_centers(centers, initial_point) -> ProblemSuite:
     """Quadratic suite over explicit centers of shape (N, n, d)."""
     centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 3:
-        raise ValueError("centers must have shape (N, n, d)")
+    if centers.ndim != 3 or 0 in centers.shape:
+        raise ValueError("centers must have shape (N, n, d), each at least 1")
     config = {
         "family": "quadratic-explicit",
         "centers": centers.tolist(),
         "initial_point": list(map(float, np.asarray(initial_point))),
     }
-    return _finish_quadratic_suite(centers, as_vector(initial_point), config)
+    center_means, grand_mean = _center_means(centers)
+    return _finish_quadratic_suite(
+        centers, center_means, grand_mean, as_vector(initial_point), config
+    )
 
 
 def _finish_sigmoid_suite(

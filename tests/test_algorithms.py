@@ -20,9 +20,10 @@ from prspider.checks import (
     expected_ifo_finite,
     expected_ifo_online,
 )
-from prspider.harness import RunHooks, first_hit
+from prspider.harness import CertificateError, RunHooks, first_hit
 from prspider.numerics import RngStream, mean_reduce, sq_norm
 from prspider.problems import (
+    ProblemSuite,
     UnsupportedOperationError,
     make_nonconvex_suite,
     make_quadratic_suite,
@@ -219,6 +220,24 @@ class TestSpiderFinite:
         trace = info.value.trace
         assert trace.outcome == "diverged"
         assert 0 < len(trace.records) < hp.horizon
+
+    def test_below_optimum_raises_certificate_error_with_partial_trace(self):
+        real = quad_suite()
+        start = real.value(real.initial_point)
+        # hand-built: an optimum halfway down, which the run passes below
+        wrong = (start + real.optimum_value) / 2
+        suite = ProblemSuite(
+            objectives=real.objectives,
+            optimum_value=wrong,
+            initial_point=real.initial_point,
+        )
+        hp = HyperParams(gamma=1.0 / 16, I=2, m=8, B=2, S=4, N=4)
+        with pytest.raises(CertificateError, match="below certified optimum") as info:
+            run_pr_spider_finite(suite, hp, 0)
+        trace = info.value.trace
+        assert trace.outcome == "below-optimum"
+        assert 0 < len(trace.records) < hp.horizon
+        assert all(r.f_bar >= wrong for r in trace.records)
 
     def test_metrics_cadence_does_not_leak_into_run(self):
         suite = quad_suite()

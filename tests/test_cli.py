@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -5,7 +6,9 @@ import statistics
 
 import pytest
 
+from prspider import cli
 from prspider.cli import (
+    EXIT_CERTIFICATE,
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_OK,
@@ -198,8 +201,13 @@ class TestCmdRun:
             (2, {"I": 0}),
             (2, {"N": 3}),
             (0, {}),
+            ([2], {}),
+            (2, {"m": None}),
         ],
-        ids=["period-zero", "params-N-mismatch", "problem-N-zero"],
+        ids=[
+            "period-zero", "params-N-mismatch", "problem-N-zero",
+            "problem-N-list", "params-m-null",
+        ],
     )
     def test_bad_value_exits_config_with_one_line(self, tmp_path, capsys, N, params):
         cfg = tmp_path / "cfg.json"
@@ -233,6 +241,37 @@ class TestCmdRun:
         assert sidecar["result"]["outcome"] == "diverged"
         records = read_trace_csv(tmp_path / "out" / "trace_seed0.csv")
         assert 0 < len(records) < 800
+
+    def test_certificate_failure_exit_code_and_partial_trace(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            algorithm={
+                "name": "pr-spider-finite",
+                "params": {"gamma": 0.1, "I": 4, "m": 20, "B": 4, "S": 2},
+            },
+        )
+        build = cli.build_suite
+
+        def overstated_optimum(problem):
+            # an optimum halfway between the start value and the true one
+            suite = build(problem)
+            start = suite.value(suite.initial_point)
+            wrong = (start + suite.optimum_value) / 2
+            return dataclasses.replace(suite, optimum_value=wrong)
+
+        monkeypatch.setattr(cli, "build_suite", overstated_optimum)
+        assert main(["run", str(cfg)]) == EXIT_CERTIFICATE
+        assert "below certified optimum" in capsys.readouterr().err
+        sidecar = json.loads((tmp_path / "out" / "trace_seed0.json").read_text())
+        assert sidecar["result"]["outcome"] == "below-optimum"
+        records = read_trace_csv(tmp_path / "out" / "trace_seed0.csv")
+        assert 0 < len(records) < 40
+        assert sidecar["result"]["records"] == len(records)
+        summary = read_rows(tmp_path / "out" / "summary.csv")
+        assert summary[0]["outcome"] == "below-optimum"
 
     def test_online_run_via_cli(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from prspider import cli, harness
 from prspider.estimator import EstimatorState
 from prspider.harness import (
     CSV_HEADER,
@@ -205,3 +208,59 @@ class TestTraceSerialization:
         assert doc["result"]["bytes_equivalent"] == 12
         assert doc["result"]["ifo_total"] == 200
         assert doc["result"]["ifo_total_pair_normalized"] == 170
+
+
+class _FailingFile:
+    """A file whose write stores half the text, then fails as a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+class TestAtomicWrites:
+    WRITERS = {
+        "csv": lambda trace, path: trace.write_csv(path),
+        "sidecar": lambda trace, path: trace.write_sidecar(path),
+        "summary": lambda trace, path: cli._write_csv(
+            path, ["s", "fos"], [{"s": r.s, "fos": r.fos} for r in trace.records]
+        ),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_old_file_and_no_temporary(
+        self, tmp_path, monkeypatch, writer
+    ):
+        write = self.WRITERS[writer]
+        path = tmp_path / "out"
+        write(synthetic_trace([0.5]), path)
+        before = path.read_bytes()
+        real_open = open
+        monkeypatch.setattr(
+            harness, "open",
+            lambda *args, **kw: _FailingFile(real_open(*args, **kw)),
+            raising=False,
+        )
+        with pytest.raises(OSError, match="No space left"):
+            write(synthetic_trace([0.3, 0.2, 0.1]), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_write_replaces_file_and_leaves_no_temporary(self, tmp_path, writer):
+        write = self.WRITERS[writer]
+        path = tmp_path / "out"
+        path.write_text("old\n")
+        write(synthetic_trace([0.3, 0.2, 0.1]), path)
+        assert path.read_text() != "old\n"
+        assert os.listdir(tmp_path) == ["out"]
