@@ -54,6 +54,7 @@ __all__ = [
     "DivergedError",
     "choose_params_finite",
     "choose_params_online",
+    "choose_params_baseline",
     "run_pr_spider_finite",
     "run_pr_spider_online",
     "run_parallel_minibatch_sgd",
@@ -156,6 +157,27 @@ def choose_params_online(
     n_b = max(1, _ceil_guarded(4.0 * sigma**2 / (N * eps)))
     base = choose_params_finite(N, n_b, I, L, gap_bound, eps)
     return replace(base, n_b=n_b)
+
+
+def choose_params_baseline(
+    N: int, sigma: float, I: int, L: float, gap_bound: float, eps: float
+) -> dict:
+    """Local-SGD baseline run shape: ``gamma``, ``batch`` and ``horizon``.
+
+    The 1/(8 L I) step, the variance-killing batch ``round(4 sigma^2 / (N eps))``
+    and ``int(2 gap_bound / (gamma eps)) + 1`` iterations. The PR-SPIDER rules
+    take ``_ceil_guarded`` ceilings as their sizes are lower bounds from the
+    analysis; these are the baseline's own tuning, the formulas criterion 8
+    tunes its baseline with, so the CLI runs the baseline it measures.
+    """
+    if N < 1 or I < 1 or eps <= 0 or sigma < 0 or gap_bound < 0:
+        raise ValueError("invalid parameter-rule inputs")
+    gamma = step_size_rule(L, I)
+    return {
+        "gamma": gamma,
+        "batch": max(1, round(4.0 * sigma**2 / (N * eps))),
+        "horizon": max(1, int(2.0 * gap_bound / (gamma * eps)) + 1),
+    }
 
 
 def draw_restart_direction(

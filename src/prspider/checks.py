@@ -87,14 +87,17 @@ def _default_quadratic():
     return make_quadratic_suite(N=4, n=64, d=8, heterogeneity=0.5, seed=11)
 
 
-def check_restart_identity(inject_skip_restart: bool = False) -> CheckResult:
+def check_restart_identity(
+    suite=None, hp=None, seeds=range(3), *, inject_skip_restart: bool = False
+) -> CheckResult:
     """At every epoch start the mean direction equals the exact gradient."""
-    suite = _default_quadratic()
-    hp = choose_params_finite(
-        N=4, n=64, I=4, L=suite.smoothness, gap_bound=suite.initial_gap(), eps=0.02
+    suite = suite or _default_quadratic()
+    hp = hp or choose_params_finite(
+        suite.num_workers, suite.sample_count, 4, suite.smoothness,
+        suite.initial_gap(), 0.02,
     )
     worst = 0.0
-    for seed in range(3):
+    for seed in seeds:
         trace = run_pr_spider_finite(
             suite, hp, seed, _skip_epoch_restart=inject_skip_restart
         )
@@ -102,10 +105,10 @@ def check_restart_identity(inject_skip_restart: bool = False) -> CheckResult:
     return CheckResult("restart-identity", worst <= 1e-10, worst, 1e-10)
 
 
-def check_consensus_zeroing() -> CheckResult:
+def check_consensus_zeroing(suite=None, hp=None, seeds=(0,)) -> CheckResult:
     """Every broadcast leaves zero iterate and direction disagreement."""
-    suite = _default_quadratic()
-    hp = HyperParams(gamma=1.0 / 32, I=3, m=10, B=2, S=3, N=4)
+    suite = suite or _default_quadratic()
+    hp = hp or HyperParams(gamma=1.0 / 32, I=3, m=10, B=2, S=3, N=4)
     worst = 0.0
 
     def on_sync(s, t, payload, workers):
@@ -118,16 +121,16 @@ def check_consensus_zeroing() -> CheckResult:
             v_bar = mean_reduce([w.est.v for w in workers])
             worst = max(worst, sum(sq_norm(w.est.v - v_bar) for w in workers))
 
-    run_pr_spider_finite(suite, hp, 0, hooks=RunHooks(on_sync=on_sync))
+    for seed in seeds:
+        run_pr_spider_finite(suite, hp, seed, hooks=RunHooks(on_sync=on_sync))
     return CheckResult("consensus-zeroing", worst == 0.0, worst, 0.0)
 
 
-def check_gd_degeneracy() -> CheckResult:
-    """B=n, I=1 reproduces a hand-rolled gradient-descent loop."""
-    suite = make_quadratic_suite(N=2, n=16, d=4, heterogeneity=0.3, seed=3)
-    gamma = 0.1
-    steps = 200
-    hp = HyperParams(gamma=gamma, I=1, m=steps, B=16, S=1, N=2)
+def check_gd_degeneracy(suite=None, gamma=0.1, steps=200, seeds=(0,)) -> CheckResult:
+    """Full batches (B=n) and I=1 reproduce a hand-rolled gradient-descent loop."""
+    suite = suite or make_quadratic_suite(N=2, n=16, d=4, heterogeneity=0.3, seed=3)
+    N, n = suite.num_workers, suite.sample_count
+    hp = HyperParams(gamma=gamma, I=1, m=steps, B=n, S=1, N=N)
     centers = np.concatenate([o.centers for o in suite.objectives], axis=0)
     grand = centers.mean(axis=0)
     oracle = [suite.initial_point.copy()]
@@ -140,7 +143,8 @@ def check_gd_degeneracy() -> CheckResult:
         x_bar = mean_reduce([w.x for w in workers])
         worst = max(worst, float(np.max(np.abs(x_bar - oracle[t]))))
 
-    run_pr_spider_finite(suite, hp, 0, hooks=RunHooks(on_record=on_record))
+    for seed in seeds:
+        run_pr_spider_finite(suite, hp, seed, hooks=RunHooks(on_record=on_record))
     return CheckResult("gd-degeneracy", worst <= 1e-12, worst, 1e-12)
 
 
@@ -175,7 +179,7 @@ def check_convergence_bound_finite() -> CheckResult:
 
 def check_convergence_bound_online() -> CheckResult:
     """Online analogue with the extra 2*sigma^2/(N n_b) slack term."""
-    suite = make_quadratic_suite(N=4, n=64, d=8, heterogeneity=0.5, seed=11)
+    suite = _default_quadratic()
     gap = suite.initial_gap()
     sigma = suite.variance_bound
     hp = choose_params_finite(

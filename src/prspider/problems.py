@@ -731,7 +731,7 @@ def _finish_quadratic_suite(
     suite = ProblemSuite(
         objectives=objectives,
         optimum_value=0.0,
-        initial_point=as_vector(initial_point),
+        initial_point=as_vector(initial_point, centers.shape[2]),
         config=config,
         analytic=QuadraticAnalytic(objectives),
     )
@@ -837,7 +837,7 @@ def _finish_sigmoid_suite(
     return ProblemSuite(
         objectives=objectives,
         optimum_value=0.0,  # certified lower bound: the losses are nonnegative
-        initial_point=as_vector(initial_point),
+        initial_point=as_vector(initial_point, features.shape[2]),
         config=config,
         analytic=SigmoidAnalytic(features, offsets),
     )

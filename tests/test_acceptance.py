@@ -16,12 +16,14 @@ import pytest
 
 import prspider as ps
 from prspider.checks import (
+    check_consensus_zeroing,
     check_counter_formulas,
     check_convergence_bound_finite,
     check_convergence_bound_online,
+    check_gd_degeneracy,
+    check_restart_identity,
     check_restart_variance_bound,
 )
-from prspider.harness import RunHooks
 
 
 def report(criterion, name, measured, requirement, ok):
@@ -56,10 +58,7 @@ def test_criterion_1_restart_direction_identity():
     suite = standard_suite()
     hp = auto_params(suite, I=4, eps=0.02)
     assert hp.S >= 3, "instance must cross several epoch boundaries"
-    worst = 0.0
-    for seed in range(5):
-        trace = ps.run_pr_spider_finite(suite, hp, seed)
-        worst = max(worst, max(trace.epoch_restart_residuals))
+    worst = check_restart_identity(suite, hp, seeds=range(5)).measured
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"runtime budget exceeded: {elapsed:.1f}s"
     report(1, "restart-direction identity", f"{worst:.3e}", "<= 1e-10", worst <= 1e-10)
@@ -69,21 +68,11 @@ def test_criterion_2_consensus_zeroing():
     """Averaging leaves exactly zero spread in whatever it broadcast."""
     suite = standard_suite(heterogeneity=1.0)
     hp = ps.HyperParams(gamma=1.0 / 32, I=3, m=12, B=2, S=4, N=4)
-    spreads = []
-
-    def on_sync(s, t, payload, workers):
-        x_bar = ps.mean_reduce([w.x for w in workers])
-        spreads.append(sum(ps.sq_norm(w.x - x_bar) for w in workers))
-        if payload in ("both", "gradients"):
-            v_bar = ps.mean_reduce([w.est.v for w in workers])
-            spreads.append(sum(ps.sq_norm(w.est.v - v_bar) for w in workers))
-
-    for seed in range(3):
-        ps.run_pr_spider_finite(suite, hp, seed, hooks=RunHooks(on_sync=on_sync))
-    worst = max(spreads)
+    worst = check_consensus_zeroing(suite, hp, seeds=range(3)).measured
     report(
         2, "consensus zeroing after averaging",
-        f"{worst!r} over {len(spreads)} events", "== 0.0 exactly", worst == 0.0,
+        f"{worst!r} (worst spread after a broadcast)", "== 0.0 exactly",
+        worst == 0.0,
     )
 
 
@@ -92,22 +81,11 @@ def test_criterion_3_gradient_descent_degeneracy():
     start = time.perf_counter()
     suite = standard_suite(N=2, n=16, d=4, heterogeneity=0.3, seed=3)
     gamma, steps = 0.1, 200
-    hp = ps.HyperParams(gamma=gamma, I=1, m=steps, B=16, S=1, N=2)
-    # independent oracle: ten-line descent loop on the known mean center
-    grand = np.concatenate([o.centers for o in suite.objectives]).mean(axis=0)
-    oracle = [suite.initial_point.copy()]
-    for _ in range(steps - 1):
-        oracle.append(oracle[-1] - gamma * (oracle[-1] - grand))
-    deviations = []
-
-    def on_record(s, t, workers):
-        x_bar = ps.mean_reduce([w.x for w in workers])
-        deviations.append(float(np.max(np.abs(x_bar - oracle[t]))))
-
-    ps.run_pr_spider_finite(suite, hp, 0, hooks=RunHooks(on_record=on_record))
+    # B = n = 16, I = 1, against a hand-rolled descent loop on the mean center
+    result = check_gd_degeneracy(suite, gamma=gamma, steps=steps, seeds=(0,))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"runtime budget exceeded: {elapsed:.2f}s"
-    worst = max(deviations)
+    worst = result.measured
     report(
         3, "gradient-descent degeneracy (B=n, I=1)",
         f"{worst:.3e} over {steps} steps", "<= 1e-12", worst <= 1e-12,
