@@ -7,6 +7,7 @@ import pytest
 from prspider.algorithms import (
     DivergedError,
     HyperParams,
+    choose_params_baseline,
     choose_params_finite,
     choose_params_online,
     draw_restart_direction,
@@ -16,6 +17,8 @@ from prspider.algorithms import (
     run_pr_spider_online,
 )
 from prspider.checks import (
+    check_consensus_zeroing,
+    check_restart_identity,
     expected_comm_rounds,
     expected_ifo_finite,
     expected_ifo_online,
@@ -71,6 +74,38 @@ class TestChooseParams:
         assert hp.n_b == 64
         assert hp.m == 64
         assert hp.B == 1
+
+    def test_baseline_rule_rounds_its_batch_and_floors_its_horizon(self):
+        # batch 4 * 1.5**2 / (1 * 2) = 4.5 rounds half to even, to 4;
+        # horizon 2 / (gamma eps) = 2 / (1/8 * 1/2) = 32 gives int() + 1 = 33
+        params = choose_params_baseline(
+            N=1, sigma=1.5, I=1, L=1.0, gap_bound=1.0, eps=2.0
+        )
+        assert params["batch"] == 4
+        params = choose_params_baseline(
+            N=1, sigma=1.5, I=1, L=1.0, gap_bound=1.0, eps=0.5
+        )
+        assert params == {"gamma": 1.0 / 8, "batch": 18, "horizon": 33}
+        # 4 / (4 * 0.16) = 6.25 rounds down; 2 / (1/16 * 0.3) = 106.7 -> 107
+        params = choose_params_baseline(
+            N=4, sigma=1.0, I=2, L=1.0, gap_bound=1.0, eps=0.16
+        )
+        assert params["batch"] == 6
+        assert params["gamma"] == 1.0 / 16
+        params = choose_params_baseline(
+            N=4, sigma=0.0, I=2, L=1.0, gap_bound=1.0, eps=0.3
+        )
+        assert params["batch"] == 1  # the floor of a zero-variance batch
+        assert params["horizon"] == 107
+
+    @pytest.mark.parametrize("bad", [
+        {"N": 0}, {"I": 0}, {"eps": 0.0}, {"sigma": -1.0}, {"gap_bound": -1.0},
+        {"L": 0.0},
+    ])
+    def test_baseline_rule_rejects_bad_inputs(self, bad):
+        args = dict(N=2, sigma=1.0, I=1, L=1.0, gap_bound=1.0, eps=0.1)
+        with pytest.raises(ValueError):
+            choose_params_baseline(**{**args, **bad})
 
     def test_hyperparams_validation(self):
         with pytest.raises(ValueError):
@@ -411,3 +446,10 @@ class TestBaselines:
         suite = quad_suite()
         with pytest.raises(DivergedError):
             run_parallel_minibatch_sgd(suite, 1e3, batch=16, horizon=500, seed=7)
+
+
+def test_a_check_that_measures_nothing_fails():
+    # no seeds, so no hook fires and no restart is measured
+    for result in (check_consensus_zeroing(seeds=()), check_restart_identity(seeds=())):
+        assert result.events == 0
+        assert not result.passed

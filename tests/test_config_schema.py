@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prspider import cli
+from prspider.algorithms import choose_params_baseline
 from prspider.cli import EXIT_CONFIG, EXIT_OK, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -134,6 +135,25 @@ def test_integer_keys_reject_floats_and_booleans():
     values = cli.parse_block({"eps": 1}, cli.AUTO, "algorithm.auto")
     assert values == {"eps": 1.0, "I": 4}
     assert type(values["eps"]) is float
+
+
+def test_baseline_auto_resolution():
+    # without ``I``, both baselines take the step size of I = 1, and
+    # par-restarted-sgd still averages every 4 iterations
+    suite = cli.build_suite(QUADRATIC)
+    rule = functools.partial(
+        choose_params_baseline, suite.num_workers, suite.variance_bound,
+        L=suite.smoothness, gap_bound=suite.initial_gap(), eps=0.5,
+    )
+
+    def resolve(name, **auto):
+        return cli.resolve_algorithm({"name": name, "auto": auto}, suite)[1]
+
+    assert resolve("par-sgd", eps=0.5) == rule(I=1)
+    assert resolve("par-sgd", eps=0.5, I=4) == rule(I=4)
+    assert resolve("par-restarted-sgd", eps=0.5) == {**rule(I=1), "I": 4}
+    assert resolve("par-restarted-sgd", eps=0.5, I=4) == {**rule(I=4), "I": 4}
+    assert resolve("par-restarted-sgd", eps=0.5, I=2) == {**rule(I=2), "I": 2}
 
 
 def test_defaults_are_fresh_per_parse(tmp_path):
