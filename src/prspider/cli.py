@@ -134,9 +134,9 @@ PROBLEMS = {
     }),
 }
 AUTO = {"eps": Key(float, 0, strict=True), "I": Key(int, 1, default=4)}
-# ``I`` sets the local-SGD baselines' step size and par-restarted-sgd's
-# period; an absent ``I`` gives the step size of I = 1 but AUTO's period 4
-SGD_AUTO = {**AUTO, "I": Key(int, 1, default=None)}
+# par-sgd never averages mid-run: its ``I`` sets only the step size, that
+# of one local step unless given
+SGD_AUTO = {**AUTO, "I": Key(int, 1, default=1)}
 # ``N`` defaults to the problem's worker count
 SPIDER = {
     "gamma": STEP, "I": COUNT, "m": COUNT, "B": COUNT, "S": COUNT,
@@ -150,7 +150,7 @@ ALGORITHMS = {
     "pr-spider-finite": (run_pr_spider_finite, SPIDER, AUTO, True),
     "pr-spider-online": (run_pr_spider_online, {**SPIDER, "n_b": COUNT}, AUTO, True),
     "par-sgd": (run_parallel_minibatch_sgd, SGD, SGD_AUTO, False),
-    "par-restarted-sgd": (run_parallel_restarted_sgd, RESTARTED_SGD, SGD_AUTO, False),
+    "par-restarted-sgd": (run_parallel_restarted_sgd, RESTARTED_SGD, AUTO, False),
 }
 ALGORITHM = {
     "name": Key(str, words=tuple(ALGORITHMS)), "auto": OPTIONAL, "params": OPTIONAL,
@@ -276,7 +276,7 @@ def _parse_algorithm(algorithm) -> tuple[str, str, dict]:
     return block["name"], mode, parse_block(block[mode], schema, f"algorithm.{mode}")
 
 
-def _auto_params(name: str, suite: ProblemSuite, eps: float, I: int | None) -> dict:
+def _auto_params(name: str, suite: ProblemSuite, eps: float, I: int) -> dict:
     L = suite.smoothness
     gap = suite.initial_gap()
     N = suite.num_workers
@@ -285,10 +285,9 @@ def _auto_params(name: str, suite: ProblemSuite, eps: float, I: int | None) -> d
     if name == "pr-spider-online":
         hp = choose_params_online(N, suite.variance_bound, I, L, gap, eps)
         return hp.as_dict()
-    # SGD_AUTO: without ``I``, one local step sets the step size
-    params = choose_params_baseline(N, suite.variance_bound, I or 1, L, gap, eps)
+    params = choose_params_baseline(N, suite.variance_bound, I, L, gap, eps)
     if name == "par-restarted-sgd":
-        params["I"] = I or AUTO["I"].default
+        params["I"] = I
     return params
 
 

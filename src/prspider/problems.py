@@ -40,9 +40,10 @@ the one array that holds them and carries the per-worker and grand row
 sums, and one reads them back for the spreads around both means. Draws,
 means and spreads equal the whole-array formulas bit for bit.
 
-Online suites expose a sampler only. Internally the sampler draws from a
-finite atom pool, which is what makes the analytic expectation oracles
-exact; the pool is not enumerable through the public sample-id surface.
+Every metered oracle takes a batch of sample indices; one sample is
+``[j]``. Online objectives refuse ``full_gradient``. Their batch oracles
+take the indices ``draw_indices`` returns, into a finite atom pool, which
+is what makes the analytic expectation oracles exact.
 """
 
 from __future__ import annotations
@@ -271,14 +272,13 @@ class Meter:
 
 
 class LocalObjective:
-    """One worker's cost function plus its metered per-sample oracles.
+    """One worker's cost function plus its metered batch oracles.
 
-    ``sample_count`` is ``None`` for online objectives, which then expose
-    sampling only. ``smoothness`` and ``variance_bound`` are the advertised
-    L and sigma; both are certified by the randomized test suite.
+    ``sample_count`` is ``None`` for online objectives, which refuse
+    ``full_gradient``; their batch oracles take the indices that
+    ``draw_indices`` returns. ``smoothness`` and ``variance_bound`` are the
+    advertised L and sigma; both are certified by the randomized test suite.
     """
-
-    kind = "abstract"
 
     def __init__(
         self,
@@ -310,41 +310,8 @@ class LocalObjective:
         """Draw ``size`` i.i.d. sample indices (with replacement)."""
         return gen.integers(0, self._pool_size, size=int(size))
 
-    def _resolve_sample(self, sample) -> np.ndarray:
-        if isinstance(sample, np.random.Generator):
-            return self.draw_indices(sample, 1)
-        if not self.is_finite_sum:
-            raise UnsupportedOperationError(
-                "online objective accepts a generator, not a sample id"
-            )
-        s = int(sample)
-        if not 0 <= s < self.sample_count:
-            raise ValueError(
-                f"sample id {s} out of range [0, {self.sample_count})"
-            )
-        return np.array([s])
-
     # -- metered oracle surface --------------------------------------------
     # Each cost below is charged to ``meter``, when one is given.
-
-    def stochastic_eval(
-        self, x: ParamVector, sample, meter: Meter | None = None
-    ) -> tuple[float, ParamVector]:
-        """One oracle access: the (value, gradient) pair for one sample."""
-        idx = self._resolve_sample(sample)
-        value = float(self._sample_values(x, idx)[0])
-        grad = self._sample_gradients(x, idx)[0]
-        self._charge(meter, 1)
-        return value, grad
-
-    def stochastic_gradient(
-        self, x: ParamVector, sample, meter: Meter | None = None
-    ) -> ParamVector:
-        """Gradient of one sample; costs exactly one oracle access."""
-        idx = self._resolve_sample(sample)
-        grad = self._sample_gradients(x, idx)[0]
-        self._charge(meter, 1)
-        return grad
 
     def batch_gradient_mean(
         self, x: ParamVector, indices, meter: Meter | None = None
@@ -394,29 +361,9 @@ class LocalObjective:
         raise NotImplementedError
 
     # -- family internals ----------------------------------------------------
-    # Families override these hooks, never the metered methods above, which
-    # own the charging.
-
-    def _sample_values(self, x: ParamVector, idx: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _sample_gradients(self, x: ParamVector, idx: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _gradient_mean(
-        self, x: ParamVector, idx: np.ndarray | None
-    ) -> ParamVector:
-        """Mean gradient over ``idx``, or over every sample when it is None."""
-        if idx is None:
-            idx = np.arange(self.sample_count)
-        return _row_mean(self._sample_gradients(x, idx))
-
-    def _pair_difference_mean(
-        self, x_new: ParamVector, x_old: ParamVector, idx: np.ndarray
-    ) -> ParamVector:
-        g_new = self._sample_gradients(x_new, idx)
-        g_old = self._sample_gradients(x_old, idx)
-        return _row_mean(g_new - g_old)
+    # Families define ``_gradient_mean`` (over every sample when ``idx`` is
+    # None) and ``_pair_difference_mean``, never the metered methods above,
+    # which own the charging.
 
 
 class QuadraticObjective(LocalObjective):
@@ -426,8 +373,6 @@ class QuadraticObjective(LocalObjective):
     them from its own passes over ``centers``; without it the objective
     computes the same bits itself.
     """
-
-    kind = "quadratic"
 
     def __init__(self, worker_id: int, centers: np.ndarray, stats=None):
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
@@ -450,13 +395,6 @@ class QuadraticObjective(LocalObjective):
         self.center_mean = _read_only(center_mean)
         # mean squared spread around the local mean; exact value offset
         self.center_spread_sq = spread_sq
-
-    def _sample_values(self, x, idx):
-        diff = x[None, :] - self.centers[idx]
-        return 0.5 * np.sum(diff * diff, axis=1)
-
-    def _sample_gradients(self, x, idx):
-        return x[None, :] - self.centers[idx]
 
     def _gradient_mean(self, x, idx):
         centers = self.centers
@@ -502,8 +440,6 @@ class QuadraticObjective(LocalObjective):
 class SigmoidObjective(LocalObjective):
     """Average of ``phi(<a_j, x> - b_j)`` with ``phi(t) = t^2/(1+t^2)``."""
 
-    kind = "sigmoid"
-
     def __init__(
         self,
         worker_id: int,
@@ -540,15 +476,9 @@ class SigmoidObjective(LocalObjective):
         t2 = t * t
         return 2.0 * t / ((1.0 + t2) ** 2)
 
-    def _sample_values(self, x, idx):
-        return self._phi(self.features[idx] @ x - self.offsets[idx])
-
     def _gradients(self, x, a, b):
         # per-sample gradients over gathered rows ``a`` and offsets ``b``
         return self._phi_prime(a @ x - b)[:, None] * a
-
-    def _sample_gradients(self, x, idx):
-        return self._gradients(x, self.features[idx], self.offsets[idx])
 
     def _gradient_mean(self, x, idx):
         # the restart gradient: row blocks, so an online restart batch of
@@ -796,19 +726,28 @@ def make_quadratic_suite(
     )
 
 
+def _explicit_start(initial_point, dim: int) -> ParamVector:
+    """An explicit suite's start point, checked against its dimension."""
+    try:
+        return as_vector(initial_point, dim)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"initial_point: {exc}") from exc
+
+
 def quadratic_suite_from_centers(centers, initial_point) -> ProblemSuite:
     """Quadratic suite over explicit centers of shape (N, n, d)."""
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 3 or 0 in centers.shape:
         raise ValueError("centers must have shape (N, n, d), each at least 1")
+    initial_point = _explicit_start(initial_point, centers.shape[2])
     config = {
         "family": "quadratic-explicit",
         "centers": centers.tolist(),
-        "initial_point": list(map(float, np.asarray(initial_point))),
+        "initial_point": initial_point.tolist(),
     }
     center_means, grand_mean = _center_means(centers)
     return _finish_quadratic_suite(
-        centers, center_means, grand_mean, as_vector(initial_point), config
+        centers, center_means, grand_mean, initial_point, config
     )
 
 
@@ -894,13 +833,14 @@ def sigmoid_suite_from_params(
     offsets = np.asarray(offsets, dtype=np.float64)
     if features.ndim != 3:
         raise ValueError("features must have shape (N, n, d)")
+    initial_point = _explicit_start(initial_point, features.shape[2])
     config = {
         "family": "sigmoid-explicit",
         "features": features.tolist(),
         "offsets": offsets.tolist(),
-        "initial_point": list(map(float, np.asarray(initial_point))),
+        "initial_point": initial_point.tolist(),
         "online": online,
     }
     return _finish_sigmoid_suite(
-        features, offsets, as_vector(initial_point), online, config
+        features, offsets, initial_point, online, config
     )

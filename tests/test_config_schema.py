@@ -77,6 +77,10 @@ DEFECTS = [
     ("N-true", ("problem", "N"), True, "'N'"),
     ("online-string", ("problem",),
      dict(EXPLICIT["sigmoid-explicit"], online="no"), "'online'"),
+] + [
+    (f"{family}-start-nested", ("problem",),
+     dict(EXPLICIT[family], initial_point=[[1.0]]), "initial_point")
+    for family in sorted(EXPLICIT)
 ]
 
 
@@ -125,7 +129,10 @@ def test_explicit_start_point_of_another_dimension_exits_config(
     cfg.write_text(json.dumps(_config(problem=problem)))
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"config error: problem: expected dimension 2, got {len(point)}\n"
+    assert err == (
+        f"config error: problem: initial_point: expected dimension 2, "
+        f"got {len(point)}\n"
+    )
 
 
 def test_integer_keys_reject_floats_and_booleans():
@@ -138,8 +145,8 @@ def test_integer_keys_reject_floats_and_booleans():
 
 
 def test_baseline_auto_resolution():
-    # without ``I``, both baselines take the step size of I = 1, and
-    # par-restarted-sgd still averages every 4 iterations
+    # without ``I``, par-sgd takes the step size of I = 1, and
+    # par-restarted-sgd takes AUTO's I = 4 for its step size and its period
     suite = cli.build_suite(QUADRATIC)
     rule = functools.partial(
         choose_params_baseline, suite.num_workers, suite.variance_bound,
@@ -151,7 +158,10 @@ def test_baseline_auto_resolution():
 
     assert resolve("par-sgd", eps=0.5) == rule(I=1)
     assert resolve("par-sgd", eps=0.5, I=4) == rule(I=4)
-    assert resolve("par-restarted-sgd", eps=0.5) == {**rule(I=1), "I": 4}
+    assert resolve("par-restarted-sgd", eps=0.5) == {**rule(I=4), "I": 4}
+    assert resolve("par-restarted-sgd", eps=0.5) == resolve(
+        "par-restarted-sgd", eps=0.5, I=4
+    )
     assert resolve("par-restarted-sgd", eps=0.5, I=4) == {**rule(I=4), "I": 4}
     assert resolve("par-restarted-sgd", eps=0.5, I=2) == {**rule(I=2), "I": 2}
 

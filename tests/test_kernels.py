@@ -81,26 +81,33 @@ def test_blocked_quadratic_kernels_match_row_formula_bitwise(
     assert full.tobytes() == ref.tobytes()
 
 
+def _sigmoid_rows(features, offsets, x, idx):
+    # the row formula: every per-sample gradient, one row each
+    a = features[idx]
+    t = a @ x - offsets[idx]
+    return (2.0 * t / ((1.0 + t * t) ** 2))[:, None] * a
+
+
+def _sigmoid_row_mean(features, offsets, x, idx):
+    # the row-materialising formula: every per-sample gradient, then the mean
+    return _sigmoid_rows(features, offsets, x, idx).mean(axis=0)
+
+
 def test_sigmoid_pair_kernel_matches_per_point_gradients():
     suite = make_nonconvex_suite(N=1, n=64, d=5, heterogeneity=0.5, seed=2)
     obj = suite.objectives[0]
     rng = np.random.default_rng(0)
     idx = rng.integers(0, 64, size=BLOCK_ROWS + 9)
     x_new, x_old = rng.normal(size=5), rng.normal(size=5)
+    features, offsets = obj.features, obj.offsets
     ref = (
-        obj._sample_gradients(x_new, idx) - obj._sample_gradients(x_old, idx)
+        _sigmoid_rows(features, offsets, x_new, idx)
+        - _sigmoid_rows(features, offsets, x_old, idx)
     ).mean(axis=0)
     meter = Meter(1)
     got = obj.pair_difference_mean(x_new, x_old, idx, meter)
     assert got.tobytes() == ref.tobytes()
     assert meter.total == 2 * idx.size
-
-
-def _sigmoid_row_mean(features, offsets, x, idx):
-    # the row-materialising formula: every per-sample gradient, then the mean
-    a = features[idx]
-    t = a @ x - offsets[idx]
-    return ((2.0 * t / ((1.0 + t * t) ** 2))[:, None] * a).mean(axis=0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prspider.harness import WorkerState, evaluate_fos
-from prspider.numerics import RngStream, mean_reduce, sq_norm
+from prspider.numerics import mean_reduce, sq_norm
 from prspider.problems import (
     PHI_GRAD_MAX,
     Meter,
@@ -71,35 +71,21 @@ class TestStochasticOracle:
     def test_quadratic_single_sample_gradient(self):
         suite = single_center_suite()
         obj = suite.objectives[0]
-        g = obj.stochastic_gradient(np.array([5.0]), 0)
+        g = obj.batch_gradient_mean(np.array([5.0]), [0])
         assert g[0] == pytest.approx(2.0, abs=0)
 
     def test_counter_increments_by_one(self):
         suite = single_center_suite()
         obj = suite.objectives[0]
         meter = Meter(1)
-        obj.stochastic_gradient(np.array([1.0]), 0, meter)
+        obj.batch_gradient_mean(np.array([1.0]), [0], meter)
         assert meter.total == 1
-
-    def test_eval_returns_value_gradient_pair(self):
-        suite = single_center_suite()
-        obj = suite.objectives[0]
-        meter = Meter(1)
-        value, grad = obj.stochastic_eval(np.array([5.0]), 0, meter)
-        assert value == pytest.approx(2.0)  # 0.5 * (5-3)^2
-        assert grad[0] == pytest.approx(2.0)
-        assert meter.total == 1
-
-    def test_sample_id_out_of_range(self):
-        suite = single_center_suite()
-        with pytest.raises(ValueError):
-            suite.objectives[0].stochastic_gradient(np.array([1.0]), 1)
 
     def test_enumeration_mean_equals_full_gradient(self):
         suite = make_quadratic_suite(N=2, n=9, d=4, heterogeneity=0.4, seed=5)
         x = np.array([0.3, -0.2, 0.7, 0.1])
         for obj in suite.objectives:
-            grads = [obj.stochastic_gradient(x, j) for j in range(9)]
+            grads = [obj.batch_gradient_mean(x, [j]) for j in range(9)]
             mean = np.stack(grads).mean(axis=0)
             full = obj.full_gradient(x)
             assert np.max(np.abs(mean - full)) <= 1e-12
@@ -114,17 +100,6 @@ class TestStochasticOracle:
         with pytest.raises(UnsupportedOperationError):
             online.objectives[0].full_gradient(np.zeros(2))
 
-    def test_online_rejects_sample_ids_but_samples_generators(self):
-        online = make_nonconvex_suite(N=1, n=None, d=2, heterogeneity=0, seed=6)
-        obj = online.objectives[0]
-        with pytest.raises(UnsupportedOperationError):
-            obj.stochastic_gradient(np.zeros(2), 0)
-        gen = RngStream(0).substream(0, 0, 0)
-        meter = Meter(1)
-        g = obj.stochastic_gradient(np.zeros(2), gen, meter)
-        assert g.shape == (2,)
-        assert meter.total == 1
-
     def test_counters_suspended(self):
         # called without a meter, an oracle charges nothing: it leaves the
         # objective as it was, since objectives hold no run state
@@ -132,7 +107,7 @@ class TestStochasticOracle:
         for obj in suite.objectives:
             before = dict(vars(obj))
             obj.full_gradient(np.zeros(2))
-            obj.stochastic_eval(np.zeros(2), 1)
+            obj.batch_gradient_mean(np.zeros(2), [1])
             obj.pair_difference_mean(np.zeros(2), np.ones(2), [0, 3])
             assert vars(obj).keys() == before.keys()
             assert all(vars(obj)[k] is v for k, v in before.items())
@@ -148,7 +123,7 @@ class TestMeter:
         suite.objectives[2].pair_difference_mean(x, x + 1.0, [0, 4, 4], meter)
         suite.objectives[0].batch_gradient_mean(x, [1, 2], meter)
         meter.phase = "refresh"
-        suite.objectives[2].stochastic_gradient(x, 3, meter)
+        suite.objectives[2].batch_gradient_mean(x, [3], meter)
         assert meter.rows == [
             {"init": 0, "inner": 2, "refresh": 0},
             {"init": 5, "inner": 0, "refresh": 0},
@@ -190,7 +165,7 @@ class TestGlobalGradientOracle:
 class TestSigmoidFamily:
     def test_flat_slope_at_zero_margin(self):
         suite = sigmoid_suite_from_params([[[1.0]]], [[0.0]], [0.0])
-        g = suite.objectives[0].stochastic_gradient(np.zeros(1), 0)
+        g = suite.objectives[0].batch_gradient_mean(np.zeros(1), [0])
         assert g[0] == pytest.approx(0.0, abs=0)
 
     def test_values_are_bounded_below_by_certified_optimum(self):
@@ -236,8 +211,8 @@ class TestAdvertisedConstants:
             obj = suite.objectives[rng.integers(0, 2)]
             x, y = rng.normal(size=4), rng.normal(size=4)
             j = rng.integers(0, 16)
-            gx = obj.stochastic_gradient(x, int(j))
-            gy = obj.stochastic_gradient(y, int(j))
+            gx = obj.batch_gradient_mean(x, [j])
+            gy = obj.batch_gradient_mean(y, [j])
             lhs = np.linalg.norm(gx - gy)
             assert lhs <= L * np.linalg.norm(x - y) * (1 + 1e-12)
 
@@ -249,8 +224,8 @@ class TestAdvertisedConstants:
             obj = suite.objectives[rng.integers(0, 2)]
             x, y = rng.normal(size=4), rng.normal(size=4)
             j = rng.integers(0, 16)
-            gx = obj.stochastic_gradient(x, int(j))
-            gy = obj.stochastic_gradient(y, int(j))
+            gx = obj.batch_gradient_mean(x, [j])
+            gy = obj.batch_gradient_mean(y, [j])
             lhs = np.linalg.norm(gx - gy)
             assert lhs <= L * np.linalg.norm(x - y) * (1 + 1e-12)
 
@@ -267,7 +242,7 @@ class TestAdvertisedConstants:
                 x = rng.normal(size=4)
                 g_global = suite.gradient(x)
                 devs = [
-                    sq_norm(obj.stochastic_gradient(x, j) - g_global)
+                    sq_norm(obj.batch_gradient_mean(x, [j]) - g_global)
                     for j in range(16)
                 ]
                 assert np.mean(devs) <= sigma_sq * (1 + 1e-9)
