@@ -66,7 +66,7 @@ __all__ = [
 class DivergedError(RuntimeError):
     """A run produced non-finite values; carries the trace so far."""
 
-    def __init__(self, message: str, trace: MetricsTrace):
+    def __init__(self, message: str, trace: MetricsTrace | None = None):
         super().__init__(message)
         self.trace = trace
 
@@ -204,15 +204,14 @@ def draw_restart_direction(
     return vectors
 
 
-def _check_finite(workers, s, t, build_partial):
+def _check_finite(workers, s, t):
     for w in workers:
         bad_x = not np.isfinite(w.x).all()
         bad_v = w.est is not None and not np.isfinite(w.est.v).all()
         if bad_x or bad_v:
             raise DivergedError(
                 f"non-finite values at worker {w.worker_id}, epoch {s}, "
-                f"iteration {t}",
-                build_partial(),
+                f"iteration {t}"
             )
 
 
@@ -235,7 +234,8 @@ class _Run:
     """One run's state: keyed randomness, ledger, meter, workers, records.
 
     As a context manager it shuts the worker thread pool down however the
-    run ends; ``trace`` snapshots the run as a ``MetricsTrace``.
+    run ends and gives a ``DivergedError`` or ``CertificateError`` the trace
+    so far; ``trace`` snapshots the run as a ``MetricsTrace``.
     """
 
     def __init__(self, suite, seed, algorithm, metrics_every, parallel, hooks):
@@ -269,21 +269,20 @@ class _Run:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type, exc, tb):
         if self.pool is not None:
             self.pool.shutdown()
+        if isinstance(exc, DivergedError):
+            exc.trace = self.trace("diverged")
+        elif isinstance(exc, CertificateError):
+            exc.trace = self.trace("below-optimum")
 
     def record(self, s: int, t: int, k: int) -> None:
         """Metrics point at ``(s, t)``, the run's ``k``-th iteration."""
         if k % self.metrics_every == 0:
-            try:
-                record = make_record(
-                    s, t, self.suite, self.workers, self.ledger, self.meter
-                )
-            except CertificateError as exc:
-                exc.trace = self.trace("below-optimum")
-                raise
-            self.records.append(record)
+            self.records.append(
+                make_record(s, t, self.suite, self.workers, self.ledger, self.meter)
+            )
         if self.hooks.on_record:
             self.hooks.on_record(s, t, self.workers)
 
@@ -292,7 +291,7 @@ class _Run:
         if self.hooks.on_sync:
             self.hooks.on_sync(s, t, payload, self.workers)
 
-    def trace(self, outcome: str = "diverged") -> MetricsTrace:
+    def trace(self, outcome: str) -> MetricsTrace:
         return MetricsTrace(
             records=self.records,
             config_echo=self.echo,
@@ -345,7 +344,7 @@ def _run_spider(
     # float overflow is a detected failure mode here, not a warning
     with run, np.errstate(over="ignore", invalid="ignore"):
         grads = restart_gradients(0, 0, DRAW_INIT)
-        sync_round(workers, "gradients", run.ledger, gradients=grads)
+        run.sync(0, 0, "gradients", grads)
 
         for s in range(hp.S):
             meter.phase = "inner"
@@ -353,8 +352,6 @@ def _run_spider(
                 w.epoch = s
                 w.t = 0
                 w.est = replace(w.est, x_prev=w.x, t=0)
-            if run.hooks.on_epoch_start:
-                run.hooks.on_epoch_start(s, workers)
             run.residuals.append(_restart_residual(suite, workers))
 
             for t in range(hp.m):
@@ -369,12 +366,13 @@ def _run_spider(
                         w.est = est
                     if is_averaging_step(t, hp.I):
                         run.sync(s, t, "both")
+                        # the next difference starts from the average
+                        for w in workers:
+                            w.est = replace(w.est, x_prev=w.x)
                 run.record(s, t, s * hp.m + t)
                 for w in workers:
-                    if t == 0:
-                        w.est = replace(w.est, x_prev=w.x)
                     w.x = axpy(w.x, -hp.gamma, w.est.v)
-                _check_finite(workers, s, t, run.trace)
+                _check_finite(workers, s, t)
 
             if s < hp.S - 1 and not skip_epoch_restart:
                 for w in workers:
@@ -479,7 +477,7 @@ def _run_local_sgd(
 
             for w, x_new in zip(workers, _map_workers(run.pool, one_step, workers)):
                 w.x = x_new
-            _check_finite(workers, 0, k, run.trace)
+            _check_finite(workers, 0, k)
             if (k + 1) % I == 0 or k + 1 == horizon:
                 for w in workers:
                     w.t = k + 1

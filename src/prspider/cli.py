@@ -92,7 +92,7 @@ class Key(NamedTuple):
     """One config key: its JSON type, its range and its default."""
 
     kind: type  # int takes no true or 4.0; float takes finite numbers, as floats
-    low: float | None = None
+    low: float | None = None  # for a list, the bound on its length
     default: object = ...  # ...: no default, the key is required
     strict: bool = False  # the bound ``low`` is exclusive
     words: tuple = ()  # strings taken as they are; a str key takes no others
@@ -156,7 +156,7 @@ ALGORITHM = {
     "name": Key(str, words=tuple(ALGORITHMS)), "auto": OPTIONAL, "params": OPTIONAL,
 }
 RUN = {
-    "seeds": Key(list, default=[0], item=SEED),
+    "seeds": Key(list, 1, default=[0], item=SEED),
     "out_dir": Key(str, default="runs"),
     "eps_targets": Key(list, default=[], item=Key(float, 0)),
     "metrics_every": Key(int, 1, default=1),
@@ -176,7 +176,8 @@ def _describe(spec: Key) -> str:
         return f"one of {words}"
     item = "" if spec.item is None else f" whose items are each {_describe(spec.item)}"
     low = "" if spec.low is None else f" {'>' if spec.strict else '>='} {spec.low:g}"
-    return _KINDS[spec.kind] + item + low + (f" or {words}" if words else "")
+    length = " of length" if spec.kind is list and low else ""
+    return _KINDS[spec.kind] + length + low + item + (f" or {words}" if words else "")
 
 
 def _convert(value, spec: Key):
@@ -190,9 +191,10 @@ def _convert(value, spec: Key):
     if type(value) is not spec.kind or spec.kind is str and spec.words:
         raise ValueError(value)
     if spec.item is not None:
-        return [_convert(item, spec.item) for item in value]
+        value = [_convert(item, spec.item) for item in value]
+    size = len(value) if spec.kind is list else value
     if spec.low is not None and (
-        value <= spec.low if spec.strict else value < spec.low
+        size <= spec.low if spec.strict else size < spec.low
     ):
         raise ValueError(value)
     return value
@@ -262,7 +264,7 @@ def build_suite(problem: dict) -> ProblemSuite:
         return factory(**args)
     except (ValueError, TypeError) as exc:
         # the factories check the explicit arrays, which the tables take as
-        # plain lists: their shape and the type of each element
+        # plain lists: shape, element type and finiteness, naming the key
         raise ConfigError(f"problem: {exc}") from exc
 
 

@@ -8,10 +8,9 @@ the analytic suite oracles and charge neither oracle calls nor rounds.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -133,15 +132,13 @@ class FirstHit:
 class RunHooks:
     """Optional observation callbacks; must not mutate run state.
 
-    ``on_record(s, t, workers)`` fires at each metrics point,
-    ``on_sync(s, t, payload, workers)`` after each broadcast, and
-    ``on_epoch_start(s, workers)`` once per epoch after the restart
-    direction is in place.
+    ``on_record(s, t, workers)`` fires at each metrics point, and
+    ``on_sync(s, t, payload, workers)`` once per counted round, after its
+    broadcast, the initial gradient round included.
     """
 
     on_record: Callable | None = None
     on_sync: Callable | None = None
-    on_epoch_start: Callable | None = None
 
 
 @dataclass
@@ -230,10 +227,11 @@ def sync_round(
 ):
     """One synchronized worker->server->worker exchange.
 
-    Averages the requested payload in worker-index order, overwrites each
-    worker's copy with the broadcast value, and counts one round. The
-    ``gradients`` payload averages caller-supplied vectors into the
-    estimator direction (the epoch-restart exchange).
+    Averages the requested payload in worker-index order, broadcasts it
+    over each worker's ``x`` and estimator direction ``v``, and counts one
+    round. The ``gradients`` payload averages caller-supplied vectors into
+    ``v`` (the epoch-restart exchange). The estimator's reference point
+    ``x_prev`` is the runner's to move.
     """
     if not workers:
         raise ValueError("sync_round needs at least one worker")
@@ -261,15 +259,11 @@ def sync_round(
     for w in workers:
         if x_bar is not None:
             w.x = x_bar.copy()
-            if w.est is not None:
-                # averaging overwrites the iterate, so the estimator's
-                # reference point must follow it
-                w.est = dataclasses.replace(w.est, x_prev=w.x)
         if v_bar is not None:
             if w.est is None:
                 w.est = EstimatorState(v=v_bar.copy(), x_prev=w.x, t=0)
             else:
-                w.est = dataclasses.replace(w.est, v=v_bar.copy())
+                w.est = replace(w.est, v=v_bar.copy())
 
     ledger.rounds += 1
     ledger.bytes_equivalent += 2 if payload == "both" else 1

@@ -48,7 +48,6 @@ is what makes the analytic expectation oracles exact.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -633,12 +632,6 @@ class ProblemSuite:
         """Upper bound on the optimality gap at the start point."""
         return self.value(self.initial_point) - self.optimum_value
 
-    def with_initial_point(self, x0) -> "ProblemSuite":
-        """Copy of the suite starting from a caller-chosen point."""
-        return dataclasses.replace(
-            self, initial_point=as_vector(x0, self.dim)
-        )
-
 
 def _finish_quadratic_suite(
     centers: np.ndarray,
@@ -726,20 +719,35 @@ def make_quadratic_suite(
     )
 
 
-def _explicit_start(initial_point, dim: int) -> ParamVector:
-    """An explicit suite's start point, checked against its dimension."""
+def _explicit_array(key: str, data, shape: tuple) -> np.ndarray:
+    """An explicit suite's array ``key`` as finite float64 of ``shape``.
+
+    A named axis (``"n"``) takes any length of at least 1. Every message
+    starts with ``key``, so a config error names the bad array.
+    """
     try:
-        return as_vector(initial_point, dim)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"initial_point: {exc}") from exc
+        if len(shape) == 1:
+            return as_vector(data, shape[0])
+        array = np.asarray(data, dtype=np.float64)
+        if not np.isfinite(array).all():
+            raise ValueError("non-finite entries")
+    except (ValueError, TypeError, OverflowError) as exc:
+        # ragged, not numbers, non-finite, or a start point of another length
+        raise ValueError(f"{key}: {exc}") from None
+    if array.ndim != len(shape) or any(
+        got < 1 if isinstance(want, str) else got != want
+        for got, want in zip(array.shape, shape)
+    ):
+        free = ", each at least 1" if isinstance(shape[0], str) else ""
+        axes = ", ".join(map(str, shape))
+        raise ValueError(f"{key} must have shape ({axes}){free}, got {array.shape}")
+    return array
 
 
 def quadratic_suite_from_centers(centers, initial_point) -> ProblemSuite:
     """Quadratic suite over explicit centers of shape (N, n, d)."""
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 3 or 0 in centers.shape:
-        raise ValueError("centers must have shape (N, n, d), each at least 1")
-    initial_point = _explicit_start(initial_point, centers.shape[2])
+    centers = _explicit_array("centers", centers, ("N", "n", "d"))
+    initial_point = _explicit_array("initial_point", initial_point, centers.shape[2:])
     config = {
         "family": "quadratic-explicit",
         "centers": centers.tolist(),
@@ -760,10 +768,9 @@ def _finish_sigmoid_suite(
 ) -> ProblemSuite:
     # one read-only view of the data: the objectives hold its worker
     # slices, the stacked analytic oracles the whole of it
-    features = _read_only(np.asarray(features, dtype=np.float64))
-    num_workers = features.shape[0]
-    offsets = np.asarray(offsets, dtype=np.float64).reshape(num_workers, -1)
+    features = _read_only(features)
     offsets = _read_only(offsets)
+    num_workers = features.shape[0]
     objectives = [
         SigmoidObjective(i, features[i], offsets[i], online=online)
         for i in range(num_workers)
@@ -828,12 +835,10 @@ def make_nonconvex_suite(
 def sigmoid_suite_from_params(
     features, offsets, initial_point, online: bool = False
 ) -> ProblemSuite:
-    """Sigmoid suite over explicit per-worker (features, offsets) arrays."""
-    features = np.asarray(features, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.float64)
-    if features.ndim != 3:
-        raise ValueError("features must have shape (N, n, d)")
-    initial_point = _explicit_start(initial_point, features.shape[2])
+    """Sigmoid suite over explicit (N, n, d) features and (N, n) offsets."""
+    features = _explicit_array("features", features, ("N", "n", "d"))
+    offsets = _explicit_array("offsets", offsets, features.shape[:2])
+    initial_point = _explicit_array("initial_point", initial_point, features.shape[2:])
     config = {
         "family": "sigmoid-explicit",
         "features": features.tolist(),

@@ -453,3 +453,34 @@ def test_a_check_that_measures_nothing_fails():
     for result in (check_consensus_zeroing(seeds=()), check_restart_identity(seeds=())):
         assert result.events == 0
         assert not result.passed
+
+
+RUNNERS = {
+    "pr-spider-finite": lambda suite, **kw: run_pr_spider_finite(
+        suite, HyperParams(gamma=1.0 / 16, I=2, m=6, B=2, S=3, N=4), 0, **kw
+    ),
+    "pr-spider-online": lambda suite, **kw: run_pr_spider_online(
+        suite, HyperParams(gamma=1.0 / 16, I=3, m=6, B=2, S=2, N=4, n_b=8), 1, **kw
+    ),
+    "par-sgd": lambda suite, **kw: run_parallel_minibatch_sgd(
+        suite, 0.05, batch=2, horizon=7, seed=2, **kw
+    ),
+    "par-restarted-sgd": lambda suite, **kw: run_parallel_restarted_sgd(
+        suite, 0.05, batch=2, I=3, horizon=10, seed=3, **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_on_sync_fires_once_per_counted_round(name, parallel):
+    # the initial gradient round of PR-SPIDER is a counted round too
+    calls = []
+    trace = RUNNERS[name](
+        quad_suite(), parallel=parallel,
+        hooks=RunHooks(on_sync=lambda s, t, payload, ws: calls.append(payload)),
+    )
+    assert trace.outcome == "completed"
+    assert len(calls) == trace.comm_rounds > 0
+    if name.startswith("pr-spider"):
+        assert calls[0] == "gradients"

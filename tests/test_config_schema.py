@@ -1,9 +1,12 @@
 """The config tables: every bad value exits 2 with one line, never a traceback.
 
 ``DEFECTS`` lists values that once ended in a traceback or were silently
-coerced (``"parallel": "no"`` turned the pool on). The fuzz test sets one
-key, or one whole block, of a small valid config to a value from a fixed
-pool of wrong types and edge numbers, and requires a documented exit code.
+coerced (``"parallel": "no"`` turned the pool on, ``"seeds": []`` ran
+nothing and exited 0, a ``NaN`` in ``centers`` ran and diverged). A defect
+in the run block is tried under ``run`` and under ``sweep``. The fuzz
+test sets one key, or one whole block, of a small valid config to a value
+from a fixed pool of wrong types and edge numbers, and requires a
+documented exit code.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ DEFECTS = [
     ("seeds-string", ("run", "seeds"), "abc", "'seeds'"),
     ("seeds-int", ("run", "seeds"), 5, "'seeds'"),
     ("seeds-negative", ("run", "seeds"), [-1], "'seeds'"),
+    ("seeds-empty", ("run", "seeds"), [], "'seeds'"),
     ("eps-targets-negative", ("run", "eps_targets"), [-1], "'eps_targets'"),
     ("eps-targets-string", ("run", "eps_targets"), ["x"], "'eps_targets'"),
     ("par-sgd-auto-period-zero", ("algorithm",),
@@ -81,20 +85,41 @@ DEFECTS = [
     (f"{family}-start-nested", ("problem",),
      dict(EXPLICIT[family], initial_point=[[1.0]]), "initial_point")
     for family in sorted(EXPLICIT)
+] + [
+    (f"{family}-{key}-{defect}", ("problem",), dict(EXPLICIT[family], **{key: value}),
+     f"problem: {key}")
+    for family, key in (("quadratic-explicit", "centers"),
+                        ("sigmoid-explicit", "features"))
+    for defect, value in (
+        ("ragged", [[[0.0, 1.0], [2.0]], [[1.0, 1.0], [0.0, 0.0]]]),
+        ("string", [[["a"]]]),
+        ("nan", [[[math.nan, 1.0], [2.0, -1.0]]]),
+    )
+] + [
+    ("sigmoid-explicit-offsets-size", ("problem",),
+     dict(EXPLICIT["sigmoid-explicit"], offsets=[0.0, 1.0, 2.0]), "problem: offsets"),
 ]
+RUN_DEFECTS = [case for case in DEFECTS if case[1][0] == "run"]
 
 
 @pytest.mark.parametrize(
-    "path, value, names", [case[1:] for case in DEFECTS] + [(None, "a,b", "--values")],
-    ids=[case[0] for case in DEFECTS] + ["sweep-values-text"],
+    "command, path, value, names",
+    [("run", *case[1:]) for case in DEFECTS]
+    + [("sweep", *case[1:]) for case in RUN_DEFECTS]
+    + [("sweep", None, "a,b", "--values")],
+    ids=[case[0] for case in DEFECTS]
+    + [f"sweep-{case[0]}" for case in RUN_DEFECTS]
+    + ["sweep-values-text"],
 )
-def test_bad_value_exits_config_naming_the_key(tmp_path, capsys, path, value, names):
+def test_bad_value_exits_config_naming_the_key(
+    tmp_path, capsys, command, path, value, names
+):
     cfg = tmp_path / "cfg.json"
     config = _config(run={"seeds": [0], "eps_targets": [0.1], "out_dir": str(tmp_path)})
-    if path is None:
-        argv = ["sweep", str(cfg), "--axis", "N", "--values", value]
-    else:
-        argv = ["run", str(cfg)]
+    argv = [command, str(cfg)]
+    if command == "sweep":
+        argv += ["--axis", "N", "--values", value if path is None else "2"]
+    if path is not None:
         _set(config, path, value)
     cfg.write_text(json.dumps(config))
     assert main(argv) == EXIT_CONFIG

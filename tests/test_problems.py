@@ -256,13 +256,6 @@ class TestAdvertisedConstants:
 
 
 class TestSuiteUtilities:
-    def test_with_initial_point(self):
-        suite = make_quadratic_suite(N=2, n=4, d=3, heterogeneity=0.1, seed=16)
-        moved = suite.with_initial_point([1.0, 2.0, 3.0])
-        assert np.array_equal(moved.initial_point, [1, 2, 3])
-        assert moved.objectives is suite.objectives
-        assert not np.array_equal(suite.initial_point, moved.initial_point)
-
     def test_config_echo_round_trips_through_factory(self):
         suite = make_quadratic_suite(N=2, n=4, d=3, heterogeneity=0.3, seed=17)
         again = make_quadratic_suite(
@@ -389,5 +382,3 @@ class TestStackedAnalytic:
             assert np.shares_memory(stack.features[i], obj.features)
             assert np.shares_memory(stack.offsets[i], obj.offsets)
         assert not stack.features.flags.writeable
-        moved = suite.with_initial_point(np.zeros(suite.dim))
-        assert moved.analytic is stack
