@@ -28,7 +28,6 @@ from .harness import (
     WorkerState,
     evaluate_fos,
     first_hit,
-    read_trace_csv,
     sync_round,
 )
 from .numerics import ParamVector, RngStream, axpy, mean_reduce, sq_norm
@@ -78,7 +77,6 @@ __all__ = [
     "make_quadratic_suite",
     "mean_reduce",
     "quadratic_suite_from_centers",
-    "read_trace_csv",
     "run_parallel_minibatch_sgd",
     "run_parallel_restarted_sgd",
     "run_pr_spider_finite",

@@ -312,7 +312,6 @@ def _run_spider(
     metrics_every: int,
     parallel: bool,
     hooks: RunHooks | None,
-    skip_epoch_restart: bool,
 ) -> MetricsTrace:
     if hp.N != suite.num_workers:
         raise ValueError(
@@ -374,7 +373,7 @@ def _run_spider(
                     w.x = axpy(w.x, -hp.gamma, w.est.v)
                 _check_finite(workers, s, t)
 
-            if s < hp.S - 1 and not skip_epoch_restart:
+            if s < hp.S - 1:
                 for w in workers:
                     w.t = hp.m
                 run.sync(s, hp.m, "iterates")
@@ -399,19 +398,18 @@ def run_pr_spider_finite(
     metrics_every: int = 1,
     parallel: bool = False,
     hooks: RunHooks | None = None,
-    _skip_epoch_restart: bool = False,
 ) -> MetricsTrace:
     """Epoch-restarted variance-reduced run with exact full-gradient restarts.
 
     Emits one record per inner iteration (at the default cadence); the
     record at ``(s, t)`` reflects the state after all exchanges scheduled
-    at that index, together with the cost totals at that moment.
-    ``_skip_epoch_restart`` is a fault-injection hook for the verification
-    suite and must stay off in real runs.
+    at that index, together with the cost totals at that moment. Each
+    epoch starts from the averaged exact gradient at the averaged iterate,
+    the identity ``checks.check_restart_identity`` measures.
     """
     return _run_spider(
         suite, hp, seed, online=False, metrics_every=metrics_every,
-        parallel=parallel, hooks=hooks, skip_epoch_restart=_skip_epoch_restart,
+        parallel=parallel, hooks=hooks,
     )
 
 
@@ -427,7 +425,7 @@ def run_pr_spider_online(
     """Online variant: initialization and restarts use size-``n_b`` batches."""
     return _run_spider(
         suite, hp, seed, online=True, metrics_every=metrics_every,
-        parallel=parallel, hooks=hooks, skip_epoch_restart=False,
+        parallel=parallel, hooks=hooks,
     )
 
 

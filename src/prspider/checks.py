@@ -66,15 +66,14 @@ class CheckResult:
 
 
 def expected_comm_rounds(S: int, m: int, I: int) -> int:
-    """Closed-form round count when ``m`` is a multiple of ``I``.
+    """Closed-form round count of a PR-SPIDER run, for any ``m`` and ``I``.
 
-    One initial gradient round, ``m/I - 1`` in-epoch exchanges per epoch
-    (the t=0 boundary is covered by the restart), and two rounds per
-    epoch boundary (iterate average, then gradients at the average).
+    One initial gradient round, ``(m - 1) // I`` in-epoch exchanges per
+    epoch (at ``t = I, 2I, ... < m``; the t=0 boundary is covered by the
+    restart), and two rounds per epoch boundary (iterate average, then
+    gradients at the average).
     """
-    if m % I != 0:
-        raise ValueError("closed form assumes m is a multiple of I")
-    return 1 + S * (m // I - 1) + (S - 1) * 2
+    return 1 + S * ((m - 1) // I) + (S - 1) * 2
 
 
 def expected_ifo_finite(S: int, m: int, B: int, n: int, N: int) -> int:
@@ -90,9 +89,7 @@ def _default_quadratic():
     return make_quadratic_suite(N=4, n=64, d=8, heterogeneity=0.5, seed=11)
 
 
-def check_restart_identity(
-    seeds=range(3), *, inject_skip_restart: bool = False
-) -> CheckResult:
+def check_restart_identity(seeds=range(3)) -> CheckResult:
     """At every epoch start the mean direction equals the exact gradient."""
     suite = _default_quadratic()
     hp = choose_params_finite(
@@ -100,9 +97,7 @@ def check_restart_identity(
     )
     residuals = []
     for seed in seeds:
-        trace = run_pr_spider_finite(
-            suite, hp, seed, _skip_epoch_restart=inject_skip_restart
-        )
+        trace = run_pr_spider_finite(suite, hp, seed)
         residuals += trace.epoch_restart_residuals
     worst = max(residuals, default=0.0)
     return CheckResult(
@@ -251,24 +246,12 @@ SUITES = {
 }
 
 
-def run_suite(selector: str = "all", inject: str | None = None) -> list[CheckResult]:
-    """Run a verification suite; ``inject`` fault-injects for sensitivity.
-
-    ``inject="skip-restart"`` disables epoch restarts inside the restart
-    identity check, which must then fail -- a mutation test for the check
-    itself.
-    """
+def run_suite(selector: str = "all") -> list[CheckResult]:
+    """Run the ``finite`` or ``online`` verification suite, or ``all`` of them."""
     if selector == "all":
         names = ("finite", "online")
     elif selector in SUITES:
         names = (selector,)
     else:
         raise ValueError(f"unknown verification suite {selector!r}")
-    results = []
-    for name in names:
-        for fn in SUITES[name]:
-            if fn is check_restart_identity:
-                results.append(fn(inject_skip_restart=inject == "skip-restart"))
-            else:
-                results.append(fn())
-    return results
+    return [fn() for name in names for fn in SUITES[name]]

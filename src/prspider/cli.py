@@ -4,7 +4,7 @@ Usage:
     prspider run CONFIG [--out DIR]
     prspider sweep CONFIG --axis {N,I,eps,heterogeneity} --values V1,V2,...
                    [--hold-total-data] [--out DIR]
-    prspider verify [--suite {all,finite,online}] [--inject skip-restart]
+    prspider verify [--suite {all,finite,online}]
 
 Configs are JSON with three blocks::
 
@@ -342,7 +342,10 @@ def _out_dir(out_dir: str, override: str | None) -> Path:
     root = os.environ.get("PRSPIDER_OUT")
     if root and not out.is_absolute():
         out = Path(root) / out
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -487,8 +490,8 @@ def cmd_sweep(
     return code
 
 
-def cmd_verify(selector: str = "all", inject: str | None = None) -> int:
-    results = run_suite(selector, inject=inject)
+def cmd_verify(selector: str = "all") -> int:
+    results = run_suite(selector)
     for result in results:
         print(result.line())
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
@@ -521,10 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the built-in property suites")
     p_verify.add_argument(
         "--suite", default="all", choices=("all", "finite", "online")
-    )
-    p_verify.add_argument(
-        "--inject", default=None, choices=("skip-restart",),
-        help="fault injection for check-sensitivity testing",
     )
     return parser
 
@@ -560,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep(
                 args.config, args.axis, values, args.hold_total_data, args.out
             )
-        return cmd_verify(args.suite, args.inject)
+        return cmd_verify(args.suite)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,7 +33,6 @@ __all__ = [
     "evaluate_fos",
     "first_hit",
     "CSV_HEADER",
-    "read_trace_csv",
     "write_text_atomic",
 ]
 
@@ -125,7 +124,6 @@ class FirstHit:
     t: int
     ifo_total: int
     comm_rounds: int
-    record_index: int
 
 
 @dataclass
@@ -197,41 +195,20 @@ class MetricsTrace:
         write_text_atomic(path, json.dumps(self.sidecar(), indent=2) + "\n")
 
 
-def read_trace_csv(path) -> list[MetricsRecord]:
-    lines = Path(path).read_text().strip().split("\n")
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected trace header: {lines[0]!r}")
-    records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        records.append(
-            MetricsRecord(
-                s=int(parts[0]),
-                t=int(parts[1]),
-                f_bar=float(parts[2]),
-                grad_sq=float(parts[3]),
-                consensus=float(parts[4]),
-                fos=float(parts[5]),
-                ifo_total=int(parts[6]),
-                comm_rounds=int(parts[7]),
-            )
-        )
-    return records
-
-
 def sync_round(
     workers: Sequence[WorkerState],
     payload: str,
     ledger: CommLedger,
     gradients: Sequence[ParamVector] | None = None,
-):
+) -> None:
     """One synchronized worker->server->worker exchange.
 
     Averages the requested payload in worker-index order, broadcasts it
     over each worker's ``x`` and estimator direction ``v``, and counts one
     round. The ``gradients`` payload averages caller-supplied vectors into
     ``v`` (the epoch-restart exchange). The estimator's reference point
-    ``x_prev`` is the runner's to move.
+    ``x_prev`` is the runner's to move. Nothing is returned: the averages
+    are read from the workers.
     """
     if not workers:
         raise ValueError("sync_round needs at least one worker")
@@ -267,11 +244,6 @@ def sync_round(
 
     ledger.rounds += 1
     ledger.bytes_equivalent += 2 if payload == "both" else 1
-    if payload == "iterates":
-        return x_bar
-    if payload == "both":
-        return x_bar, v_bar
-    return v_bar
 
 
 def evaluate_fos(
@@ -327,13 +299,12 @@ def first_hit(trace_or_records, eps: float) -> FirstHit | None:
     if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
     records = getattr(trace_or_records, "records", trace_or_records)
-    for k, r in enumerate(records):
+    for r in records:
         if r.fos <= eps:
             return FirstHit(
                 s=r.s,
                 t=r.t,
                 ifo_total=r.ifo_total,
                 comm_rounds=r.comm_rounds,
-                record_index=k,
             )
     return None

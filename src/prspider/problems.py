@@ -49,6 +49,7 @@ is what makes the analytic expectation oracles exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -719,6 +720,25 @@ def make_quadratic_suite(
     )
 
 
+def _check_numbers(data) -> None:
+    """Raise unless ``data`` (nested lists or an array) holds only numbers.
+
+    ``np.asarray(..., dtype=np.float64)`` alone would take ``True``,
+    ``"1.5"`` and ``None`` as 1.0, 1.5 and NaN.
+    """
+    pending = [data]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, (list, tuple)):
+            # JSON's numbers, nearly every entry, are not visited one by one
+            pending += [x for x in item if type(x) not in (int, float)]
+        elif isinstance(item, np.ndarray):
+            if item.dtype.kind not in "iuf":
+                raise ValueError(f"must hold numbers, got {item.dtype} entries")
+        elif isinstance(item, bool) or not isinstance(item, numbers.Real):
+            raise ValueError(f"must hold numbers, got {item!r}")
+
+
 def _explicit_array(key: str, data, shape: tuple) -> np.ndarray:
     """An explicit suite's array ``key`` as finite float64 of ``shape``.
 
@@ -726,13 +746,14 @@ def _explicit_array(key: str, data, shape: tuple) -> np.ndarray:
     starts with ``key``, so a config error names the bad array.
     """
     try:
+        _check_numbers(data)
         if len(shape) == 1:
             return as_vector(data, shape[0])
         array = np.asarray(data, dtype=np.float64)
         if not np.isfinite(array).all():
             raise ValueError("non-finite entries")
     except (ValueError, TypeError, OverflowError) as exc:
-        # ragged, not numbers, non-finite, or a start point of another length
+        # not numbers, ragged, non-finite, or a start point of another length
         raise ValueError(f"{key}: {exc}") from None
     if array.ndim != len(shape) or any(
         got < 1 if isinstance(want, str) else got != want

@@ -360,6 +360,16 @@ class TestSpiderOnline:
         assert max(fos) - min(fos) <= 1e-12 * max(fos)
 
 
+@pytest.mark.parametrize("online", [False, True], ids=["finite", "online"])
+@pytest.mark.parametrize("I, m", [(2, 5), (3, 7), (4, 9), (3, 2), (4, 1)])
+def test_round_count_closed_form_when_I_does_not_divide_m(online, I, m):
+    suite = quad_suite(N=2, n=6)
+    n_b = 4 if online else None
+    hp = HyperParams(gamma=1.0 / 16, I=I, m=m, B=1, S=3, N=2, n_b=n_b)
+    trace = (run_pr_spider_online if online else run_pr_spider_finite)(suite, hp, 0)
+    assert trace.comm_rounds == expected_comm_rounds(3, m, I)
+
+
 class TestDescentTrend:
     def test_epoch_end_objective_nonincreasing(self):
         # the epoch-end average is the next epoch's start record; averaged

@@ -6,7 +6,7 @@ import statistics
 
 import pytest
 
-from prspider import cli
+from prspider import algorithms, cli
 from prspider.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -15,7 +15,6 @@ from prspider.cli import (
     EXIT_VERIFY,
     main,
 )
-from prspider.harness import read_trace_csv
 
 
 def write_config(path, problem=None, algorithm=None, run=None):
@@ -55,7 +54,7 @@ class TestCmdRun:
             },
         )
         assert main(["run", str(cfg)]) == EXIT_OK
-        records = read_trace_csv(tmp_path / "out" / "trace_seed0.csv")
+        records = read_rows(tmp_path / "out" / "trace_seed0.csv")
         assert len(records) == 36  # S * m
 
     def test_repeat_runs_byte_identical(self, tmp_path):
@@ -239,7 +238,7 @@ class TestCmdRun:
         assert main(["run", str(cfg)]) == EXIT_DIVERGED
         sidecar = json.loads((tmp_path / "out" / "trace_seed0.json").read_text())
         assert sidecar["result"]["outcome"] == "diverged"
-        records = read_trace_csv(tmp_path / "out" / "trace_seed0.csv")
+        records = read_rows(tmp_path / "out" / "trace_seed0.csv")
         assert 0 < len(records) < 800
 
     def test_certificate_failure_exit_code_and_partial_trace(
@@ -267,7 +266,7 @@ class TestCmdRun:
         assert "below certified optimum" in capsys.readouterr().err
         sidecar = json.loads((tmp_path / "out" / "trace_seed0.json").read_text())
         assert sidecar["result"]["outcome"] == "below-optimum"
-        records = read_trace_csv(tmp_path / "out" / "trace_seed0.csv")
+        records = read_rows(tmp_path / "out" / "trace_seed0.csv")
         assert 0 < len(records) < 40
         assert sidecar["result"]["records"] == len(records)
         summary = read_rows(tmp_path / "out" / "summary.csv")
@@ -295,7 +294,7 @@ class TestCmdRun:
             run={"seeds": [0]},
         )
         assert main(["run", str(cfg)]) == EXIT_OK
-        records = read_trace_csv(tmp_path / "out" / "trace_seed0.csv")
+        records = read_rows(tmp_path / "out" / "trace_seed0.csv")
         assert len(records) == 12
 
     def test_output_root_env_override(self, tmp_path, monkeypatch):
@@ -463,8 +462,17 @@ class TestCmdVerify:
     def test_default_suites_pass(self):
         assert main(["verify"]) == EXIT_OK
 
-    def test_injected_restart_bug_is_caught(self, capsys):
-        assert main(["verify", "--suite", "finite", "--inject", "skip-restart"]) == EXIT_VERIFY
+    def test_injected_restart_bug_is_caught(self, monkeypatch, capsys):
+        # a runner that skips its epoch restarts: only the initial gradient
+        # round and the in-epoch exchanges go through
+        sync = algorithms._Run.sync
+
+        def skip_restarts(run, s, t, payload, gradients=None):
+            if payload == "both" or (s, t) == (0, 0):
+                sync(run, s, t, payload, gradients)
+
+        monkeypatch.setattr(algorithms._Run, "sync", skip_restarts)
+        assert main(["verify", "--suite", "finite"]) == EXIT_VERIFY
         out = capsys.readouterr().out
         assert "FAIL restart-identity" in out
 

@@ -2,7 +2,8 @@
 
 ``DEFECTS`` lists values that once ended in a traceback or were silently
 coerced (``"parallel": "no"`` turned the pool on, ``"seeds": []`` ran
-nothing and exited 0, a ``NaN`` in ``centers`` ran and diverged). A defect
+nothing and exited 0, a ``NaN`` in ``centers`` ran and diverged, ``true``
+and ``"1.5"`` in ``centers`` ran as 1.0 and 1.5). A defect
 in the run block is tried under ``run`` and under ``sweep``. The fuzz
 test sets one key, or one whole block, of a small valid config to a value
 from a fixed pool of wrong types and edge numbers, and requires a
@@ -98,6 +99,27 @@ DEFECTS = [
 ] + [
     ("sigmoid-explicit-offsets-size", ("problem",),
      dict(EXPLICIT["sigmoid-explicit"], offsets=[0.0, 1.0, 2.0]), "problem: offsets"),
+] + [
+    # JSON numbers only: numpy's float conversion would take each of these
+    (f"{family}-{key}-{defect}", ("problem",), dict(EXPLICIT[family], **{key: value}),
+     f"problem: {key}: must hold numbers")
+    for family, key in (("quadratic-explicit", "centers"),
+                        ("sigmoid-explicit", "features"))
+    for defect, value in (
+        ("true", [[[True, False]]]),
+        ("mixed-true", [[[1.0, True]]]),
+        ("numeric-string", [[["1.5", "2"]]]),
+        ("null", [[[None, 1.0]]]),
+    )
+] + [
+    ("sigmoid-explicit-offsets-numeric-string", ("problem",),
+     dict(EXPLICIT["sigmoid-explicit"], offsets=[["0.5"]]),
+     "problem: offsets: must hold numbers"),
+] + [
+    (f"{family}-start-not-numbers", ("problem",),
+     dict(EXPLICIT[family], initial_point=[True, "3"]),
+     "problem: initial_point: must hold numbers")
+    for family in sorted(EXPLICIT)
 ]
 RUN_DEFECTS = [case for case in DEFECTS if case[1][0] == "run"]
 
@@ -127,6 +149,29 @@ def test_bad_value_exits_config_naming_the_key(
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert names in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flag", [True, False], ids=["--out", "out_dir"])
+@pytest.mark.parametrize("target", ["afile", "afile/sub"])
+def test_output_path_through_a_file_exits_config(
+    tmp_path, capsys, command, flag, target
+):
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / target)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_config(run={
+        "seeds": [0], "eps_targets": [0.1], "out_dir": str(tmp_path if flag else out),
+    })))
+    argv = [command, str(cfg)]
+    if command == "sweep":
+        argv += ["--axis", "N", "--values", "2"]
+    if flag:
+        argv += ["--out", out]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out}: ")
+    assert err.count("\n") == 1
 
 
 def test_bad_value_in_a_subprocess_prints_no_traceback(tmp_path):

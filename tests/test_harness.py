@@ -15,7 +15,6 @@ from prspider.harness import (
     evaluate_fos,
     first_hit,
     make_record,
-    read_trace_csv,
     sync_round,
 )
 from prspider.problems import (
@@ -39,10 +38,9 @@ class TestSyncRound:
         suite = make_quadratic_suite(N=2, n=2, d=2, heterogeneity=0, seed=0)
         workers = make_workers(suite, [[0.0, 0.0], [2.0, 2.0]])
         ledger = CommLedger()
-        x_bar, v_bar = sync_round(workers, "both", ledger)
+        assert sync_round(workers, "both", ledger) is None
         assert ledger.rounds == 1
         assert ledger.bytes_equivalent == 2
-        assert np.array_equal(x_bar, [1, 1])
         for w in workers:
             assert np.array_equal(w.x, [1, 1])
             assert np.array_equal(w.est.v, [0, 0])
@@ -61,8 +59,8 @@ class TestSyncRound:
         suite = make_quadratic_suite(N=1, n=2, d=3, heterogeneity=0, seed=2)
         workers = make_workers(suite, [[1.0, 2.0, 3.0]])
         ledger = CommLedger()
-        out = sync_round(workers, "iterates", ledger)
-        assert np.array_equal(out, [1, 2, 3])
+        sync_round(workers, "iterates", ledger)
+        assert np.array_equal(workers[0].x, [1, 2, 3])
         assert ledger.rounds == 1
 
     def test_barrier_violation_detected(self):
@@ -77,8 +75,7 @@ class TestSyncRound:
         workers = make_workers(suite, [[0.0, 0.0], [0.0, 0.0]])
         ledger = CommLedger()
         grads = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        v_bar = sync_round(workers, "gradients", ledger, gradients=grads)
-        assert np.array_equal(v_bar, [0.5, 0.5])
+        sync_round(workers, "gradients", ledger, gradients=grads)
         for w in workers:
             assert np.array_equal(w.est.v, [0.5, 0.5])
         assert ledger.bytes_equivalent == 1
@@ -149,7 +146,7 @@ class TestFirstHit:
     def test_stationary_start_hits_first_record(self):
         trace = synthetic_trace([0.0, 0.0, 0.0])
         hit = first_hit(trace, 0.5)
-        assert (hit.s, hit.t, hit.record_index) == (0, 0, 0)
+        assert (hit.s, hit.t, hit.ifo_total) == (0, 0, 10)
 
     def test_eps_zero_generic_miss(self):
         trace = synthetic_trace([0.5, 0.25, 0.125])
@@ -186,11 +183,10 @@ class TestTraceSerialization:
         trace = synthetic_trace(values)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
-        text = path.read_text()
-        assert text.splitlines()[0] == CSV_HEADER
-        back = read_trace_csv(path)
-        assert [r.fos for r in back] == values
-        assert [r.ifo_total for r in back] == [r.ifo_total for r in trace.records]
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert ",".join(header) == CSV_HEADER
+        assert [float(row[5]) for row in rows] == values
+        assert [int(row[6]) for row in rows] == [r.ifo_total for r in trace.records]
 
     def test_csv_bytes_deterministic(self, tmp_path):
         trace = synthetic_trace([0.3, 0.2, 0.1])

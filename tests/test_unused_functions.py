@@ -5,8 +5,9 @@ linter. A definition counts as used when a module of ``src/prspider`` or
 ``perfbench/`` mentions its name other than by defining it: as a name
 (``axpy(...)``), an attribute (``obj.draw_indices``) or a string
 (``setattr(owner, "substream", ...)``, which is how the span tracer
-patches calls; a name in ``__all__`` is such a string). Tests do not
-count: API surface that only a test calls has no caller in the program.
+patches calls). A name in ``__all__`` is exported, not called, so the
+strings of an ``__all__`` assignment do not count. Tests do not count
+either: API surface that only a test calls has no caller in the program.
 """
 
 from __future__ import annotations
@@ -24,9 +25,21 @@ PROTOCOL = {
 }
 
 
+def _exports(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in node.targets
+    )
+
+
 def _mentions(tree: ast.AST) -> set[str]:
     names = set()
-    for node in ast.walk(tree):
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        if _exports(node):
+            continue
+        pending.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -73,7 +86,9 @@ def test_the_check_sees_unused_functions():
         "    def with_initial_point(self, x0): pass\n"
     )
     caller = "setattr(Seq, 'patched', None)\n"
-    assert unused_functions([source], [caller]) == ["orphan", "with_initial_point"]
+    assert unused_functions([source], [caller]) == [
+        "exported", "orphan", "with_initial_point",
+    ]
 
 
 def _sources(folder: Path) -> list[str]:
