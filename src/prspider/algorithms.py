@@ -205,6 +205,10 @@ def draw_restart_direction(
 
 
 def _check_finite(workers, s, t):
+    # one check of all iterates and directions; the walk names the culprit
+    vectors = [w.x for w in workers] + [w.est.v for w in workers if w.est]
+    if np.isfinite(vectors).all():
+        return
     for w in workers:
         bad_x = not np.isfinite(w.x).all()
         bad_v = w.est is not None and not np.isfinite(w.est.v).all()

@@ -239,6 +239,8 @@ def load_config(path) -> dict:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
     top = parse_block(config, TOP, "top-level")
     config.setdefault("run", top["run"])
     return config

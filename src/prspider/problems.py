@@ -43,7 +43,10 @@ means and spreads equal the whole-array formulas bit for bit.
 Every metered oracle takes a batch of sample indices; one sample is
 ``[j]``. Online objectives refuse ``full_gradient``. Their batch oracles
 take the indices ``draw_indices`` returns, into a finite atom pool, which
-is what makes the analytic expectation oracles exact.
+is what makes the analytic expectation oracles exact. They are
+``gen.integers(0, pool, size)`` bit for bit, drawn from the generator's raw
+64-bit outputs by numpy's own bounded draw (Lemire, arXiv:1805.10941)
+without ``integers``' argument handling, most of its cost for a few indices.
 """
 
 from __future__ import annotations
@@ -98,6 +101,9 @@ PHASES = ("init", "inner", "refresh")
 # the gather buffer and the row buffer fit a 2 MiB L2 together.
 BLOCK_ROWS = 32
 
+# draw_indices' words: a raw output is two 32-bit words, low word first
+_LE64, _LE32, _WORD_BITS = np.dtype("<u8"), np.dtype("<u4"), np.uint64(32)
+
 
 def sigmoid_block_rows(dim: int) -> int:
     """Rows per sigmoid restart block: ``BLOCK_ROWS`` rows of d=2048 in bytes.
@@ -142,11 +148,6 @@ def _block_edges(count: int, dim: int, rows: int) -> list[int]:
 def _block_height(edges: list[int]) -> int:
     """Rows in the tallest block between ``edges``."""
     return max(hi - lo for lo, hi in zip(edges, edges[1:]))
-
-
-def _row_mean(rows: np.ndarray) -> np.ndarray:
-    """``rows.mean(axis=0)``, bit for bit, without its Python wrapper."""
-    return np.add.reduce(rows, axis=0) / rows.shape[0]
 
 
 def _check_indices(idx: np.ndarray, n: int) -> None:
@@ -294,7 +295,12 @@ class LocalObjective:
         self.sample_count = sample_count
         self.smoothness = smoothness
         self.variance_bound = variance_bound
+        if not 1 <= pool_size <= 2**32:
+            raise ValueError(f"sample pool of {pool_size} outside 1 .. 2**32")
         self._pool_size = pool_size
+        # draw_indices' factor, and the bound on a kept product's low half
+        self._scale = np.uint64(pool_size)
+        self._reject_below = (2**32 - pool_size) % pool_size
 
     @property
     def is_finite_sum(self) -> bool:
@@ -307,8 +313,28 @@ class LocalObjective:
     # -- sampling ---------------------------------------------------------
 
     def draw_indices(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` i.i.d. sample indices (with replacement)."""
-        return gen.integers(0, self._pool_size, size=int(size))
+        """Draw ``size`` i.i.d. sample indices (with replacement).
+
+        Values and dtype of ``gen.integers(0, pool, size)``: each raw output
+        gives two 32-bit words, low first, and a word ``u`` gives ``(u *
+        pool) >> 32`` unless that product's low half is below ``(2**32 -
+        pool) mod pool``. ``gen`` must be a fresh ``substream``, used once.
+        """
+        size = int(size)
+        parts, need = [], size
+        while need > 0 or not parts:
+            raw = gen.bit_generator.random_raw((need + 1) // 2)
+            words = raw.astype(_LE64, copy=False).view(_LE32).astype(np.uint64)
+            words *= self._scale
+            if self._reject_below:
+                low = words.astype(_LE64, copy=False).view(_LE32)[::2]
+                if low.min(initial=self._reject_below) < self._reject_below:
+                    words = words[low >= self._reject_below]
+            parts.append(words)
+            need -= words.shape[0]
+        scaled = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        scaled >>= _WORD_BITS
+        return scaled[:size].view(np.int64)
 
     # -- metered oracle surface --------------------------------------------
     # Each cost below is charged to ``meter``, when one is given.
@@ -474,11 +500,8 @@ class SigmoidObjective(LocalObjective):
     @staticmethod
     def _phi_prime(t: np.ndarray) -> np.ndarray:
         t2 = t * t
-        return 2.0 * t / ((1.0 + t2) ** 2)
-
-    def _gradients(self, x, a, b):
-        # per-sample gradients over gathered rows ``a`` and offsets ``b``
-        return self._phi_prime(a @ x - b)[:, None] * a
+        # t + t is 2t exactly, without converting a Python float
+        return (t + t) / ((1.0 + t2) ** 2)
 
     def _gradient_mean(self, x, idx):
         # the restart gradient: row blocks, so an online restart batch of
@@ -506,10 +529,22 @@ class SigmoidObjective(LocalObjective):
         return _blocked_mean(idx.shape[0], self.dim, fill, rows)
 
     def _pair_difference_mean(self, x_new, x_old, idx):
-        a, b = self.features[idx], self.offsets[idx]
-        g_new = self._gradients(x_new, a, b)
-        g_old = self._gradients(x_old, a, b)
-        return _row_mean(g_new - g_old)
+        # one gather and one pass per step for both points; margins by gemv
+        # blocks BLAS won't thread, or whole if one block (~4 % of a B=2 run)
+        a = self.features.take(idx, axis=0)
+        count = a.shape[0]
+        t = np.empty((2, count))
+        if count <= sigmoid_block_rows(self.dim):
+            np.matmul(a, x_new, out=t[0])
+            np.matmul(a, x_old, out=t[1])
+        else:
+            edges = _block_edges(count, self.dim, sigmoid_block_rows(self.dim))
+            for lo, hi in zip(edges, edges[1:]):
+                np.matmul(a[lo:hi], x_new, out=t[0, lo:hi])
+                np.matmul(a[lo:hi], x_old, out=t[1, lo:hi])
+        t -= self.offsets[idx]
+        grads = self._phi_prime(t)[:, :, None] * a
+        return np.add.reduce(grads[0] - grads[1], axis=0) / count
 
     def mean_value(self, x):
         t = self.features @ x - self.offsets

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from prspider import algorithms
 from prspider.algorithms import (
     DivergedError,
     HyperParams,
@@ -255,6 +256,30 @@ class TestSpiderFinite:
         trace = info.value.trace
         assert trace.outcome == "diverged"
         assert 0 < len(trace.records) < hp.horizon
+
+    def test_divergence_in_a_direction_alone_names_the_first_bad_worker(
+        self, monkeypatch
+    ):
+        # NaNs in the directions of workers 2 and 3 at (s=1, t=3); the move
+        # is patched to leave iterates where they are, so every x stays
+        # finite and only a direction can trip the check
+        suite = quad_suite()
+        hp = HyperParams(gamma=1.0 / 16, I=2, m=8, B=2, S=3, N=4)
+        monkeypatch.setattr(algorithms, "axpy", lambda x, a, y: x.copy())
+
+        def on_record(s, t, workers):
+            if (s, t) == (1, 3):
+                for w in workers[2:]:
+                    v = w.est.v.copy()
+                    v[1] = math.nan
+                    w.est = replace(w.est, v=v)
+
+        with pytest.raises(DivergedError) as info:
+            run_pr_spider_finite(suite, hp, 0, hooks=RunHooks(on_record=on_record))
+        assert str(info.value) == (
+            "non-finite values at worker 2, epoch 1, iteration 3"
+        )
+        assert info.value.trace.outcome == "diverged"
 
     def test_below_optimum_raises_certificate_error_with_partial_trace(self):
         real = quad_suite()

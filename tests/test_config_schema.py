@@ -3,7 +3,8 @@
 ``DEFECTS`` lists values that once ended in a traceback or were silently
 coerced (``"parallel": "no"`` turned the pool on, ``"seeds": []`` ran
 nothing and exited 0, a ``NaN`` in ``centers`` ran and diverged, ``true``
-and ``"1.5"`` in ``centers`` ran as 1.0 and 1.5). A defect
+and ``"1.5"`` in ``centers`` ran as 1.0 and 1.5, ``centers`` nested
+deeper than the JSON parser recurses ended in a ``RecursionError``). A defect
 in the run block is tried under ``run`` and under ``sweep``. The fuzz
 test sets one key, or one whole block, of a small valid config to a value
 from a fixed pool of wrong types and edge numbers, and requires a
@@ -58,6 +59,17 @@ def _config(problem=QUADRATIC, algorithm=PAR_SGD, run=None):
     })
 
 
+# stands for lists nested deeper than the JSON parser recurses, which
+# json.dumps cannot write either; _dump splices them into the text
+DEEP = "<lists nested 100,000 deep>"
+
+
+def _dump(config: dict) -> str:
+    return json.dumps(config).replace(
+        json.dumps(DEEP), "[" * 100_000 + "]" * 100_000
+    )
+
+
 def _set(config: dict, path: tuple, value) -> dict:
     functools.reduce(dict.__getitem__, path[:-1], config)[path[-1]] = value
     return config
@@ -82,6 +94,8 @@ DEFECTS = [
     ("N-true", ("problem", "N"), True, "'N'"),
     ("online-string", ("problem",),
      dict(EXPLICIT["sigmoid-explicit"], online="no"), "'online'"),
+    ("centers-nested-deep", ("problem",),
+     dict(EXPLICIT["quadratic-explicit"], centers=DEEP), "nested too deeply"),
 ] + [
     (f"{family}-start-nested", ("problem",),
      dict(EXPLICIT[family], initial_point=[[1.0]]), "initial_point")
@@ -143,7 +157,7 @@ def test_bad_value_exits_config_naming_the_key(
         argv += ["--axis", "N", "--values", value if path is None else "2"]
     if path is not None:
         _set(config, path, value)
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(_dump(config))
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ")

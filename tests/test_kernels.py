@@ -93,21 +93,100 @@ def _sigmoid_row_mean(features, offsets, x, idx):
     return _sigmoid_rows(features, offsets, x, idx).mean(axis=0)
 
 
+def _sigmoid_pair_reference(features, offsets, x_new, x_old, idx):
+    # the two-gradient formula: every per-sample gradient at each point,
+    # the row differences, then their mean
+    return (
+        _sigmoid_rows(features, offsets, x_new, idx)
+        - _sigmoid_rows(features, offsets, x_old, idx)
+    ).mean(axis=0)
+
+
 def test_sigmoid_pair_kernel_matches_per_point_gradients():
     suite = make_nonconvex_suite(N=1, n=64, d=5, heterogeneity=0.5, seed=2)
     obj = suite.objectives[0]
     rng = np.random.default_rng(0)
     idx = rng.integers(0, 64, size=BLOCK_ROWS + 9)
     x_new, x_old = rng.normal(size=5), rng.normal(size=5)
-    features, offsets = obj.features, obj.offsets
-    ref = (
-        _sigmoid_rows(features, offsets, x_new, idx)
-        - _sigmoid_rows(features, offsets, x_old, idx)
-    ).mean(axis=0)
+    ref = _sigmoid_pair_reference(obj.features, obj.offsets, x_new, x_old, idx)
     meter = Meter(1)
     got = obj.pair_difference_mean(x_new, x_old, idx, meter)
     assert got.tobytes() == ref.tobytes()
     assert meter.total == 2 * idx.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 3, 4, 7, 16, 256, 2048]),
+    data=st.data(),
+)
+def test_sigmoid_pair_kernel_matches_two_gradient_formula_bitwise(seed, d, data):
+    # block edges of the margins' gemv blocks too; B * d stays below 2**19
+    height = sigmoid_block_rows(d)
+    B = data.draw(st.one_of(
+        BATCH_SIZES, st.sampled_from([height - 1, height, height + 1, 2 * height + 1])
+    ))
+    assert B * d < 2**19
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 200))
+    features, offsets = _wide(rng, (n, d)), _wide(rng, n)
+    # zero features against a -0.0 iterate give signed-zero products
+    features[rng.random((n, d)) < 0.2] = 0.0
+    x_new, x_old = _wide(rng, d), _wide(rng, d)
+    x_new[rng.random(d) < 0.3] = -0.0
+    x_old[rng.random(d) < 0.3] = -0.0
+    idx = rng.integers(0, n, size=B)
+    obj = SigmoidObjective(0, features, offsets)
+    meter = Meter(1)
+
+    got = obj.pair_difference_mean(x_new, x_old, idx, meter)
+    assert meter.total == 2 * B
+    ref = _sigmoid_pair_reference(features, offsets, x_new, x_old, idx)
+    assert got.tobytes() == ref.tobytes()
+    same = obj.pair_difference_mean(x_new, x_new.copy(), idx)
+    assert same.tobytes() == np.zeros(d).tobytes()
+
+
+# The sigmoid pair kernel at B=4099, d=256 (over 2**19 entries, so a whole
+# batch's gemv is split across BLAS threads), and, on one thread, the
+# two-gradient formula, as hex digests.
+_PAIR_DIGESTS = """
+import hashlib, sys
+import numpy as np
+from prspider.problems import SigmoidObjective
+rng = np.random.default_rng(7)
+d, count = 256, 4099
+features = rng.uniform(-1.0, 1.0, size=(512, d)) / np.sqrt(d)
+offsets = rng.uniform(-0.2, 0.2, size=512)
+idx = rng.integers(0, 512, size=count)
+x_new, x_old = rng.normal(size=d), rng.normal(size=d)
+got = SigmoidObjective(0, features, offsets).pair_difference_mean(x_new, x_old, idx)
+def rows(x):
+    a = features[idx]
+    t = a @ x - offsets[idx]
+    return (2.0 * t / ((1.0 + t * t) ** 2))[:, None] * a
+ref = (rows(x_new) - rows(x_old)).mean(axis=0)
+print(hashlib.sha256(got.tobytes()).hexdigest(), hashlib.sha256(ref.tobytes()).hexdigest())
+"""
+
+
+def test_sigmoid_pair_kernel_bits_do_not_depend_on_blas_threads():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+        )
+        digests[threads] = subprocess.run(
+            [sys.executable, "-c", _PAIR_DIGESTS],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout.split()
+    kernel, reference = digests["1"]
+    assert kernel == reference
+    assert digests["2"][0] == kernel
 
 
 @settings(max_examples=150, deadline=None)

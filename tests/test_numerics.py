@@ -19,6 +19,7 @@ from prspider.numerics import (
     sq_norm,
     sq_norms,
 )
+from prspider.problems import LocalObjective
 
 
 def vecs(*rows):
@@ -285,3 +286,36 @@ class TestRngStreamPin:
         stream.substream(0, 0, 0)  # a cached block must not excuse the key
         with pytest.raises((ValueError, TypeError)):
             stream.substream(0, 0, bad)
+
+
+# pool sizes at numpy's special cases (1 and 2**32), powers of two (no
+# rejection), and sizes whose rejection threshold is high (2**31 + 1 drops
+# nearly half the words)
+POOLS = [1, 2, 3, 255, 256, 300, 2**31 + 1, 2**32 - 1, 2**32]
+
+
+def _pool(n):
+    return LocalObjective(0, 1, None, n, smoothness=1.0, variance_bound=0.0)
+
+
+class TestDrawIndices:
+    """``draw_indices`` draws what ``Generator.integers`` draws."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=SEEDS,
+        key=KEYS,
+        n=st.sampled_from(POOLS),
+        size=st.one_of(st.sampled_from([1, 2, 3, 2493]), st.integers(1, 2493)),
+    )
+    def test_matches_generator_integers(self, seed, key, n, size):
+        stream = RngStream(seed)
+        got = _pool(n).draw_indices(stream.substream(*key), size)
+        want = stream.substream(*key).integers(0, n, size)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n", [0, 2**32 + 1])
+    def test_pool_outside_the_32_bit_range_is_refused(self, n):
+        with pytest.raises(ValueError, match="sample pool of"):
+            _pool(n)
