@@ -207,7 +207,8 @@ def draw_restart_direction(
 def _check_finite(workers, s, t):
     # one check of all iterates and directions; the walk names the culprit
     vectors = [w.x for w in workers] + [w.est.v for w in workers if w.est]
-    if np.isfinite(vectors).all():
+    # the ufunc's own reduce skips ndarray.all's Python wrapper
+    if np.logical_and.reduce(np.isfinite(vectors), axis=None):
         return
     for w in workers:
         bad_x = not np.isfinite(w.x).all()

@@ -44,8 +44,7 @@ def spider_update_with_samples(
 
     Used directly by enumeration tests; ``spider_update`` draws the batch.
     """
-    indices = np.asarray(indices)
-    if indices.size < 1:
+    if len(indices) < 1:
         raise ValueError("batch must contain at least one sample")
     delta = obj.pair_difference_mean(x_curr, state.x_prev, indices, meter)
     return EstimatorState(v=state.v + delta, x_prev=x_curr, t=state.t + 1)

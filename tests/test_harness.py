@@ -17,8 +17,10 @@ from prspider.harness import (
     make_record,
     sync_round,
 )
+from prspider.numerics import mean_reduce, sq_norm
 from prspider.problems import (
     Meter,
+    make_nonconvex_suite,
     make_quadratic_suite,
     quadratic_suite_from_centers,
 )
@@ -127,6 +129,26 @@ class TestEvaluateFos:
         record = make_record(0, 0, suite, workers, ledger, meter)
         assert record.ifo_total == meter.total == 0
         assert ledger.rounds == 0
+
+    @pytest.mark.parametrize("N", [1, 3, 4])
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize(
+        "make_suite", [make_quadratic_suite, make_nonconvex_suite]
+    )
+    def test_matches_per_worker_reference_bitwise(self, make_suite, N, d):
+        # the stacked observer against one objective and one worker at a time
+        suite = make_suite(N=N, n=16, d=d, heterogeneity=0.5, seed=11)
+        rng = np.random.default_rng(N * 10 + d)
+        workers = make_workers(suite, rng.normal(size=(N, d)), with_est=False)
+        x_bar = mean_reduce([w.x for w in workers])
+        grad = mean_reduce([obj.mean_gradient(x_bar) for obj in suite.objectives])
+        f_bar = consensus = 0.0
+        for obj, w in zip(suite.objectives, workers):
+            f_bar += obj.mean_value(x_bar)
+            consensus += sq_norm(w.x - x_bar)
+        want = (f_bar / N, sq_norm(grad), consensus / N)
+        got = evaluate_fos(suite, workers)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def synthetic_trace(fos_values, echo=None):

@@ -19,11 +19,23 @@ from prspider.numerics import (
     sq_norm,
     sq_norms,
 )
-from prspider.problems import LocalObjective
+from prspider.problems import SCALAR_DRAWS, LocalObjective
 
 
 def vecs(*rows):
     return [np.array(r, dtype=np.float64) for r in rows]
+
+
+def loop_mean(vectors):
+    """The anchored left-to-right mean, one vector at a time."""
+    first = vectors[0]
+    if len(vectors) == 1:
+        return first.copy()
+    acc = vectors[1] - first
+    for v in vectors[2:]:
+        acc += v - first
+    acc /= len(vectors)
+    return np.where(acc == 0.0, first, first + acc)
 
 
 class TestMeanReduce:
@@ -70,6 +82,41 @@ class TestMeanReduce:
         a = mean_reduce(vectors)
         b = mean_reduce(vectors)
         assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 17), st.integers(1, 8))
+    def test_matches_the_left_to_right_loop(self, data, n, d):
+        entry = st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        )
+        row = st.lists(entry, min_size=d, max_size=d)
+        anchor = data.draw(row)
+        # some rows repeat the anchor, so some or all deviations are zero
+        rows = [anchor] + [
+            anchor if data.draw(st.booleans()) else data.draw(row)
+            for _ in range(n - 1)
+        ]
+        vectors = vecs(*rows)
+        want = loop_mean(vectors).tobytes()
+        assert mean_reduce(vectors).tobytes() == want
+        assert mean_reduce(np.array(vectors)).tobytes() == want
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_seventeen_generic_rows_sum_in_order(self, d):
+        # numpy sums eight or more entries of a lone column pairwise
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            stack = rng.normal(size=(17, d)) * rng.uniform(1, 1e6, (17, 1))
+            want = loop_mean(list(stack)).tobytes()
+            assert mean_reduce(list(stack)).tobytes() == want
+            assert mean_reduce(stack).tobytes() == want
+
+    def test_ragged_list_and_3d_array_rejected(self):
+        with pytest.raises(ValueError):
+            mean_reduce([np.zeros(2), np.zeros(2), np.zeros(3)])
+        with pytest.raises(ValueError):
+            mean_reduce(np.zeros((3, 2, 2)))
 
 
 class TestAxpy:
@@ -314,6 +361,43 @@ class TestDrawIndices:
         want = stream.substream(*key).integers(0, n, size)
         assert got.dtype == want.dtype == np.int64
         assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n", POOLS)
+    def test_small_sizes_on_both_paths(self, n):
+        # every size the scalar path draws, and the first the array path does
+        sizes = {0, 1, 2, 3, SCALAR_DRAWS - 1, SCALAR_DRAWS, SCALAR_DRAWS + 1}
+        stream = RngStream(7)
+        for size in sizes:
+            for it in range(40):
+                got = _pool(n).draw_indices(stream.substream(1, 2, it), size)
+                want = stream.substream(1, 2, it).integers(0, n, size)
+                assert got.dtype == want.dtype == np.int64
+                assert got.tolist() == want.tolist()
+
+    def test_rejected_first_word_is_redrawn(self):
+        # at pool 2**31 + 1 about half the words fall below the rejection
+        # bound; find a key whose very first word does
+        n = 2**31 + 1
+        bound = (2**32 - n) % n
+        stream = RngStream(3)
+        it = 0
+        while True:
+            raw = stream.substream(0, 0, it).bit_generator.random_raw()
+            if (raw & 0xFFFFFFFF) * n % 2**32 < bound:
+                break
+            it += 1
+        for size in range(1, SCALAR_DRAWS + 2):
+            got = _pool(n).draw_indices(stream.substream(0, 0, it), size)
+            want = stream.substream(0, 0, it).integers(0, n, size)
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("size", [-1, -3])
+    def test_negative_size_is_refused(self, size):
+        stream = RngStream(0)
+        with pytest.raises(ValueError, match="negative dimensions"):
+            stream.substream(0, 0, 0).integers(0, 5, size)
+        with pytest.raises(ValueError, match="negative dimensions"):
+            _pool(5).draw_indices(stream.substream(0, 0, 0), size)
 
     @pytest.mark.parametrize("n", [0, 2**32 + 1])
     def test_pool_outside_the_32_bit_range_is_refused(self, n):
