@@ -355,7 +355,7 @@ def _run_spider(
             for w in workers:
                 w.epoch = s
                 w.t = 0
-                w.est = replace(w.est, x_prev=w.x, t=0)
+                w.est = replace(w.est, x_prev=w.x)
             run.residuals.append(_restart_residual(suite, workers))
 
             for t in range(hp.m):

@@ -26,11 +26,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EstimatorState:
-    """Worker-local estimator: direction, reference point, inner index."""
+    """Worker-local estimator: direction ``v`` and reference point ``x_prev``."""
 
     v: ParamVector
     x_prev: ParamVector
-    t: int = 0
 
 
 def spider_update_with_samples(
@@ -47,7 +46,7 @@ def spider_update_with_samples(
     if len(indices) < 1:
         raise ValueError("batch must contain at least one sample")
     delta = obj.pair_difference_mean(x_curr, state.x_prev, indices, meter)
-    return EstimatorState(v=state.v + delta, x_prev=x_curr, t=state.t + 1)
+    return EstimatorState(v=state.v + delta, x_prev=x_curr)
 
 
 def spider_update(

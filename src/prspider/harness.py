@@ -238,7 +238,7 @@ def sync_round(
             w.x = x_bar.copy()
         if v_bar is not None:
             if w.est is None:
-                w.est = EstimatorState(v=v_bar.copy(), x_prev=w.x, t=0)
+                w.est = EstimatorState(v=v_bar.copy(), x_prev=w.x)
             else:
                 w.est = replace(w.est, v=v_bar.copy())
 
@@ -290,7 +290,7 @@ def make_record(
     )
 
 
-def first_hit(trace_or_records, eps: float) -> FirstHit | None:
+def first_hit(trace: MetricsTrace, eps: float) -> FirstHit | None:
     """Earliest record whose stationarity measure is at most ``eps``.
 
     ``eps = 0`` is allowed and generically returns ``None`` on stochastic
@@ -298,8 +298,7 @@ def first_hit(trace_or_records, eps: float) -> FirstHit | None:
     """
     if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
-    records = getattr(trace_or_records, "records", trace_or_records)
-    for r in records:
+    for r in trace.records:
         if r.fos <= eps:
             return FirstHit(
                 s=r.s,

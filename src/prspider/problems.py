@@ -14,8 +14,9 @@ Two families are provided:
 
 Objectives hold data, never run state. Each metered oracle takes the
 run's ``Meter`` and charges the samples it evaluated to the owning worker's
-row; called without one it charges nothing. The analytic mean-value /
-mean-gradient oracles used for metrics are free.
+row; called without one it charges nothing. The analytic oracles used for
+metrics are free: each suite has one, built by its factory, that evaluates
+every worker's mean value and mean gradient at once.
 
 The metered batch means sum their per-sample rows in index order, the
 order ``rows.mean(axis=0)`` uses, so they match the row-materialising
@@ -26,10 +27,11 @@ for the sigmoid ones), gather each sample once per block and carry the
 running sum from block to block.
 
 The analytic oracles behind ``ProblemSuite.value``/``gradient`` evaluate
-all workers at once, as one stacked ``np.matmul`` over worker-stacked data
-that the suite factories share with the objectives. Each worker's slice
-goes through the same BLAS call as its own ``mean_value``/
-``mean_gradient``, so the results are the same bits.
+all workers at once. ``QuadraticAnalytic`` holds the per-worker center
+means and spreads from the set-up's two passes; ``SigmoidAnalytic`` runs one
+stacked ``np.matmul`` over the worker-stacked data that the factories share
+with the objectives, which takes each worker's slice through the BLAS gemv
+of ``features[i] @ x``.
 
 Data arrays (centers, features, offsets) are read-only, so any number of
 runs, serial or concurrent, can share one suite.
@@ -62,7 +64,6 @@ from .numerics import (
     as_vector,
     mean_reduce,
     ordered_sum,
-    sq_norm,
     sq_norms,
 )
 
@@ -73,7 +74,6 @@ __all__ = [
     "QuadraticObjective",
     "SigmoidObjective",
     "ProblemSuite",
-    "PerWorkerAnalytic",
     "QuadraticAnalytic",
     "SigmoidAnalytic",
     "make_quadratic_suite",
@@ -402,14 +402,6 @@ class LocalObjective:
         self._charge(meter, self.sample_count)
         return grad
 
-    # -- analytic oracles (metrics only, never metered) ---------------------
-
-    def mean_value(self, x: ParamVector) -> float:
-        raise NotImplementedError
-
-    def mean_gradient(self, x: ParamVector) -> ParamVector:
-        raise NotImplementedError
-
     # -- family internals ----------------------------------------------------
     # Families define ``_gradient_mean`` (over every sample when ``idx`` is
     # None) and ``_pair_difference_mean``, never the metered methods above,
@@ -417,14 +409,9 @@ class LocalObjective:
 
 
 class QuadraticObjective(LocalObjective):
-    """Average of ``0.5 * ||x - c_j||^2`` over per-sample centers.
+    """Average of ``0.5 * ||x - c_j||^2`` over per-sample centers."""
 
-    ``stats`` is ``(center_mean, center_spread_sq)`` when the caller has
-    them from its own passes over ``centers``; without it the objective
-    computes the same bits itself.
-    """
-
-    def __init__(self, worker_id: int, centers: np.ndarray, stats=None):
+    def __init__(self, worker_id: int, centers: np.ndarray):
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
         centers = _read_only(centers)
         n, d = centers.shape
@@ -436,15 +423,7 @@ class QuadraticObjective(LocalObjective):
             smoothness=1.0,
             variance_bound=0.0,  # assigned by the suite factory
         )
-        if stats is None:
-            center_mean = centers.mean(axis=0)
-            [spread_sq] = _mean_sq_distances(centers, center_mean)
-        else:
-            center_mean, spread_sq = stats
         self.centers = centers
-        self.center_mean = _read_only(center_mean)
-        # mean squared spread around the local mean; exact value offset
-        self.center_spread_sq = spread_sq
 
     def _gradient_mean(self, x, idx):
         centers = self.centers
@@ -479,12 +458,6 @@ class QuadraticObjective(LocalObjective):
             np.subtract(rows, c, out=rows)
 
         return _blocked_mean(idx.shape[0], self.dim, fill)
-
-    def mean_value(self, x):
-        return 0.5 * sq_norm(x - self.center_mean) + 0.5 * self.center_spread_sq
-
-    def mean_gradient(self, x):
-        return x - self.center_mean
 
 
 class SigmoidObjective(LocalObjective):
@@ -571,34 +544,18 @@ class SigmoidObjective(LocalObjective):
         grads = self._phi_prime(t)[:, :, None] * a
         return np.add.reduce(grads[0] - grads[1], axis=0) / count
 
-    def mean_value(self, x):
-        t = self.features @ x - self.offsets
-        return float(np.mean(self._phi(t)))
-
-    def mean_gradient(self, x):
-        t = self.features @ x - self.offsets
-        return (self.features.T @ self._phi_prime(t)) / self._pool_size
-
-
-class PerWorkerAnalytic:
-    """Analytic oracles of any objectives, one worker at a time."""
-
-    def __init__(self, objectives: list[LocalObjective]):
-        self.objectives = objectives
-
-    def values(self, x: ParamVector) -> np.ndarray:
-        return np.array([obj.mean_value(x) for obj in self.objectives])
-
-    def gradients(self, x: ParamVector) -> np.ndarray:
-        return np.array([obj.mean_gradient(x) for obj in self.objectives])
-
 
 class QuadraticAnalytic:
-    """Quadratic ``mean_value``/``mean_gradient`` of all workers at once."""
+    """Every quadratic worker's mean value and mean gradient at once.
 
-    def __init__(self, objectives: list[QuadraticObjective]):
-        self.center_means = np.array([o.center_mean for o in objectives])
-        self.spread_sq = np.array([o.center_spread_sq for o in objectives])
+    ``center_means`` (N, d) are the workers' center means and ``spread_sq``
+    (N,) their mean squared spreads around them, the exact value offsets;
+    both are held as read-only views.
+    """
+
+    def __init__(self, center_means: np.ndarray, spread_sq: np.ndarray):
+        self.center_means = _read_only(center_means)
+        self.spread_sq = _read_only(spread_sq)
 
     def values(self, x: ParamVector) -> np.ndarray:
         return 0.5 * sq_norms(x - self.center_means) + 0.5 * self.spread_sq
@@ -608,7 +565,7 @@ class QuadraticAnalytic:
 
 
 class SigmoidAnalytic:
-    """Sigmoid ``mean_value``/``mean_gradient`` of all workers at once.
+    """Every sigmoid worker's mean value and mean gradient at once.
 
     ``features`` (N, n, d) and ``offsets`` (N, n) are the arrays whose
     worker slices the objectives hold, not copies of them.
@@ -638,22 +595,19 @@ class ProblemSuite:
     """N worker objectives sharing a dimension and a common start point.
 
     ``optimum_value`` is exact for the quadratic family and a certified
-    lower bound (zero) for the nonnegative sigmoid family. ``config`` echoes
-    the construction parameters for experiment bookkeeping. ``analytic``
+    lower bound (zero) for the nonnegative sigmoid family. ``analytic``
     evaluates every worker's analytic oracles at once (``values``/
-    ``gradients``); the factories pass their family's stacked evaluator,
-    and without one the suite asks each objective in turn.
+    ``gradients``): the factories build their family's evaluator over the
+    suite's data, so a suite comes from a factory, and a modified copy from
+    ``dataclasses.replace``. ``config`` echoes the construction parameters
+    for experiment bookkeeping.
     """
 
     objectives: list[LocalObjective]
     optimum_value: float
     initial_point: ParamVector
+    analytic: object = field(repr=False, compare=False)
     config: dict = field(default_factory=dict)
-    analytic: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.analytic is None:
-            self.analytic = PerWorkerAnalytic(self.objectives)
 
     @property
     def num_workers(self) -> int:
@@ -703,12 +657,13 @@ def _finish_quadratic_suite(
     config: dict,
 ) -> ProblemSuite:
     objectives = []
+    spreads = np.empty(len(center_means))
     for i, center_mean in enumerate(center_means):
         # the set-up's second pass: both spreads from one read of the worker
-        spread_sq, dev_sq = _mean_sq_distances(
+        spreads[i], dev_sq = _mean_sq_distances(
             centers[i], center_mean, grand_mean
         )
-        obj = QuadraticObjective(i, centers[i], stats=(center_mean, spread_sq))
+        obj = QuadraticObjective(i, centers[i])
         # uniform worker-vs-global deviation: for this family the gradient
         # deviation is x-free and equals the spread around the grand mean
         obj.variance_bound = math.sqrt(dev_sq)
@@ -717,8 +672,8 @@ def _finish_quadratic_suite(
         objectives=objectives,
         optimum_value=0.0,
         initial_point=as_vector(initial_point, centers.shape[2]),
+        analytic=QuadraticAnalytic(center_means, spreads),
         config=config,
-        analytic=QuadraticAnalytic(objectives),
     )
     # minimum of the averaged quadratic sits at the grand mean
     suite.optimum_value = suite.value(grand_mean)
@@ -866,8 +821,8 @@ def _finish_sigmoid_suite(
         objectives=objectives,
         optimum_value=0.0,  # certified lower bound: the losses are nonnegative
         initial_point=as_vector(initial_point, features.shape[2]),
-        config=config,
         analytic=SigmoidAnalytic(features, offsets),
+        config=config,
     )
 
 

@@ -27,7 +27,6 @@ from prspider.checks import (
 from prspider.harness import CertificateError, RunHooks, first_hit
 from prspider.numerics import RngStream, mean_reduce, sq_norm
 from prspider.problems import (
-    ProblemSuite,
     UnsupportedOperationError,
     make_nonconvex_suite,
     make_quadratic_suite,
@@ -284,13 +283,9 @@ class TestSpiderFinite:
     def test_below_optimum_raises_certificate_error_with_partial_trace(self):
         real = quad_suite()
         start = real.value(real.initial_point)
-        # hand-built: an optimum halfway down, which the run passes below
+        # a wrong optimum halfway down, which the run passes below
         wrong = (start + real.optimum_value) / 2
-        suite = ProblemSuite(
-            objectives=real.objectives,
-            optimum_value=wrong,
-            initial_point=real.initial_point,
-        )
+        suite = replace(real, optimum_value=wrong)
         hp = HyperParams(gamma=1.0 / 16, I=2, m=8, B=2, S=4, N=4)
         with pytest.raises(CertificateError, match="below certified optimum") as info:
             run_pr_spider_finite(suite, hp, 0)

@@ -40,7 +40,7 @@ class TestSpiderUpdate:
         v0 = rng.normal(size=3)
         x_prev = rng.normal(size=3)
         x_curr = rng.normal(size=3)
-        state = EstimatorState(v=v0, x_prev=x_prev, t=0)
+        state = EstimatorState(v=v0, x_prev=x_prev)
         for batch_seed in range(5):
             gen = RngStream(batch_seed).substream(0, 0, 1)
             new = spider_update(state, obj, x_curr, B=2, rng=gen)
@@ -52,16 +52,15 @@ class TestSpiderUpdate:
         obj = suite.objectives[0]
         v0 = np.array([0.1, -0.2, 0.3])
         x = np.array([1.0, 2.0, 3.0])
-        state = EstimatorState(v=v0, x_prev=x, t=0)
+        state = EstimatorState(v=v0, x_prev=x)
         gen = RngStream(0).substream(0, 0, 1)
         new = spider_update(state, obj, x.copy(), B=4, rng=gen)
         assert new.v.tobytes() == v0.tobytes()
-        assert new.t == 1
 
     def test_ifo_cost_is_two_per_sample(self):
         suite = one_worker_quadratic()
         obj = suite.objectives[0]
-        state = EstimatorState(v=np.zeros(3), x_prev=np.zeros(3), t=0)
+        state = EstimatorState(v=np.zeros(3), x_prev=np.zeros(3))
         gen = RngStream(0).substream(0, 0, 1)
         meter = Meter(1)
         meter.phase = "inner"
@@ -70,19 +69,18 @@ class TestSpiderUpdate:
 
     def test_rejects_nonpositive_batch(self):
         suite = one_worker_quadratic()
-        state = EstimatorState(v=np.zeros(3), x_prev=np.zeros(3), t=0)
+        state = EstimatorState(v=np.zeros(3), x_prev=np.zeros(3))
         gen = RngStream(0).substream(0, 0, 1)
         with pytest.raises(ValueError):
             spider_update(state, suite.objectives[0], np.ones(3), B=0, rng=gen)
 
     def test_reference_point_moves_to_current(self):
         suite = one_worker_quadratic()
-        state = EstimatorState(v=np.zeros(3), x_prev=np.zeros(3), t=3)
+        state = EstimatorState(v=np.zeros(3), x_prev=np.zeros(3))
         x_curr = np.array([1.0, 1.0, 1.0])
         gen = RngStream(0).substream(0, 0, 1)
         new = spider_update(state, suite.objectives[0], x_curr, B=1, rng=gen)
         assert np.array_equal(new.x_prev, x_curr)
-        assert new.t == 4
 
     def test_conditional_unbiasedness_by_enumeration(self):
         # one worker, three samples, d=2: averaging the update over every
@@ -95,12 +93,14 @@ class TestSpiderUpdate:
         v0 = rng.normal(size=2)
         x_prev = rng.normal(size=2)
         x_curr = rng.normal(size=2)
-        state = EstimatorState(v=v0, x_prev=x_prev, t=0)
+        state = EstimatorState(v=v0, x_prev=x_prev)
         outcomes = [
             spider_update_with_samples(state, obj, x_curr, [j]).v for j in range(3)
         ]
         enumerated_mean = np.stack(outcomes).mean(axis=0)
-        expected = v0 + obj.mean_gradient(x_curr) - obj.mean_gradient(x_prev)
+        # the exact worker gradient: row 0 of the suite's analytic oracles
+        grads = suite.analytic.gradients
+        expected = v0 + grads(x_curr)[0] - grads(x_prev)[0]
         assert np.max(np.abs(enumerated_mean - expected)) <= 1e-12
 
 
@@ -112,7 +112,7 @@ class TestTelescoping:
         rng = np.random.default_rng(4)
         xs = [rng.normal(size=4) for _ in range(9)]
         v0 = rng.normal(size=4)
-        state = EstimatorState(v=v0, x_prev=xs[0], t=0)
+        state = EstimatorState(v=v0, x_prev=xs[0])
         stream = RngStream(11)
         for k, x in enumerate(xs[1:], start=1):
             state = spider_update(state, obj, x, B=3, rng=stream.substream(0, 0, k))
@@ -143,11 +143,12 @@ class TestErrorAccumulation:
 
         err_sums = np.zeros(steps + 1)
         stream_root = np.random.default_rng(123)
+        grads = suite.analytic.gradients  # row i: worker i's exact gradient
         for _ in range(reps):
             states = []
-            for i, obj in enumerate(suite.objectives):
-                v0 = obj.mean_gradient(trajs[i][0])
-                states.append(EstimatorState(v=v0, x_prev=trajs[i][0], t=0))
+            for i in range(N):
+                v0 = grads(trajs[i][0])[i]
+                states.append(EstimatorState(v=v0, x_prev=trajs[i][0]))
             for t in range(1, steps + 1):
                 for i, obj in enumerate(suite.objectives):
                     idx = stream_root.integers(0, n, size=B)
@@ -156,10 +157,7 @@ class TestErrorAccumulation:
                     )
                 v_bar = np.stack([s.v for s in states]).mean(axis=0)
                 g_bar = np.stack(
-                    [
-                        obj.mean_gradient(trajs[i][t])
-                        for i, obj in enumerate(suite.objectives)
-                    ]
+                    [grads(trajs[i][t])[i] for i in range(N)]
                 ).mean(axis=0)
                 err_sums[t] += sq_norm(v_bar - g_bar)
         estimates = err_sums / reps

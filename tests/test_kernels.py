@@ -337,7 +337,8 @@ class TestSharedData:
         sig = make_nonconvex_suite(N=1, n=4, d=2, heterogeneity=0.0, seed=0)
         arrays = [
             quad.objectives[0].centers,
-            quad.objectives[0].center_mean,
+            quad.analytic.center_means,
+            quad.analytic.spread_sq,
             sig.objectives[0].features,
             sig.objectives[0].offsets,
         ]

@@ -11,11 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prspider.numerics import ordered_sum, sq_norms
-from prspider.problems import (
-    QuadraticObjective,
-    make_quadratic_suite,
-    quadratic_suite_from_centers,
-)
+from prspider.problems import make_quadratic_suite, quadratic_suite_from_centers
 
 # sample counts at the block edges (32 rows), plus one over three blocks
 SAMPLE_COUNTS = st.sampled_from([1, 31, 32, 33, 100])
@@ -59,10 +55,11 @@ def _reference_generated(N, n, d, heterogeneity, seed, spread, initial_offset):
 def _assert_suite_bitwise(suite, centers, stats, initial_point):
     means, spreads, bounds, _, optimum = stats
     assert len(suite.objectives) == centers.shape[0]
+    analytic = suite.analytic
     for i, obj in enumerate(suite.objectives):
         assert obj.centers.tobytes() == centers[i].tobytes()
-        assert obj.center_mean.tobytes() == means[i].tobytes()
-        assert obj.center_spread_sq.hex() == spreads[i].hex()
+        assert analytic.center_means[i].tobytes() == means[i].tobytes()
+        assert analytic.spread_sq[i].hex() == spreads[i].hex()
         assert obj.variance_bound.hex() == bounds[i].hex()
     assert suite.optimum_value.hex() == optimum.hex()
     assert suite.initial_point.tobytes() == initial_point.tobytes()
@@ -102,11 +99,6 @@ def test_explicit_suite_matches_whole_array_formulas_bitwise(N, n, d, seed):
     suite = quadratic_suite_from_centers(centers, initial_point)
     stats = _reference_stats(centers)
     _assert_suite_bitwise(suite, centers, stats, initial_point)
-    # an objective built on its own computes the same statistics
-    for i, obj in enumerate(suite.objectives):
-        alone = QuadraticObjective(i, centers[i])
-        assert alone.center_mean.tobytes() == obj.center_mean.tobytes()
-        assert alone.center_spread_sq.hex() == obj.center_spread_sq.hex()
 
 
 @pytest.mark.parametrize("shape", [(0, 4, 2), (2, 0, 2), (2, 4, 0), (4, 2)])
