@@ -7,6 +7,7 @@ from prspider.numerics import mean_reduce, sq_norm
 from prspider.problems import (
     PHI_GRAD_MAX,
     Meter,
+    ProblemSuite,
     UnsupportedOperationError,
     make_nonconvex_suite,
     make_quadratic_suite,
@@ -366,6 +367,32 @@ class TestStackedAnalytic:
         grad = mean_reduce(grads)
         want = (total / suite.num_workers, sq_norm(grad), consensus)
         assert evaluate_fos(suite, workers) == want
+
+    def test_hand_built_suite_asks_each_objective(self):
+        # a hand-built suite needs its family's evaluator: there is no
+        # per-objective fallback, and given one it answers each objective
+        suite = STACKED["sigmoid-explicit"]
+        with pytest.raises(TypeError):
+            ProblemSuite(
+                objectives=suite.objectives,
+                optimum_value=0.0,
+                initial_point=suite.initial_point,
+            )
+        plain = ProblemSuite(
+            objectives=suite.objectives,
+            optimum_value=0.0,
+            initial_point=suite.initial_point,
+            analytic=suite.analytic,
+        )
+        for x in self._points(suite):
+            rows = [one_worker_oracles(obj, x) for obj in suite.objectives]
+            values = plain.analytic.values(x)
+            grads = plain.analytic.gradients(x)
+            for i, (value, grad) in enumerate(rows):
+                assert values[i] == value
+                assert grads[i].tobytes() == grad.tobytes()
+            assert plain.value(x) == suite.value(x)
+            assert plain.gradient(x).tobytes() == suite.gradient(x).tobytes()
 
     def test_sigmoid_stack_shares_the_objectives_data(self):
         suite = STACKED["sigmoid-finite"]
