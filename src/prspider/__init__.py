@@ -21,7 +21,6 @@ from .harness import (
     BarrierError,
     CertificateError,
     CommLedger,
-    FirstHit,
     MetricsRecord,
     MetricsTrace,
     RunHooks,
@@ -52,7 +51,6 @@ __all__ = [
     "CommLedger",
     "DivergedError",
     "EstimatorState",
-    "FirstHit",
     "HyperParams",
     "LocalObjective",
     "Meter",

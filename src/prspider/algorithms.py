@@ -292,6 +292,9 @@ class _Run:
             self.hooks.on_record(s, t, self.workers)
 
     def sync(self, s: int, t: int, payload: str, gradients=None) -> None:
+        """Round at ``(s, t)``; the run's one writer of each worker's clock."""
+        for w in self.workers:
+            w.epoch, w.t = s, t
         sync_round(self.workers, payload, self.ledger, gradients=gradients)
         if self.hooks.on_sync:
             self.hooks.on_sync(s, t, payload, self.workers)
@@ -353,14 +356,10 @@ def _run_spider(
         for s in range(hp.S):
             meter.phase = "inner"
             for w in workers:
-                w.epoch = s
-                w.t = 0
                 w.est = replace(w.est, x_prev=w.x)
             run.residuals.append(_restart_residual(suite, workers))
 
             for t in range(hp.m):
-                for w in workers:
-                    w.t = t
                 if t >= 1:
                     def one_step(w, _s=s, _t=t):
                         gen = rng.substream(w.worker_id, _s, _t, DRAW_INNER)
@@ -379,8 +378,6 @@ def _run_spider(
                 _check_finite(workers, s, t)
 
             if s < hp.S - 1:
-                for w in workers:
-                    w.t = hp.m
                 run.sync(s, hp.m, "iterates")
                 meter.phase = "refresh"
                 grads = restart_gradients(s, hp.m, DRAW_RESTART)
@@ -463,8 +460,6 @@ def _run_local_sgd(
 
     with run, np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):
-            for w in workers:
-                w.t = k
             run.record(0, k, k)
 
             def one_step(w, _k=k):
@@ -482,8 +477,6 @@ def _run_local_sgd(
                 w.x = x_new
             _check_finite(workers, 0, k)
             if (k + 1) % I == 0 or k + 1 == horizon:
-                for w in workers:
-                    w.t = k + 1
                 run.sync(0, k + 1, "iterates")
     return run.trace("completed")
 

@@ -27,7 +27,6 @@ __all__ = [
     "WorkerState",
     "MetricsRecord",
     "MetricsTrace",
-    "FirstHit",
     "RunHooks",
     "sync_round",
     "evaluate_fos",
@@ -92,7 +91,10 @@ class CommLedger:
 
 @dataclass
 class WorkerState:
-    """One worker: iterate, estimator, objective, and barrier clock."""
+    """One worker: iterate, estimator, objective, and barrier clock.
+
+    ``epoch`` and ``t`` hold the clock of its last round, set by the run.
+    """
 
     worker_id: int
     obj: LocalObjective
@@ -112,16 +114,6 @@ class MetricsRecord:
     grad_sq: float
     consensus: float
     fos: float
-    ifo_total: int
-    comm_rounds: int
-
-
-@dataclass(frozen=True)
-class FirstHit:
-    """Earliest record at which the stationarity measure fell below eps."""
-
-    s: int
-    t: int
     ifo_total: int
     comm_rounds: int
 
@@ -208,7 +200,8 @@ def sync_round(
     round. The ``gradients`` payload averages caller-supplied vectors into
     ``v`` (the epoch-restart exchange). The estimator's reference point
     ``x_prev`` is the runner's to move. Nothing is returned: the averages
-    are read from the workers.
+    are read from the workers. ``(t, epoch)``, each worker's clock of its
+    last round, is set by the run; clocks out of step raise ``BarrierError``.
     """
     if not workers:
         raise ValueError("sync_round needs at least one worker")
@@ -290,7 +283,7 @@ def make_record(
     )
 
 
-def first_hit(trace: MetricsTrace, eps: float) -> FirstHit | None:
+def first_hit(trace: MetricsTrace, eps: float) -> MetricsRecord | None:
     """Earliest record whose stationarity measure is at most ``eps``.
 
     ``eps = 0`` is allowed and generically returns ``None`` on stochastic
@@ -300,10 +293,5 @@ def first_hit(trace: MetricsTrace, eps: float) -> FirstHit | None:
         raise ValueError("eps must be nonnegative")
     for r in trace.records:
         if r.fos <= eps:
-            return FirstHit(
-                s=r.s,
-                t=r.t,
-                ifo_total=r.ifo_total,
-                comm_rounds=r.comm_rounds,
-            )
+            return r
     return None

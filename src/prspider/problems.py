@@ -43,7 +43,8 @@ sums, and one reads them back for the spreads around both means. Draws,
 means and spreads equal the whole-array formulas bit for bit.
 
 Every metered oracle takes a batch of sample indices; one sample is
-``[j]``. Online objectives refuse ``full_gradient``. Their batch oracles
+``[j]``, and a full gradient is the batch of every sample, ``0 .. n-1``.
+Online objectives refuse ``full_gradient``. Their batch oracles
 take the indices ``draw_indices`` returns, into a finite atom pool, which
 is what makes the analytic expectation oracles exact. They are
 ``gen.integers(0, pool, size)`` bit for bit, drawn from the generator's raw
@@ -281,6 +282,12 @@ class Meter:
         return {p: sum(row[p] for row in self.rows) for p in PHASES}
 
 
+def _check_pool_size(pool_size: int) -> None:
+    # draw_indices scales 32-bit words; factories check before they draw
+    if not 1 <= pool_size <= 2**32:
+        raise ValueError(f"sample pool of {pool_size} outside 1 .. 2**32")
+
+
 class LocalObjective:
     """One worker's cost function plus its metered batch oracles.
 
@@ -304,8 +311,7 @@ class LocalObjective:
         self.sample_count = sample_count
         self.smoothness = smoothness
         self.variance_bound = variance_bound
-        if not 1 <= pool_size <= 2**32:
-            raise ValueError(f"sample pool of {pool_size} outside 1 .. 2**32")
+        _check_pool_size(pool_size)
         self._pool_size = pool_size
         # draw_indices' factor, and the bound on a kept product's low half
         self._scale = np.uint64(pool_size)
@@ -398,14 +404,15 @@ class LocalObjective:
             raise UnsupportedOperationError(
                 "full gradient requires an enumerable sample set"
             )
-        grad = self._gradient_mean(x, None)
+        # the hook, not batch_gradient_mean, which a tracer counts again
+        grad = self._gradient_mean(x, np.arange(self.sample_count))
         self._charge(meter, self.sample_count)
         return grad
 
     # -- family internals ----------------------------------------------------
-    # Families define ``_gradient_mean`` (over every sample when ``idx`` is
-    # None) and ``_pair_difference_mean``, never the metered methods above,
-    # which own the charging.
+    # Families define ``_gradient_mean`` and ``_pair_difference_mean`` over
+    # a batch of indices, never the metered methods above, which own the
+    # charging. A full gradient is the batch of every sample, ``0 .. n-1``.
 
 
 class QuadraticObjective(LocalObjective):
@@ -426,17 +433,10 @@ class QuadraticObjective(LocalObjective):
         self.centers = centers
 
     def _gradient_mean(self, x, idx):
-        centers = self.centers
-        if idx is None:
-            def fill(lo, hi, rows):
-                np.subtract(x, centers[lo:hi], out=rows)
-
-            return _blocked_mean(self.sample_count, self.dim, fill)
-
         _check_indices(idx, self._pool_size)
 
         def fill(lo, hi, rows):
-            np.take(centers, idx[lo:hi], axis=0, out=rows, mode="wrap")
+            np.take(self.centers, idx[lo:hi], axis=0, out=rows, mode="wrap")
             np.subtract(x, rows, out=rows)
 
         return _blocked_mean(idx.shape[0], self.dim, fill)
@@ -504,27 +504,16 @@ class SigmoidObjective(LocalObjective):
     def _gradient_mean(self, x, idx):
         # the restart gradient: row blocks, so an online restart batch of
         # any size needs memory for one block only
-        features, offsets = self.features, self.offsets
-        rows = self._block_rows
-        if idx is None:
-            def fill(lo, hi, out):
-                a = features[lo:hi]
-                t = a @ x
-                t -= offsets[lo:hi]
-                np.multiply(a, self._phi_prime(t)[:, None], out=out)
-
-            return _blocked_mean(self.sample_count, self.dim, fill, rows)
-
         _check_indices(idx, self._pool_size)
 
         def fill(lo, hi, out):
             block = idx[lo:hi]
-            np.take(features, block, axis=0, out=out, mode="wrap")
+            np.take(self.features, block, axis=0, out=out, mode="wrap")
             t = out @ x
-            t -= np.take(offsets, block, mode="wrap")
+            t -= np.take(self.offsets, block, mode="wrap")
             out *= self._phi_prime(t)[:, None]
 
-        return _blocked_mean(idx.shape[0], self.dim, fill, rows)
+        return _blocked_mean(idx.shape[0], self.dim, fill, self._block_rows)
 
     def _pair_difference_mean(self, x_new, x_old, idx):
         # one gather and one pass per step for both points; margins by gemv
@@ -700,6 +689,7 @@ def make_quadratic_suite(
     """
     if min(N, n, d) < 1:
         raise ValueError("N, n, d must all be at least 1")
+    _check_pool_size(n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     scale = 1.0 / math.sqrt(d)
     worker_means = heterogeneity * rng.normal(0.0, scale, size=(N, d))
@@ -756,7 +746,7 @@ def _check_numbers(data) -> None:
 
 
 def _explicit_array(key: str, data, shape: tuple) -> np.ndarray:
-    """An explicit suite's array ``key`` as finite float64 of ``shape``.
+    """An explicit suite's array ``key`` as a finite float64 copy of ``shape``.
 
     A named axis (``"n"``) takes any length of at least 1. Every message
     starts with ``key``, so a config error names the bad array.
@@ -765,7 +755,7 @@ def _explicit_array(key: str, data, shape: tuple) -> np.ndarray:
         _check_numbers(data)
         if len(shape) == 1:
             return as_vector(data, shape[0])
-        array = np.asarray(data, dtype=np.float64)
+        array = np.array(data, dtype=np.float64)
         if not np.isfinite(array).all():
             raise ValueError("non-finite entries")
     except (ValueError, TypeError, OverflowError) as exc:
@@ -846,6 +836,7 @@ def make_nonconvex_suite(
     pool = int(online_pool if online else n)
     if min(N, pool, d) < 1:
         raise ValueError("worker count, sample pool and dimension must be >= 1")
+    _check_pool_size(pool)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     scale = 1.0 / math.sqrt(d)
     anchor = rng.normal(0.0, scale, size=d)

@@ -504,11 +504,16 @@ RUNNERS = {
 @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
 @pytest.mark.parametrize("name", sorted(RUNNERS))
 def test_on_sync_fires_once_per_counted_round(name, parallel):
-    # the initial gradient round of PR-SPIDER is a counted round too
+    # the initial gradient round of PR-SPIDER is a counted round too, and
+    # every round stamps each worker's clock with its own (s, t)
     calls = []
+
+    def on_sync(s, t, payload, workers):
+        calls.append(payload)
+        assert all((w.epoch, w.t) == (s, t) for w in workers)
+
     trace = RUNNERS[name](
-        quad_suite(), parallel=parallel,
-        hooks=RunHooks(on_sync=lambda s, t, payload, ws: calls.append(payload)),
+        quad_suite(), parallel=parallel, hooks=RunHooks(on_sync=on_sync)
     )
     assert trace.outcome == "completed"
     assert len(calls) == trace.comm_rounds > 0

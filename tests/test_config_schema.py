@@ -188,18 +188,37 @@ def test_output_path_through_a_file_exits_config(
     assert err.count("\n") == 1
 
 
-def test_bad_value_in_a_subprocess_prints_no_traceback(tmp_path):
+# ``python -m prspider`` in a process capped at 4 GiB of address space: a
+# sample pool refused only after the factory draws its data would take
+# 32 GiB, and fails on the cap instead
+_CAPPED_MAIN = """
+import resource, runpy
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+runpy.run_module("prspider", run_name="__main__", alter_sys=True)
+"""
+POOL_REFUSED = f"problem: sample pool of {2**32 + 1} outside 1 .. 2**32"
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("run", "metrics_every"), 0, "key 'metrics_every' in run block"),
+    (("problem",), dict(QUADRATIC, N=1, n=2**32 + 1, d=1, heterogeneity=0.5),
+     POOL_REFUSED),
+    (("problem",), dict(SIGMOID_ONLINE, N=1, n=2**32 + 1, d=1), POOL_REFUSED),
+    (("problem",), dict(SIGMOID_ONLINE, N=1, d=1, online_pool=2**32 + 1),
+     POOL_REFUSED),
+], ids=["metrics-every-zero", "quadratic-n-pool", "sigmoid-n-pool", "online-pool"])
+def test_bad_value_in_a_subprocess_prints_no_traceback(tmp_path, where, value, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(_set(_config(), ("run", "metrics_every"), 0)))
+    cfg.write_text(json.dumps(_set(_config(), where, value)))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), path])))
     proc = subprocess.run(
-        [sys.executable, "-m", "prspider", "run", str(cfg)],
+        [sys.executable, "-c", _CAPPED_MAIN, "run", str(cfg)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
     )
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("config error: key 'metrics_every' in run block")
+    assert proc.stderr.startswith(f"config error: {message}")
     assert proc.stderr.count("\n") == 1
 
 

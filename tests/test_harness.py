@@ -171,6 +171,7 @@ class TestFirstHit:
     def test_stationary_start_hits_first_record(self):
         trace = synthetic_trace([0.0, 0.0, 0.0])
         hit = first_hit(trace, 0.5)
+        assert hit is trace.records[0]
         assert (hit.s, hit.t, hit.ifo_total) == (0, 0, 10)
 
     def test_eps_zero_generic_miss(self):
@@ -188,6 +189,7 @@ class TestFirstHit:
     def test_harmonic_decay_hits_at_index_three(self):
         trace = synthetic_trace([1 / (k + 1) for k in range(10)])
         hit = first_hit(trace, 0.25)
+        assert hit is trace.records[3]
         assert hit.t == 3
         assert hit.ifo_total == 40
         assert hit.comm_rounds == 4

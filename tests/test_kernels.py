@@ -22,7 +22,9 @@ from prspider.problems import (
     SigmoidObjective,
     make_nonconvex_suite,
     make_quadratic_suite,
+    quadratic_suite_from_centers,
     sigmoid_block_rows,
+    sigmoid_suite_from_params,
 )
 
 METERED = ("batch_gradient_mean", "pair_difference_mean", "full_gradient")
@@ -79,6 +81,8 @@ def test_blocked_quadratic_kernels_match_row_formula_bitwise(
     assert meter.total == 3 * B + n
     ref = (x_new[None, :] - centers[np.arange(n)]).mean(axis=0)
     assert full.tobytes() == ref.tobytes()
+    # a full gradient is the batch of every sample
+    assert full.tobytes() == obj.batch_gradient_mean(x_new, np.arange(n)).tobytes()
 
 
 def _sigmoid_rows(features, offsets, x, idx):
@@ -223,6 +227,8 @@ def test_blocked_sigmoid_restart_gradients_match_row_formula_bitwise(
         assert meter.total == B + n
         ref = _sigmoid_row_mean(features, offsets, x, np.arange(n))
         assert full.tobytes() == ref.tobytes()
+        # a full gradient is the batch of every sample
+        assert full.tobytes() == obj.batch_gradient_mean(x, np.arange(n)).tobytes()
 
 
 # The row formula over a large batch, in a process whose BLAS runs on one
@@ -359,3 +365,40 @@ class TestSharedData:
             assert np.shares_memory(mine, theirs)
             assert mine.flags.writeable
             mine[0] = 2.0
+
+    def test_explicit_suites_copy_their_input_arrays(self):
+        # writes through the caller's arrays after construction reach no
+        # oracle, metered or analytic, and the config echo still holds
+        rng = np.random.default_rng(4)
+        centers = rng.normal(size=(2, 5, 3))
+        features = rng.uniform(-1.0, 1.0, size=(2, 5, 3))
+        offsets = rng.uniform(-0.2, 0.2, size=(2, 5))
+        start = rng.normal(size=3)
+        suites = [
+            (quadratic_suite_from_centers(centers, start), {"centers": centers}),
+            (
+                sigmoid_suite_from_params(features, offsets, start),
+                {"features": features, "offsets": offsets},
+            ),
+        ]
+        x, x_old = rng.normal(size=3), rng.normal(size=3)
+        idx = np.array([0, 4, 2, 2])
+
+        def oracles(suite):
+            out = [suite.value(x), suite.gradient(x)]
+            out += [suite.analytic.values(x), suite.analytic.gradients(x)]
+            for obj in suite.objectives:
+                out += [
+                    obj.full_gradient(x),
+                    obj.batch_gradient_mean(x, idx),
+                    obj.pair_difference_mean(x, x_old, idx),
+                ]
+            return [np.asarray(v).tobytes() for v in out]
+
+        for suite, inputs in suites:
+            before = oracles(suite)
+            for key, array in inputs.items():
+                array += 3.0
+                held = np.stack([getattr(obj, key) for obj in suite.objectives])
+                assert held.tolist() == suite.config[key]
+            assert oracles(suite) == before
