@@ -16,9 +16,8 @@ from .algorithms import (
     run_pr_spider_finite,
     run_pr_spider_online,
 )
-from .estimator import EstimatorState, is_averaging_step, spider_update
+from .estimator import is_averaging_step, spider_update
 from .harness import (
-    BarrierError,
     CertificateError,
     CommLedger,
     MetricsRecord,
@@ -46,11 +45,9 @@ from .problems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarrierError",
     "CertificateError",
     "CommLedger",
     "DivergedError",
-    "EstimatorState",
     "HyperParams",
     "LocalObjective",
     "Meter",

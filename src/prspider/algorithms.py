@@ -6,14 +6,18 @@ metrics run on the coordinator between them. Runners never mutate the
 suite they are given: objectives hold no run state, and each run charges
 its oracle calls to a ``Meter`` of its own, so repeated and concurrent runs
 over one suite object are safe. Every runner shares one set-up and teardown
-(``_Run``) and keeps only its argument checks and its loop.
+(``_Run``) and keeps only its argument checks and its loop. A worker
+(``harness.WorkerState``) holds its iterate ``x`` and, in PR-SPIDER, its
+direction ``v`` and the reference point ``x_prev`` of its last update.
 
 ``run_pr_spider_finite`` restarts every epoch from exact local full
 gradients averaged at the server; ``run_pr_spider_online`` replaces those
 with size-``n_b`` batch gradients. Both share the inner loop: a recursive
 estimator step per worker, iterate/direction averaging every ``I``
-iterations, and a local move per iteration. The baselines are plain
-distributed SGD with iterate averaging every iteration
+iterations, and a local move per iteration. The runner moves each worker's
+``x_prev`` to its ``x`` at every epoch start, after every estimator step
+and after every averaging, so each record sees ``x_prev is x``. The
+baselines are plain distributed SGD with iterate averaging every iteration
 (``run_parallel_minibatch_sgd``) or every ``I`` iterations
 (``run_parallel_restarted_sgd``).
 """
@@ -204,20 +208,17 @@ def draw_restart_direction(
     return vectors
 
 
-def _check_finite(workers, s, t):
-    # one check of all iterates and directions; the walk names the culprit
-    vectors = [w.x for w in workers] + [w.est.v for w in workers if w.est]
+def _check_finite(vectors, N, s, t):
+    # one check of every vector, row k being worker k % N's; the first
+    # worker holding a non-finite value is named
+    finite = np.isfinite(vectors)
     # the ufunc's own reduce skips ndarray.all's Python wrapper
-    if np.logical_and.reduce(np.isfinite(vectors), axis=None):
+    if np.logical_and.reduce(finite, axis=None):
         return
-    for w in workers:
-        bad_x = not np.isfinite(w.x).all()
-        bad_v = w.est is not None and not np.isfinite(w.est.v).all()
-        if bad_x or bad_v:
-            raise DivergedError(
-                f"non-finite values at worker {w.worker_id}, epoch {s}, "
-                f"iteration {t}"
-            )
+    worker = int(min(np.flatnonzero(~finite.all(axis=1)) % N))
+    raise DivergedError(
+        f"non-finite values at worker {worker}, epoch {s}, iteration {t}"
+    )
 
 
 def _map_workers(pool, fn, workers):
@@ -292,9 +293,7 @@ class _Run:
             self.hooks.on_record(s, t, self.workers)
 
     def sync(self, s: int, t: int, payload: str, gradients=None) -> None:
-        """Round at ``(s, t)``; the run's one writer of each worker's clock."""
-        for w in self.workers:
-            w.epoch, w.t = s, t
+        """Round at ``(s, t)``, then its ``on_sync`` hook."""
         sync_round(self.workers, payload, self.ledger, gradients=gradients)
         if self.hooks.on_sync:
             self.hooks.on_sync(s, t, payload, self.workers)
@@ -356,26 +355,30 @@ def _run_spider(
         for s in range(hp.S):
             meter.phase = "inner"
             for w in workers:
-                w.est = replace(w.est, x_prev=w.x)
+                w.x_prev = w.x
             run.residuals.append(_restart_residual(suite, workers))
 
             for t in range(hp.m):
                 if t >= 1:
                     def one_step(w, _s=s, _t=t):
                         gen = rng.substream(w.worker_id, _s, _t, DRAW_INNER)
-                        return spider_update(w.est, w.obj, w.x, hp.B, gen, meter)
+                        return spider_update(
+                            w.v, w.x_prev, w.obj, w.x, hp.B, gen, meter
+                        )
 
-                    for w, est in zip(workers, _map_workers(run.pool, one_step, workers)):
-                        w.est = est
+                    for w, v in zip(workers, _map_workers(run.pool, one_step, workers)):
+                        w.v, w.x_prev = v, w.x
                     if is_averaging_step(t, hp.I):
                         run.sync(s, t, "both")
                         # the next difference starts from the average
                         for w in workers:
-                            w.est = replace(w.est, x_prev=w.x)
+                            w.x_prev = w.x
                 run.record(s, t, s * hp.m + t)
                 for w in workers:
-                    w.x = axpy(w.x, -hp.gamma, w.est.v)
-                _check_finite(workers, s, t)
+                    w.x = axpy(w.x, -hp.gamma, w.v)
+                _check_finite(
+                    [w.x for w in workers] + [w.v for w in workers], hp.N, s, t
+                )
 
             if s < hp.S - 1:
                 run.sync(s, hp.m, "iterates")
@@ -387,7 +390,7 @@ def _run_spider(
 
 def _restart_residual(suite: ProblemSuite, workers) -> float:
     """|| mean direction - grad f(mean iterate) || at an epoch start."""
-    v_bar = mean_reduce([w.est.v for w in workers])
+    v_bar = mean_reduce([w.v for w in workers])
     x_bar = mean_reduce([w.x for w in workers])
     return math.sqrt(sq_norm(v_bar - suite.gradient(x_bar)))
 
@@ -475,7 +478,7 @@ def _run_local_sgd(
 
             for w, x_new in zip(workers, _map_workers(run.pool, one_step, workers)):
                 w.x = x_new
-            _check_finite(workers, 0, k)
+            _check_finite([w.x for w in workers], len(workers), 0, k)
             if (k + 1) % I == 0 or k + 1 == horizon:
                 run.sync(0, k + 1, "iterates")
     return run.trace("completed")

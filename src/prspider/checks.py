@@ -120,8 +120,8 @@ def check_consensus_zeroing(suite=None, hp=None, seeds=(0,)) -> CheckResult:
         if payload in ("both", "gradients"):
             # directions are zero-spread once their broadcast has happened;
             # the boundary averages iterates first, directions second
-            v_bar = mean_reduce([w.est.v for w in workers])
-            spreads.append(sum(sq_norm(w.est.v - v_bar) for w in workers))
+            v_bar = mean_reduce([w.v for w in workers])
+            spreads.append(sum(sq_norm(w.v - v_bar) for w in workers))
 
     for seed in seeds:
         run_pr_spider_finite(suite, hp, seed, hooks=RunHooks(on_sync=on_sync))

@@ -229,8 +229,8 @@ def parse_block(block, schema: dict, where: str) -> dict:
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         config = json.loads(text)
@@ -436,8 +436,10 @@ def cmd_sweep(
     _, mode, _ = _parse_algorithm(base["algorithm"])
     if axis == "eps" and mode != "auto":
         raise ConfigError("eps axis needs an algorithm in auto mode")
+    if hold_total_data and axis != "N":
+        raise ConfigError("--hold-total-data needs --axis N")
     total = None  # the N * n that --hold-total-data keeps
-    if axis == "N" and hold_total_data:
+    if hold_total_data:
         _, args = _parse_problem(base["problem"])
         if "n" not in args or args["n"] == "online":
             raise ConfigError("--hold-total-data needs a finite n")
@@ -519,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--hold-total-data", action="store_true",
-        help="keep N*n fixed while sweeping N",
+        help="keep N*n fixed while sweeping N (needs --axis N)",
     )
     p_sweep.add_argument("--out", default=None)
 

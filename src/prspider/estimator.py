@@ -1,15 +1,15 @@
 """Recursive variance-reduced gradient estimator and the averaging schedule.
 
 The estimator tracks a direction ``v`` by adding, at each inner step, the
-batch-mean difference of per-sample gradients between the current and the
-previous iterate. The same batch is evaluated at both points: the variance
-cancellation depends on the shared samples, and the cost, charged to the
-run's meter, is two oracle accesses per sample.
+batch-mean difference of per-sample gradients between the current iterate
+and the reference point ``x_prev``, the iterate of the last update. The
+same batch is evaluated at both points: the variance cancellation depends
+on the shared samples, and the cost, charged to the run's meter, is two
+oracle accesses per sample. The caller holds ``v`` and ``x_prev`` and moves
+the reference point to the current iterate after each update.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,55 +17,46 @@ from .numerics import ParamVector
 from .problems import LocalObjective, Meter
 
 __all__ = [
-    "EstimatorState",
     "spider_update",
     "spider_update_with_samples",
     "is_averaging_step",
 ]
 
 
-@dataclass(frozen=True)
-class EstimatorState:
-    """Worker-local estimator: direction ``v`` and reference point ``x_prev``."""
-
-    v: ParamVector
-    x_prev: ParamVector
-
-
 def spider_update_with_samples(
-    state: EstimatorState,
+    v: ParamVector,
+    x_prev: ParamVector,
     obj: LocalObjective,
     x_curr: ParamVector,
     indices,
     meter: Meter | None = None,
-) -> EstimatorState:
-    """Apply one recursion step using an explicit sample batch.
+) -> ParamVector:
+    """The direction after one recursion step on an explicit sample batch.
 
     Used directly by enumeration tests; ``spider_update`` draws the batch.
     """
     if len(indices) < 1:
         raise ValueError("batch must contain at least one sample")
-    delta = obj.pair_difference_mean(x_curr, state.x_prev, indices, meter)
-    return EstimatorState(v=state.v + delta, x_prev=x_curr)
+    return v + obj.pair_difference_mean(x_curr, x_prev, indices, meter)
 
 
 def spider_update(
-    state: EstimatorState,
+    v: ParamVector,
+    x_prev: ParamVector,
     obj: LocalObjective,
     x_curr: ParamVector,
     B: int,
     rng: np.random.Generator,
     meter: Meter | None = None,
-) -> EstimatorState:
-    """One recursion step on a freshly drawn i.i.d. batch of size ``B``.
+) -> ParamVector:
+    """The direction after one recursion step on a fresh i.i.d. batch of ``B``.
 
-    Charges exactly ``2 * B`` oracle calls to the worker's row of
-    ``meter`` and moves the reference point to ``x_curr``.
+    Charges exactly ``2 * B`` oracle calls to the worker's row of ``meter``.
     """
     if B < 1:
         raise ValueError(f"batch size must be positive, got {B}")
     indices = obj.draw_indices(rng, B)
-    return spider_update_with_samples(state, obj, x_curr, indices, meter)
+    return spider_update_with_samples(v, x_prev, obj, x_curr, indices, meter)
 
 
 def is_averaging_step(t: int, I: int) -> bool:

@@ -1,6 +1,8 @@
-"""Simulated worker-server fabric: barriers, metering, metrics, traces.
+"""Simulated worker-server fabric: workers, rounds, metrics, traces.
 
-One communication round is one synchronized exchange event, whatever rides
+A worker is its objective and its vectors: the iterate ``x`` and, in
+PR-SPIDER, the direction ``v`` and its reference point ``x_prev``. One
+communication round is one synchronized exchange event, whatever rides
 in it; ``bytes_equivalent`` tracks the number of d-vectors actually
 shipped so the finer-grained volume stays reportable. Metrics come from
 the analytic suite oracles and charge neither oracle calls nor rounds.
@@ -10,18 +12,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimator import EstimatorState
 from .numerics import ParamVector, mean_reduce, ordered_sum, sq_norm, sq_norms
 from .problems import LocalObjective, Meter, ProblemSuite
 
 __all__ = [
-    "BarrierError",
     "CertificateError",
     "CommLedger",
     "WorkerState",
@@ -38,10 +38,6 @@ __all__ = [
 PAYLOADS = ("iterates", "both", "gradients")
 
 CSV_HEADER = "s,t,f_bar,grad_sq,consensus,fos,ifo_total,comm_rounds"
-
-
-class BarrierError(RuntimeError):
-    """Workers reached a synchronization point out of step."""
 
 
 class CertificateError(RuntimeError):
@@ -91,17 +87,18 @@ class CommLedger:
 
 @dataclass
 class WorkerState:
-    """One worker: iterate, estimator, objective, and barrier clock.
+    """One worker: its objective and iterate ``x``.
 
-    ``epoch`` and ``t`` hold the clock of its last round, set by the run.
+    In PR-SPIDER it also holds its direction ``v`` and the reference point
+    ``x_prev`` at which ``v`` was last updated; both stay ``None`` in the
+    local-SGD baselines.
     """
 
     worker_id: int
     obj: LocalObjective
     x: ParamVector
-    est: EstimatorState | None = None
-    t: int = 0
-    epoch: int = 0
+    v: ParamVector | None = None
+    x_prev: ParamVector | None = None
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,8 @@ class RunHooks:
 
     ``on_record(s, t, workers)`` fires at each metrics point, and
     ``on_sync(s, t, payload, workers)`` once per counted round, after its
-    broadcast, the initial gradient round included.
+    broadcast, the initial gradient round included. ``workers`` are the
+    run's ``WorkerState`` objects.
     """
 
     on_record: Callable | None = None
@@ -196,31 +194,22 @@ def sync_round(
     """One synchronized worker->server->worker exchange.
 
     Averages the requested payload in worker-index order, broadcasts it
-    over each worker's ``x`` and estimator direction ``v``, and counts one
-    round. The ``gradients`` payload averages caller-supplied vectors into
-    ``v`` (the epoch-restart exchange). The estimator's reference point
-    ``x_prev`` is the runner's to move. Nothing is returned: the averages
-    are read from the workers. ``(t, epoch)``, each worker's clock of its
-    last round, is set by the run; clocks out of step raise ``BarrierError``.
+    over each worker's ``x`` and direction ``v``, and counts one round. The
+    ``gradients`` payload averages caller-supplied vectors into ``v`` (the
+    epoch-restart exchange). The reference point ``x_prev`` is the runner's
+    to move. Nothing is returned: the averages are read from the workers.
     """
     if not workers:
         raise ValueError("sync_round needs at least one worker")
     if payload not in PAYLOADS:
         raise ValueError(f"unknown payload {payload!r}")
-    clock = (workers[0].t, workers[0].epoch)
-    for w in workers[1:]:
-        if (w.t, w.epoch) != clock:
-            raise BarrierError(
-                f"worker {w.worker_id} at (t={w.t}, epoch={w.epoch}), "
-                f"expected {clock}"
-            )
 
     x_bar = None
     v_bar = None
     if payload in ("iterates", "both"):
         x_bar = mean_reduce([w.x for w in workers])
     if payload == "both":
-        v_bar = mean_reduce([w.est.v for w in workers])
+        v_bar = mean_reduce([w.v for w in workers])
     if payload == "gradients":
         if gradients is None:
             raise ValueError("gradients payload needs the vectors to average")
@@ -230,10 +219,7 @@ def sync_round(
         if x_bar is not None:
             w.x = x_bar.copy()
         if v_bar is not None:
-            if w.est is None:
-                w.est = EstimatorState(v=v_bar.copy(), x_prev=w.x)
-            else:
-                w.est = replace(w.est, v=v_bar.copy())
+            w.v = v_bar.copy()
 
     ledger.rounds += 1
     ledger.bytes_equivalent += 2 if payload == "both" else 1

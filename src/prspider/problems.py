@@ -564,9 +564,19 @@ class SigmoidAnalytic:
         self.features = features
         self.offsets = offsets
         self._features_t = features.transpose(0, 2, 1)
+        n, d = features.shape[1:]
+        rows = sigmoid_block_rows(d)
+        # row blocks BLAS won't thread, as in the pair kernel; whole if one
+        self._edges = _block_edges(n, d, rows) if n > rows else None
 
     def _margins(self, x):
-        return np.matmul(self.features, x) - self.offsets
+        if self._edges is None:
+            return np.matmul(self.features, x) - self.offsets
+        t = np.empty(self.offsets.shape)
+        for lo, hi in zip(self._edges, self._edges[1:]):
+            np.matmul(self.features[:, lo:hi], x, out=t[:, lo:hi])
+        t -= self.offsets
+        return t
 
     def values(self, x: ParamVector) -> np.ndarray:
         phi = SigmoidObjective._phi(self._margins(x))

@@ -194,7 +194,7 @@ class TestSpiderFinite:
             seen.append(
                 (
                     mean_reduce([w.x for w in workers]),
-                    mean_reduce([w.est.v for w in workers]),
+                    mean_reduce([w.v for w in workers]),
                     s,
                     t,
                 )
@@ -218,8 +218,8 @@ class TestSpiderFinite:
             x_bar = mean_reduce([w.x for w in workers])
             worst.append(sum(sq_norm(w.x - x_bar) for w in workers))
             if payload in ("both", "gradients"):
-                v_bar = mean_reduce([w.est.v for w in workers])
-                worst.append(sum(sq_norm(w.est.v - v_bar) for w in workers))
+                v_bar = mean_reduce([w.v for w in workers])
+                worst.append(sum(sq_norm(w.v - v_bar) for w in workers))
 
         run_pr_spider_finite(suite, hp, 3, hooks=RunHooks(on_sync=on_sync))
         assert worst and max(worst) == 0.0
@@ -269,9 +269,8 @@ class TestSpiderFinite:
         def on_record(s, t, workers):
             if (s, t) == (1, 3):
                 for w in workers[2:]:
-                    v = w.est.v.copy()
-                    v[1] = math.nan
-                    w.est = replace(w.est, v=v)
+                    w.v = w.v.copy()
+                    w.v[1] = math.nan
 
         with pytest.raises(DivergedError) as info:
             run_pr_spider_finite(suite, hp, 0, hooks=RunHooks(on_record=on_record))
@@ -504,13 +503,11 @@ RUNNERS = {
 @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
 @pytest.mark.parametrize("name", sorted(RUNNERS))
 def test_on_sync_fires_once_per_counted_round(name, parallel):
-    # the initial gradient round of PR-SPIDER is a counted round too, and
-    # every round stamps each worker's clock with its own (s, t)
+    # the initial gradient round of PR-SPIDER is a counted round too
     calls = []
 
     def on_sync(s, t, payload, workers):
         calls.append(payload)
-        assert all((w.epoch, w.t) == (s, t) for w in workers)
 
     trace = RUNNERS[name](
         quad_suite(), parallel=parallel, hooks=RunHooks(on_sync=on_sync)
@@ -519,3 +516,25 @@ def test_on_sync_fires_once_per_counted_round(name, parallel):
     assert len(calls) == trace.comm_rounds > 0
     if name.startswith("pr-spider"):
         assert calls[0] == "gradients"
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_reference_point_is_the_iterate_at_every_record(name, parallel):
+    # PR-SPIDER moves x_prev to x at each epoch start, after each step and
+    # after each "both" round, so every record sees x_prev is x; the
+    # baselines hold no direction and no reference point
+    spider = name.startswith("pr-spider")
+    seen = []
+
+    def on_record(s, t, workers):
+        if spider:
+            seen.append(all(w.x_prev is w.x for w in workers))
+        else:
+            seen.append(all(w.v is None and w.x_prev is None for w in workers))
+
+    trace = RUNNERS[name](
+        quad_suite(), parallel=parallel, hooks=RunHooks(on_record=on_record)
+    )
+    assert trace.outcome == "completed"
+    assert seen and all(seen)

@@ -109,6 +109,14 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    def test_config_that_is_not_utf8_names_the_path(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b'{"problem": "\xff"}')
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg}: ")
+        assert err.count("\n") == 1
+
     def test_algorithm_problem_compatibility_checked(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(
@@ -437,6 +445,20 @@ class TestCmdSweep:
         )
         assert code == EXIT_CONFIG
         assert "needs a finite n" in capsys.readouterr().err
+
+    def test_hold_total_data_needs_the_n_axis(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        self._online_config(cfg)
+        out = tmp_path / "out"
+        code = main(
+            ["sweep", str(cfg), "--axis", "I", "--values", "1,2",
+             "--hold-total-data", "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: --hold-total-data needs --axis N\n"
+        )
+        assert not out.exists()
 
     def test_sweep_rows_cover_values_and_seeds(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from prspider.estimator import (
-    EstimatorState,
     is_averaging_step,
     spider_update,
     spider_update_with_samples,
@@ -40,47 +39,48 @@ class TestSpiderUpdate:
         v0 = rng.normal(size=3)
         x_prev = rng.normal(size=3)
         x_curr = rng.normal(size=3)
-        state = EstimatorState(v=v0, x_prev=x_prev)
         for batch_seed in range(5):
             gen = RngStream(batch_seed).substream(0, 0, 1)
-            new = spider_update(state, obj, x_curr, B=2, rng=gen)
+            v = spider_update(v0, x_prev, obj, x_curr, B=2, rng=gen)
             expected = v0 + x_curr - x_prev
-            assert np.max(np.abs(new.v - expected)) <= 1e-12
+            assert np.max(np.abs(v - expected)) <= 1e-12
 
     def test_zero_displacement_is_bitwise_noop(self):
         suite = one_worker_quadratic()
         obj = suite.objectives[0]
         v0 = np.array([0.1, -0.2, 0.3])
         x = np.array([1.0, 2.0, 3.0])
-        state = EstimatorState(v=v0, x_prev=x)
         gen = RngStream(0).substream(0, 0, 1)
-        new = spider_update(state, obj, x.copy(), B=4, rng=gen)
-        assert new.v.tobytes() == v0.tobytes()
+        v = spider_update(v0, x, obj, x.copy(), B=4, rng=gen)
+        assert v.tobytes() == v0.tobytes()
 
     def test_ifo_cost_is_two_per_sample(self):
         suite = one_worker_quadratic()
         obj = suite.objectives[0]
-        state = EstimatorState(v=np.zeros(3), x_prev=np.zeros(3))
         gen = RngStream(0).substream(0, 0, 1)
         meter = Meter(1)
         meter.phase = "inner"
-        spider_update(state, obj, np.ones(3), B=7, rng=gen, meter=meter)
+        spider_update(np.zeros(3), np.zeros(3), obj, np.ones(3), B=7, rng=gen,
+                      meter=meter)
         assert meter.rows == [{"init": 0, "inner": 14, "refresh": 0}]
 
     def test_rejects_nonpositive_batch(self):
         suite = one_worker_quadratic()
-        state = EstimatorState(v=np.zeros(3), x_prev=np.zeros(3))
         gen = RngStream(0).substream(0, 0, 1)
         with pytest.raises(ValueError):
-            spider_update(state, suite.objectives[0], np.ones(3), B=0, rng=gen)
+            spider_update(np.zeros(3), np.zeros(3), suite.objectives[0],
+                          np.ones(3), B=0, rng=gen)
 
-    def test_reference_point_moves_to_current(self):
+    def test_inputs_are_left_unchanged(self):
+        # the caller owns v and x_prev and moves x_prev itself
         suite = one_worker_quadratic()
-        state = EstimatorState(v=np.zeros(3), x_prev=np.zeros(3))
+        v0, x_prev = np.zeros(3), np.zeros(3)
         x_curr = np.array([1.0, 1.0, 1.0])
         gen = RngStream(0).substream(0, 0, 1)
-        new = spider_update(state, suite.objectives[0], x_curr, B=1, rng=gen)
-        assert np.array_equal(new.x_prev, x_curr)
+        v = spider_update(v0, x_prev, suite.objectives[0], x_curr, B=1, rng=gen)
+        assert v is not v0
+        assert np.array_equal(v0, np.zeros(3))
+        assert np.array_equal(x_prev, np.zeros(3))
 
     def test_conditional_unbiasedness_by_enumeration(self):
         # one worker, three samples, d=2: averaging the update over every
@@ -93,9 +93,8 @@ class TestSpiderUpdate:
         v0 = rng.normal(size=2)
         x_prev = rng.normal(size=2)
         x_curr = rng.normal(size=2)
-        state = EstimatorState(v=v0, x_prev=x_prev)
         outcomes = [
-            spider_update_with_samples(state, obj, x_curr, [j]).v for j in range(3)
+            spider_update_with_samples(v0, x_prev, obj, x_curr, [j]) for j in range(3)
         ]
         enumerated_mean = np.stack(outcomes).mean(axis=0)
         # the exact worker gradient: row 0 of the suite's analytic oracles
@@ -112,12 +111,12 @@ class TestTelescoping:
         rng = np.random.default_rng(4)
         xs = [rng.normal(size=4) for _ in range(9)]
         v0 = rng.normal(size=4)
-        state = EstimatorState(v=v0, x_prev=xs[0])
+        v = v0
         stream = RngStream(11)
         for k, x in enumerate(xs[1:], start=1):
-            state = spider_update(state, obj, x, B=3, rng=stream.substream(0, 0, k))
+            v = spider_update(v, xs[k - 1], obj, x, B=3, rng=stream.substream(0, 0, k))
         expected = v0 + xs[-1] - xs[0]
-        assert np.max(np.abs(state.v - expected)) <= 1e-12
+        assert np.max(np.abs(v - expected)) <= 1e-12
 
 
 class TestErrorAccumulation:
@@ -145,17 +144,14 @@ class TestErrorAccumulation:
         stream_root = np.random.default_rng(123)
         grads = suite.analytic.gradients  # row i: worker i's exact gradient
         for _ in range(reps):
-            states = []
-            for i in range(N):
-                v0 = grads(trajs[i][0])[i]
-                states.append(EstimatorState(v=v0, x_prev=trajs[i][0]))
+            vs = [grads(trajs[i][0])[i] for i in range(N)]
             for t in range(1, steps + 1):
                 for i, obj in enumerate(suite.objectives):
                     idx = stream_root.integers(0, n, size=B)
-                    states[i] = spider_update_with_samples(
-                        states[i], obj, trajs[i][t], idx
+                    vs[i] = spider_update_with_samples(
+                        vs[i], trajs[i][t - 1], obj, trajs[i][t], idx
                     )
-                v_bar = np.stack([s.v for s in states]).mean(axis=0)
+                v_bar = np.stack(vs).mean(axis=0)
                 g_bar = np.stack(
                     [grads(trajs[i][t])[i] for i in range(N)]
                 ).mean(axis=0)

@@ -5,10 +5,8 @@ import pytest
 from oracle_reference import one_worker_oracles
 
 from prspider import cli, harness
-from prspider.estimator import EstimatorState
 from prspider.harness import (
     CSV_HEADER,
-    BarrierError,
     CommLedger,
     MetricsRecord,
     MetricsTrace,
@@ -27,12 +25,14 @@ from prspider.problems import (
 )
 
 
-def make_workers(suite, xs, with_est=True):
+def make_workers(suite, xs, with_v=True):
     workers = []
     for i, obj in enumerate(suite.objectives):
         x = np.array(xs[i], dtype=np.float64)
-        est = EstimatorState(v=np.zeros_like(x), x_prev=x) if with_est else None
-        workers.append(WorkerState(worker_id=i, obj=obj, x=x, est=est))
+        w = WorkerState(worker_id=i, obj=obj, x=x)
+        if with_v:
+            w.v, w.x_prev = np.zeros_like(x), x
+        workers.append(w)
     return workers
 
 
@@ -40,13 +40,16 @@ class TestSyncRound:
     def test_both_payload_counts_one_round_two_vectors(self):
         suite = make_quadratic_suite(N=2, n=2, d=2, heterogeneity=0, seed=0)
         workers = make_workers(suite, [[0.0, 0.0], [2.0, 2.0]])
+        before = [w.x_prev for w in workers]
         ledger = CommLedger()
         assert sync_round(workers, "both", ledger) is None
         assert ledger.rounds == 1
         assert ledger.bytes_equivalent == 2
-        for w in workers:
+        for w, x_prev in zip(workers, before):
             assert np.array_equal(w.x, [1, 1])
-            assert np.array_equal(w.est.v, [0, 0])
+            assert np.array_equal(w.v, [0, 0])
+            # moving the reference point is the runner's job
+            assert w.x_prev is x_prev
 
     def test_idempotent_average_is_bitwise_and_still_counted(self):
         suite = make_quadratic_suite(N=3, n=2, d=2, heterogeneity=0, seed=1)
@@ -66,13 +69,6 @@ class TestSyncRound:
         assert np.array_equal(workers[0].x, [1, 2, 3])
         assert ledger.rounds == 1
 
-    def test_barrier_violation_detected(self):
-        suite = make_quadratic_suite(N=2, n=2, d=2, heterogeneity=0, seed=3)
-        workers = make_workers(suite, [[0.0, 0.0], [1.0, 1.0]])
-        workers[1].t = 5
-        with pytest.raises(BarrierError):
-            sync_round(workers, "iterates", CommLedger())
-
     def test_gradients_payload_sets_direction(self):
         suite = make_quadratic_suite(N=2, n=2, d=2, heterogeneity=0, seed=4)
         workers = make_workers(suite, [[0.0, 0.0], [0.0, 0.0]])
@@ -80,7 +76,7 @@ class TestSyncRound:
         grads = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         sync_round(workers, "gradients", ledger, gradients=grads)
         for w in workers:
-            assert np.array_equal(w.est.v, [0.5, 0.5])
+            assert np.array_equal(w.v, [0.5, 0.5])
         assert ledger.bytes_equivalent == 1
 
     def test_gradients_payload_requires_vectors(self):
@@ -107,25 +103,25 @@ class TestEvaluateFos:
         suite = quadratic_suite_from_centers(
             [[[1.0, 2.0]], [[1.0, 2.0]]], [0.0, 0.0]
         )
-        workers = make_workers(suite, [[1.0, 2.0], [1.0, 2.0]], with_est=False)
+        workers = make_workers(suite, [[1.0, 2.0], [1.0, 2.0]], with_v=False)
         f_bar, grad_sq, consensus = evaluate_fos(suite, workers)
         assert grad_sq + consensus <= 1e-12
 
     def test_consensus_from_split_workers(self):
         suite = make_quadratic_suite(N=2, n=2, d=1, heterogeneity=0, seed=8)
-        workers = make_workers(suite, [[0.0], [2.0]], with_est=False)
+        workers = make_workers(suite, [[0.0], [2.0]], with_v=False)
         _, _, consensus = evaluate_fos(suite, workers)
         assert consensus == pytest.approx(1.0, abs=1e-15)
 
     def test_single_worker_consensus_always_zero(self):
         suite = make_quadratic_suite(N=1, n=4, d=3, heterogeneity=0, seed=9)
-        workers = make_workers(suite, [[0.3, -0.4, 0.5]], with_est=False)
+        workers = make_workers(suite, [[0.3, -0.4, 0.5]], with_v=False)
         _, _, consensus = evaluate_fos(suite, workers)
         assert consensus == 0.0
 
     def test_metrics_are_free(self):
         suite = make_quadratic_suite(N=2, n=8, d=2, heterogeneity=0.5, seed=10)
-        workers = make_workers(suite, [[0.0, 0.0], [1.0, 1.0]], with_est=False)
+        workers = make_workers(suite, [[0.0, 0.0], [1.0, 1.0]], with_v=False)
         ledger, meter = CommLedger(), Meter(2)
         record = make_record(0, 0, suite, workers, ledger, meter)
         assert record.ifo_total == meter.total == 0
@@ -140,7 +136,7 @@ class TestEvaluateFos:
         # the stacked observer against one objective and one worker at a time
         suite = make_suite(N=N, n=16, d=d, heterogeneity=0.5, seed=11)
         rng = np.random.default_rng(N * 10 + d)
-        workers = make_workers(suite, rng.normal(size=(N, d)), with_est=False)
+        workers = make_workers(suite, rng.normal(size=(N, d)), with_v=False)
         x_bar = mean_reduce([w.x for w in workers])
         f_bar = consensus = 0.0
         grads = []
@@ -198,7 +194,7 @@ class TestFirstHit:
 class TestTraceSerialization:
     def test_record_invariants(self):
         suite = make_quadratic_suite(N=2, n=4, d=2, heterogeneity=0.2, seed=11)
-        workers = make_workers(suite, [[0.0, 1.0], [1.0, 0.0]], with_est=False)
+        workers = make_workers(suite, [[0.0, 1.0], [1.0, 0.0]], with_v=False)
         meter = Meter(2)
         meter.charge(1, 7)
         rec = make_record(2, 3, suite, workers, CommLedger(rounds=5), meter)
