@@ -19,7 +19,6 @@ from .algorithms import (
 from .estimator import is_averaging_step, spider_update
 from .harness import (
     CertificateError,
-    CommLedger,
     MetricsRecord,
     MetricsTrace,
     RunHooks,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateError",
-    "CommLedger",
     "DivergedError",
     "HyperParams",
     "LocalObjective",

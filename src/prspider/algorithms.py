@@ -34,7 +34,6 @@ import numpy as np
 from .estimator import is_averaging_step, spider_update
 from .harness import (
     CertificateError,
-    CommLedger,
     MetricsTrace,
     RunHooks,
     WorkerState,
@@ -70,9 +69,8 @@ __all__ = [
 class DivergedError(RuntimeError):
     """A run produced non-finite values; carries the trace so far."""
 
-    def __init__(self, message: str, trace: MetricsTrace | None = None):
-        super().__init__(message)
-        self.trace = trace
+    outcome = "diverged"
+    trace = None
 
 
 @dataclass(frozen=True)
@@ -237,30 +235,28 @@ def _map_workers(pool, fn, workers):
 
 
 class _Run:
-    """One run's state: keyed randomness, ledger, meter, workers, records.
+    """One run's state: keyed randomness, workers, and the trace it fills.
 
-    As a context manager it shuts the worker thread pool down however the
-    run ends and gives a ``DivergedError`` or ``CertificateError`` the trace
-    so far; ``trace`` snapshots the run as a ``MetricsTrace``.
+    ``trace`` is built once, with the config echo, the seed and the run's
+    ``Meter`` as its ledger; records and epoch-start residuals are appended
+    to it as the run goes. As a context manager it shuts the worker thread
+    pool down however the run ends, and gives a ``DivergedError`` or
+    ``CertificateError`` the trace so far with its outcome set.
     """
 
     def __init__(self, suite, seed, algorithm, metrics_every, parallel, hooks):
         if metrics_every < 1:
             raise ValueError("metrics_every must be at least 1")
         self.suite = suite
-        self.seed = seed
         self.metrics_every = metrics_every
         self.hooks = hooks or RunHooks()
         self.rng = RngStream(seed)
-        self.ledger = CommLedger()
         self.meter = Meter(suite.num_workers)
         self.workers = [
             WorkerState(worker_id=i, obj=obj, x=suite.initial_point.copy())
             for i, obj in enumerate(suite.objectives)
         ]
-        self.records: list = []
-        self.residuals: list[float] = []
-        self.echo = {
+        echo = {
             "problem": dict(suite.config),
             "algorithm": algorithm,
             "run": {
@@ -269,6 +265,7 @@ class _Run:
                 "parallel": parallel,
             },
         }
+        self.trace = MetricsTrace(echo, seed, self.meter)
         N = suite.num_workers
         self.pool = ThreadPoolExecutor(max_workers=N) if parallel and N > 1 else None
 
@@ -278,36 +275,24 @@ class _Run:
     def __exit__(self, exc_type, exc, tb):
         if self.pool is not None:
             self.pool.shutdown()
-        if isinstance(exc, DivergedError):
-            exc.trace = self.trace("diverged")
-        elif isinstance(exc, CertificateError):
-            exc.trace = self.trace("below-optimum")
+        if isinstance(exc, (DivergedError, CertificateError)):
+            self.trace.outcome = exc.outcome
+            exc.trace = self.trace
 
     def record(self, s: int, t: int, k: int) -> None:
         """Metrics point at ``(s, t)``, the run's ``k``-th iteration."""
         if k % self.metrics_every == 0:
-            self.records.append(
-                make_record(s, t, self.suite, self.workers, self.ledger, self.meter)
+            self.trace.records.append(
+                make_record(s, t, self.suite, self.workers, self.meter)
             )
         if self.hooks.on_record:
             self.hooks.on_record(s, t, self.workers)
 
     def sync(self, s: int, t: int, payload: str, gradients=None) -> None:
         """Round at ``(s, t)``, then its ``on_sync`` hook."""
-        sync_round(self.workers, payload, self.ledger, gradients=gradients)
+        sync_round(self.workers, payload, self.meter, gradients=gradients)
         if self.hooks.on_sync:
             self.hooks.on_sync(s, t, payload, self.workers)
-
-    def trace(self, outcome: str) -> MetricsTrace:
-        return MetricsTrace(
-            records=self.records,
-            config_echo=self.echo,
-            seed=self.seed,
-            outcome=outcome,
-            ledger=self.ledger,
-            ifo_breakdown=self.meter.breakdown(),
-            epoch_restart_residuals=self.residuals,
-        )
 
 
 def _run_spider(
@@ -327,6 +312,8 @@ def _run_spider(
     if online:
         if hp.n_b is None:
             raise ValueError("online variant needs a restart batch size n_b")
+    elif hp.n_b is not None:
+        raise ValueError("finite-sum variant takes no restart batch size n_b")
     elif not suite.is_finite_sum:
         raise UnsupportedOperationError(
             "finite-sum variant needs enumerable samples; use the online one"
@@ -356,7 +343,7 @@ def _run_spider(
             meter.phase = "inner"
             for w in workers:
                 w.x_prev = w.x
-            run.residuals.append(_restart_residual(suite, workers))
+            run.trace.epoch_restart_residuals.append(_restart_residual(suite, workers))
 
             for t in range(hp.m):
                 if t >= 1:
@@ -385,7 +372,7 @@ def _run_spider(
                 meter.phase = "refresh"
                 grads = restart_gradients(s, hp.m, DRAW_RESTART)
                 run.sync(s, hp.m, "gradients", grads)
-    return run.trace("completed")
+    return run.trace
 
 
 def _restart_residual(suite: ProblemSuite, workers) -> float:
@@ -481,7 +468,7 @@ def _run_local_sgd(
             _check_finite([w.x for w in workers], len(workers), 0, k)
             if (k + 1) % I == 0 or k + 1 == horizon:
                 run.sync(0, k + 1, "iterates")
-    return run.trace("completed")
+    return run.trace
 
 
 def run_parallel_minibatch_sgd(

@@ -51,6 +51,8 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .algorithms import (
     DivergedError,
     HyperParams,
@@ -162,6 +164,9 @@ RUN = {
     "metrics_every": Key(int, 1, default=1),
     "parallel": Key(bool, default=False),
 }
+# the params that size an array of sample indices, and numpy's longest one
+BATCHES = ("B", "batch", "n_b")
+MAX_BATCH = int(np.iinfo(np.intp).max)
 # sweep axis -> the key its values are checked as
 AXES = {"N": GENERATED["N"], "I": AUTO["I"], "eps": AUTO["eps"],
         "heterogeneity": GENERATED["heterogeneity"]}
@@ -246,6 +251,14 @@ def load_config(path) -> dict:
     return config
 
 
+def _parse_run(block) -> dict:
+    """The run block, checked; a seed given twice would run twice."""
+    run = parse_block(block, RUN, "run")
+    if len(set(run["seeds"])) < len(run["seeds"]):
+        raise ConfigError(f"key 'seeds' in run block repeats a seed: {run['seeds']}")
+    return run
+
+
 def _parse_problem(problem) -> tuple[Callable[..., ProblemSuite], dict]:
     """The family's suite factory and its keyword arguments."""
     family = problem.get("family")
@@ -264,9 +277,10 @@ def build_suite(problem: dict) -> ProblemSuite:
     factory, args = _parse_problem(problem)
     try:
         return factory(**args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, MemoryError) as exc:
         # the factories check the explicit arrays, which the tables take as
-        # plain lists: shape, element type and finiteness, naming the key
+        # plain lists: shape, element type and finiteness, naming the key;
+        # a size past the memory fails as it allocates
         raise ConfigError(f"problem: {exc}") from exc
 
 
@@ -301,17 +315,20 @@ def resolve_algorithm(algorithm: dict, suite: ProblemSuite) -> tuple[str, dict]:
         raise ConfigError("pr-spider-finite needs a finite-sum problem")
     if mode == "auto":
         try:
-            return name, _auto_params(name, suite, **params)
+            params = _auto_params(name, suite, **params)
         except (ValueError, OverflowError) as exc:
             # a rule input out of range, or a horizon past any integer
             raise ConfigError(f"algorithm.auto: {exc}") from exc
-    if "N" in params:
+    elif "N" in params:
         params["N"] = params["N"] or suite.num_workers
         if params["N"] != suite.num_workers:
             raise ConfigError(
                 f"params N={params['N']} but the problem has "
                 f"{suite.num_workers} workers"
             )
+    for key in BATCHES:
+        if params.get(key, 0) > MAX_BATCH:
+            raise ConfigError(f"algorithm.{mode}: {key!r} is above {MAX_BATCH}")
     return name, params
 
 
@@ -337,6 +354,9 @@ def _run_seed(
     except CertificateError as exc:
         print(f"seed {seed}: {exc}", file=sys.stderr)
         return exc.trace, EXIT_CERTIFICATE
+    except MemoryError as exc:
+        # a size the config asks for that this machine cannot hold
+        raise ConfigError(f"seed {seed}: {exc}") from None
 
 
 def _out_dir(out_dir: str, override: str | None) -> Path:
@@ -373,7 +393,7 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
     config = load_config(config_path)
-    run = parse_block(config["run"], RUN, "run")
+    run = _parse_run(config["run"])
     suite = build_suite(config["problem"])
     name, params = resolve_algorithm(config["algorithm"], suite)
     out = _out_dir(run["out_dir"], out_override)
@@ -430,7 +450,7 @@ def cmd_sweep(
     out_override: str | None = None,
 ) -> int:
     base = load_config(config_path)
-    run = parse_block(base["run"], RUN, "run")
+    run = _parse_run(base["run"])
     if axis != "eps" and not run["eps_targets"]:
         raise ConfigError("sweep needs run.eps_targets (or axis=eps)")
     _, mode, _ = _parse_algorithm(base["algorithm"])

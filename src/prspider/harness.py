@@ -3,8 +3,9 @@
 A worker is its objective and its vectors: the iterate ``x`` and, in
 PR-SPIDER, the direction ``v`` and its reference point ``x_prev``. One
 communication round is one synchronized exchange event, whatever rides
-in it; ``bytes_equivalent`` tracks the number of d-vectors actually
-shipped so the finer-grained volume stays reportable. Metrics come from
+in it. The run's ``problems.Meter`` is its one cost ledger: ``sync_round``
+counts each round and the d-vectors it ships there, beside the oracle
+calls, and a ``MetricsTrace`` reads its totals from it. Metrics come from
 the analytic suite oracles and charge neither oracle calls nor rounds.
 """
 
@@ -23,7 +24,6 @@ from .problems import LocalObjective, Meter, ProblemSuite
 
 __all__ = [
     "CertificateError",
-    "CommLedger",
     "WorkerState",
     "MetricsRecord",
     "MetricsTrace",
@@ -44,13 +44,11 @@ class CertificateError(RuntimeError):
     """The objective fell below the suite's certified optimum.
 
     The certificate is wrong, not the run. ``make_record`` raises it; the
-    runner attaches the trace so far as ``trace``, as ``DivergedError``
-    carries one.
+    runner attaches the trace so far, with this ``outcome``, as ``trace``.
     """
 
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    outcome = "below-optimum"
+    trace = None
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -70,19 +68,6 @@ def write_text_atomic(path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-@dataclass
-class CommLedger:
-    """Exact communication tally.
-
-    ``rounds`` counts synchronized exchange events; ``bytes_equivalent``
-    counts the d-vectors shipped (two when iterates and directions ride
-    the same barrier).
-    """
-
-    rounds: int = 0
-    bytes_equivalent: int = 0
 
 
 @dataclass
@@ -131,19 +116,22 @@ class RunHooks:
 
 @dataclass
 class MetricsTrace:
-    """Ordered records plus everything needed to rerun the experiment."""
+    """Ordered records, the run's cost ledger, and what reruns the run.
 
-    records: list[MetricsRecord]
+    ``ledger`` is the run's ``Meter``; the runner fills ``records`` and
+    ``epoch_restart_residuals`` as it goes and sets ``outcome`` at its end.
+    """
+
     config_echo: dict
     seed: int
-    outcome: str  # "completed" | "diverged" | "below-optimum"
-    ledger: CommLedger = field(default_factory=CommLedger)
-    ifo_breakdown: dict = field(default_factory=dict)
+    ledger: Meter
+    records: list[MetricsRecord] = field(default_factory=list)
+    outcome: str = "completed"  # | "diverged" | "below-optimum"
     epoch_restart_residuals: list[float] = field(default_factory=list)
 
     @property
     def ifo_total(self) -> int:
-        return sum(self.ifo_breakdown.values())
+        return self.ledger.total
 
     @property
     def comm_rounds(self) -> int:
@@ -164,18 +152,18 @@ class MetricsTrace:
     def sidecar(self) -> dict:
         """Reloadable config plus run results; run keys stay at top level."""
         doc = dict(self.config_echo)
+        calls = self.ledger.breakdown()
         doc["result"] = {
             "outcome": self.outcome,
             "seed": self.seed,
             "comm_rounds": self.ledger.rounds,
             "bytes_equivalent": self.ledger.bytes_equivalent,
             "ifo_total": self.ifo_total,
-            "ifo_breakdown": dict(self.ifo_breakdown),
+            "ifo_breakdown": calls,
             # inner steps cost two oracle accesses per sample; the
             # B-normalized view counts them once
-            "ifo_total_pair_normalized": self.ifo_breakdown.get("init", 0)
-            + self.ifo_breakdown.get("refresh", 0)
-            + self.ifo_breakdown.get("inner", 0) // 2,
+            "ifo_total_pair_normalized": calls["init"] + calls["refresh"]
+            + calls["inner"] // 2,
             "records": len(self.records),
             "epoch_restart_residuals": list(self.epoch_restart_residuals),
         }
@@ -188,16 +176,17 @@ class MetricsTrace:
 def sync_round(
     workers: Sequence[WorkerState],
     payload: str,
-    ledger: CommLedger,
+    meter: Meter,
     gradients: Sequence[ParamVector] | None = None,
 ) -> None:
     """One synchronized worker->server->worker exchange.
 
     Averages the requested payload in worker-index order, broadcasts it
-    over each worker's ``x`` and direction ``v``, and counts one round. The
-    ``gradients`` payload averages caller-supplied vectors into ``v`` (the
-    epoch-restart exchange). The reference point ``x_prev`` is the runner's
-    to move. Nothing is returned: the averages are read from the workers.
+    over each worker's ``x`` and direction ``v``, and counts one round and
+    its vectors on ``meter``. The ``gradients`` payload averages
+    caller-supplied vectors into ``v`` (the epoch-restart exchange). The
+    reference point ``x_prev`` is the runner's to move. Nothing is
+    returned: the averages are read from the workers.
     """
     if not workers:
         raise ValueError("sync_round needs at least one worker")
@@ -221,8 +210,8 @@ def sync_round(
         if v_bar is not None:
             w.v = v_bar.copy()
 
-    ledger.rounds += 1
-    ledger.bytes_equivalent += 2 if payload == "both" else 1
+    meter.rounds += 1
+    meter.bytes_equivalent += 2 if payload == "both" else 1
 
 
 def evaluate_fos(
@@ -245,7 +234,6 @@ def make_record(
     t: int,
     suite: ProblemSuite,
     workers: Sequence[WorkerState],
-    ledger: CommLedger,
     meter: Meter,
 ) -> MetricsRecord:
     f_bar, grad_sq, consensus = evaluate_fos(suite, workers)
@@ -265,7 +253,7 @@ def make_record(
         consensus=consensus,
         fos=grad_sq + consensus,
         ifo_total=meter.total,
-        comm_rounds=ledger.rounds,
+        comm_rounds=meter.rounds,
     )
 
 

@@ -164,11 +164,6 @@ _STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
 _STATE_PICK = [k % _POOL for k in range(2 * _POOL)]
 
 
-def _mix(x, y):
-    r = (x * _MIX_L - y * _MIX_R) & _MASK32
-    return r ^ (r >> 16)
-
-
 def _seed_block(
     seed: int, worker: int, epoch: int, first: int, purpose: int
 ) -> np.ndarray:
@@ -176,14 +171,11 @@ def _seed_block(
 
     Row ``k`` equals ``SeedSequence(entropy=seed, spawn_key=(worker, epoch,
     first + k, purpose)).generate_state(4, np.uint64)``. The entropy words
-    ahead of the iteration are the same for every key, so they are hashed
-    once, as Python ints; from the iteration on, the pools of all keys are
-    mixed together as one ``(4, ITER_BLOCK)`` uint32 array.
+    ahead of the iteration are the same for every key, so numpy mixes them
+    once, as the pool of ``SeedSequence(seed, spawn_key=(worker, epoch))``;
+    from the iteration on, the pools of all keys are mixed together as one
+    ``(4, ITER_BLOCK)`` uint32 array.
     """
-    lead = _words(seed)
-    # a spawn key pads the run entropy with zeros to the pool size
-    lead += [0] * (_POOL - len(lead))
-    lead += _words(worker) + _words(epoch)
     width = len(_words(first))  # the same for every iteration of the block
     if width == 1:
         iteration = [np.arange(first, first + ITER_BLOCK, dtype=np.uint32)]
@@ -194,28 +186,12 @@ def _seed_block(
             for shift in range(0, 32 * width, 32)
         ]
     trail = iteration + _words(purpose)
-    # one hashmix per entropy word and pool word, pool-into-pool included
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(lead) + len(trail)))
-    scalars = consts[:, 0].tolist()
-    k = 0
-
-    def hashmix(value):
-        nonlocal k
-        value = (value ^ scalars[k]) * scalars[k + 1] & _MASK32
-        k += 1
-        return value ^ (value >> 16)
-
-    # the first words into the pool, every pool word into every other, then
-    # each further word into each pool word
-    pool = [hashmix(word) for word in lead[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in lead[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    mixed = np.array(pool, dtype=np.uint32)[:, None]
+    # one hash step per entropy word and pool word, pool-into-pool included;
+    # a spawn key pads the seed's words with zeros to the pool size
+    lead = max(len(_words(seed)), _POOL) + len(_words(worker)) + len(_words(epoch))
+    k = _POOL * lead
+    consts = _hash_consts(_INIT_A, _MULT_A, k + _POOL * len(trail))
+    mixed = np.random.SeedSequence(seed, spawn_key=(worker, epoch)).pool[:, None]
     for word in trail:
         h = (word ^ consts[k : k + _POOL]) * consts[k + 1 : k + _POOL + 1]
         h ^= h >> np.uint32(16)

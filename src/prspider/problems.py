@@ -256,15 +256,19 @@ def _mean_sq_distances(centers: np.ndarray, *points) -> list[float]:
 
 
 class Meter:
-    """Oracle calls of one run, per worker and phase.
+    """Every cost of one run: oracle calls per worker and phase, and rounds.
 
     The runner sets ``phase`` between dispatches. Each worker charges only
     its own row, so workers stepping on a thread pool need no lock.
+    ``rounds`` counts synchronized exchanges and ``bytes_equivalent`` the
+    d-vectors shipped in them; only the coordinator's ``sync_round``
+    writes them.
     """
 
     def __init__(self, num_workers: int):
         self.phase = PHASES[0]
         self.rows = [dict.fromkeys(PHASES, 0) for _ in range(num_workers)]
+        self.rounds = self.bytes_equivalent = 0
 
     def charge(self, worker: int, amount: int) -> None:
         self.rows[worker][self.phase] += int(amount)

@@ -334,6 +334,13 @@ class TestSpiderOnline:
         with pytest.raises(ValueError):
             run_pr_spider_online(suite, hp, 0)
 
+    def test_finite_variant_refuses_restart_batch(self):
+        # a stray n_b would be echoed into a sidecar that no config takes
+        suite = quad_suite()
+        hp = HyperParams(gamma=0.01, I=1, m=2, B=1, S=1, N=4, n_b=5)
+        with pytest.raises(ValueError, match="n_b"):
+            run_pr_spider_finite(suite, hp, 0)
+
     def test_runs_on_online_suite(self):
         suite = make_nonconvex_suite(
             N=2, n="online", d=3, heterogeneity=0.3, seed=2, online_pool=64

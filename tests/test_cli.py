@@ -312,6 +312,21 @@ class TestCmdRun:
         assert main(["run", str(cfg)]) == EXIT_OK
         assert (tmp_path / "root" / "exp" / "trace_seed0.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_repeated_seed_exits_config(self, tmp_path, capsys, command):
+        # run would overwrite one trace pair and sweep count the seed twice
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, run={"seeds": [3, 1, 3], "eps_targets": [0.1]})
+        argv = [command, str(cfg)]
+        if command == "sweep":
+            argv += ["--axis", "N", "--values", "2"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: key 'seeds' in run block repeats a seed: [3, 1, 3]\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 def explicit_quadratic_problem(initial_offset):
     # factory instance with a pinned start distance, so the sweep probes

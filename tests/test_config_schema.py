@@ -199,17 +199,38 @@ runpy.run_module("prspider", run_name="__main__", alter_sys=True)
 POOL_REFUSED = f"problem: sample pool of {2**32 + 1} outside 1 .. 2**32"
 
 
-@pytest.mark.parametrize("where, value, message", [
-    (("run", "metrics_every"), 0, "key 'metrics_every' in run block"),
-    (("problem",), dict(QUADRATIC, N=1, n=2**32 + 1, d=1, heterogeneity=0.5),
+# online_pool is taken and unused when n is finite
+SIGMOID_16 = dict(SIGMOID_ONLINE, n=16)
+SPIDER_PARAMS = {"gamma": 0.1, "I": 2, "m": 4, "B": 2, "S": 2}
+
+
+@pytest.mark.parametrize("config, message", [
+    (_set(_config(), ("run", "metrics_every"), 0),
+     "key 'metrics_every' in run block"),
+    (_config(dict(QUADRATIC, N=1, n=2**32 + 1, d=1, heterogeneity=0.5)),
      POOL_REFUSED),
-    (("problem",), dict(SIGMOID_ONLINE, N=1, n=2**32 + 1, d=1), POOL_REFUSED),
-    (("problem",), dict(SIGMOID_ONLINE, N=1, d=1, online_pool=2**32 + 1),
+    (_config(dict(SIGMOID_ONLINE, N=1, n=2**32 + 1, d=1)), POOL_REFUSED),
+    (_config(dict(SIGMOID_ONLINE, N=1, d=1, online_pool=2**32 + 1)),
      POOL_REFUSED),
-], ids=["metrics-every-zero", "quadratic-n-pool", "sigmoid-n-pool", "online-pool"])
-def test_bad_value_in_a_subprocess_prints_no_traceback(tmp_path, where, value, message):
+    # sizes past any memory: 8 TiB of centers, and a 364 TiB restart draw
+    (_config(dict(QUADRATIC, N=2**40, n=1, d=1)), "problem: Unable to allocate"),
+    (_config(SIGMOID_ONLINE, {"name": "pr-spider-online",
+                              "params": dict(SPIDER_PARAMS, n_b=10**14)}),
+     "seed 0: Unable to allocate"),
+    # batches past numpy's largest array, from the auto rule and from params
+    (_config(SIGMOID_16, {"name": "par-sgd", "auto": {"eps": 1e-200}}),
+     "algorithm.auto: 'batch' is above"),
+    (_config(SIGMOID_16, {"name": "pr-spider-finite",
+                          "params": dict(SPIDER_PARAMS, B=10**30)}),
+     "algorithm.params: 'B' is above"),
+], ids=[
+    "metrics-every-zero", "quadratic-n-pool", "sigmoid-n-pool", "online-pool",
+    "quadratic-centers-memory", "online-restart-memory", "auto-batch-size",
+    "params-batch-size",
+])
+def test_bad_value_in_a_subprocess_prints_no_traceback(tmp_path, config, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(_set(_config(), where, value)))
+    cfg.write_text(json.dumps(config))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), path])))
     proc = subprocess.run(

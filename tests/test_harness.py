@@ -7,7 +7,6 @@ from oracle_reference import one_worker_oracles
 from prspider import cli, harness
 from prspider.harness import (
     CSV_HEADER,
-    CommLedger,
     MetricsRecord,
     MetricsTrace,
     WorkerState,
@@ -41,10 +40,12 @@ class TestSyncRound:
         suite = make_quadratic_suite(N=2, n=2, d=2, heterogeneity=0, seed=0)
         workers = make_workers(suite, [[0.0, 0.0], [2.0, 2.0]])
         before = [w.x_prev for w in workers]
-        ledger = CommLedger()
-        assert sync_round(workers, "both", ledger) is None
-        assert ledger.rounds == 1
-        assert ledger.bytes_equivalent == 2
+        meter = Meter(2)
+        assert sync_round(workers, "both", meter) is None
+        assert meter.rounds == 1
+        assert meter.bytes_equivalent == 2
+        # a round charges no oracle call
+        assert meter.total == 0
         for w, x_prev in zip(workers, before):
             assert np.array_equal(w.x, [1, 1])
             assert np.array_equal(w.v, [0, 0])
@@ -56,46 +57,46 @@ class TestSyncRound:
         x = [0.1, 0.7]
         workers = make_workers(suite, [x, x, x])
         before = [w.x.tobytes() for w in workers]
-        ledger = CommLedger()
-        sync_round(workers, "iterates", ledger)
-        assert ledger.rounds == 1
+        meter = Meter(3)
+        sync_round(workers, "iterates", meter)
+        assert meter.rounds == 1
         assert [w.x.tobytes() for w in workers] == before
 
     def test_single_worker_identity(self):
         suite = make_quadratic_suite(N=1, n=2, d=3, heterogeneity=0, seed=2)
         workers = make_workers(suite, [[1.0, 2.0, 3.0]])
-        ledger = CommLedger()
-        sync_round(workers, "iterates", ledger)
+        meter = Meter(1)
+        sync_round(workers, "iterates", meter)
         assert np.array_equal(workers[0].x, [1, 2, 3])
-        assert ledger.rounds == 1
+        assert meter.rounds == 1
 
     def test_gradients_payload_sets_direction(self):
         suite = make_quadratic_suite(N=2, n=2, d=2, heterogeneity=0, seed=4)
         workers = make_workers(suite, [[0.0, 0.0], [0.0, 0.0]])
-        ledger = CommLedger()
+        meter = Meter(2)
         grads = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        sync_round(workers, "gradients", ledger, gradients=grads)
+        sync_round(workers, "gradients", meter, gradients=grads)
         for w in workers:
             assert np.array_equal(w.v, [0.5, 0.5])
-        assert ledger.bytes_equivalent == 1
+        assert meter.bytes_equivalent == 1
 
     def test_gradients_payload_requires_vectors(self):
         suite = make_quadratic_suite(N=1, n=2, d=2, heterogeneity=0, seed=5)
         workers = make_workers(suite, [[0.0, 0.0]])
         with pytest.raises(ValueError):
-            sync_round(workers, "gradients", CommLedger())
+            sync_round(workers, "gradients", Meter(1))
 
     def test_broadcast_copies_are_independent(self):
         suite = make_quadratic_suite(N=2, n=2, d=2, heterogeneity=0, seed=6)
         workers = make_workers(suite, [[0.0, 0.0], [2.0, 0.0]])
-        sync_round(workers, "iterates", CommLedger())
+        sync_round(workers, "iterates", Meter(2))
         assert workers[0].x is not workers[1].x
 
     def test_unknown_payload(self):
         suite = make_quadratic_suite(N=1, n=2, d=2, heterogeneity=0, seed=7)
         workers = make_workers(suite, [[0.0, 0.0]])
         with pytest.raises(ValueError):
-            sync_round(workers, "everything", CommLedger())
+            sync_round(workers, "everything", Meter(1))
 
 
 class TestEvaluateFos:
@@ -122,10 +123,10 @@ class TestEvaluateFos:
     def test_metrics_are_free(self):
         suite = make_quadratic_suite(N=2, n=8, d=2, heterogeneity=0.5, seed=10)
         workers = make_workers(suite, [[0.0, 0.0], [1.0, 1.0]], with_v=False)
-        ledger, meter = CommLedger(), Meter(2)
-        record = make_record(0, 0, suite, workers, ledger, meter)
+        meter = Meter(2)
+        record = make_record(0, 0, suite, workers, meter)
         assert record.ifo_total == meter.total == 0
-        assert ledger.rounds == 0
+        assert record.comm_rounds == meter.rounds == 0
 
     @pytest.mark.parametrize("N", [1, 3, 4])
     @pytest.mark.parametrize("d", [1, 4])
@@ -159,7 +160,7 @@ def synthetic_trace(fos_values, echo=None):
         for k, f in enumerate(fos_values)
     ]
     return MetricsTrace(
-        records=records, config_echo=echo or {}, seed=0, outcome="completed"
+        config_echo=echo or {}, seed=0, ledger=Meter(1), records=records
     )
 
 
@@ -197,7 +198,8 @@ class TestTraceSerialization:
         workers = make_workers(suite, [[0.0, 1.0], [1.0, 0.0]], with_v=False)
         meter = Meter(2)
         meter.charge(1, 7)
-        rec = make_record(2, 3, suite, workers, CommLedger(rounds=5), meter)
+        meter.rounds = 5
+        rec = make_record(2, 3, suite, workers, meter)
         assert rec.fos == rec.grad_sq + rec.consensus  # exact sum
         assert (rec.ifo_total, rec.comm_rounds) == (7, 5)
 
@@ -220,12 +222,19 @@ class TestTraceSerialization:
 
     def test_sidecar_reports_both_round_conventions(self, tmp_path):
         trace = synthetic_trace([0.5])
-        trace.ledger = CommLedger(rounds=7, bytes_equivalent=12)
-        trace.ifo_breakdown = {"init": 100, "inner": 60, "refresh": 40}
+        trace.ledger = meter = Meter(2)
+        for phase, calls in (("init", 100), ("inner", 60), ("refresh", 40)):
+            meter.phase = phase
+            meter.charge(0, calls - 10)
+            meter.charge(1, 10)
+        meter.rounds, meter.bytes_equivalent = 7, 12
         doc = trace.sidecar()
-        assert doc["result"]["comm_rounds"] == 7
+        assert doc["result"]["comm_rounds"] == trace.comm_rounds == 7
         assert doc["result"]["bytes_equivalent"] == 12
-        assert doc["result"]["ifo_total"] == 200
+        assert doc["result"]["ifo_total"] == trace.ifo_total == 200
+        assert doc["result"]["ifo_breakdown"] == {
+            "init": 100, "inner": 60, "refresh": 40,
+        }
         assert doc["result"]["ifo_total_pair_normalized"] == 170
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -198,25 +200,58 @@ print(hashlib.sha256(got.tobytes()).hexdigest(), hashlib.sha256(ref.tobytes()).h
 """
 
 
+def _blas_env(threads: str) -> dict:
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(
+        os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+        OMP_NUM_THREADS=threads,
+    )
+
+
 @pytest.mark.parametrize(
     "script", [_PAIR_DIGESTS, _ANALYTIC_DIGESTS], ids=["pair-kernel", "analytic"]
 )
 def test_sigmoid_pair_kernel_bits_do_not_depend_on_blas_threads(script):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = {}
     for threads in ("1", "2"):
-        env = dict(
-            os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
-            OMP_NUM_THREADS=threads,
-        )
         digests[threads] = subprocess.run(
             [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=_blas_env(threads), check=True,
         ).stdout.split()
     kernel, reference = digests["1"]
     assert kernel == reference
     assert digests["2"][0] == kernel
+
+
+def test_run_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # end to end: every margin gemv of this shape spans 2**19 entries
+    config = {
+        "problem": {
+            "family": "sigmoid", "N": 2, "n": 4099, "d": 256,
+            "heterogeneity": 0.5, "seed": 1,
+        },
+        "algorithm": {
+            "name": "pr-spider-finite",
+            "params": {"gamma": 0.05, "I": 2, "m": 16, "B": 2, "S": 3},
+        },
+        "run": {"seeds": [0, 1, 2]},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    digests = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "prspider", "run", str(cfg), "--out", str(out)],
+            capture_output=True, env=_blas_env(threads), check=True,
+        )
+        digests[threads] = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.iterdir())
+        }
+    assert len(digests["1"]) == 7  # three traces, three sidecars, the summary
+    assert digests["2"] == digests["1"]
 
 
 @settings(max_examples=150, deadline=None)

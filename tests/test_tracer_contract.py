@@ -5,7 +5,8 @@ and reads some positional arguments; ``perfbench/workloads.py`` states how
 often each traced call happens. A refactor that renames, inlines or moves
 one of them breaks only the benchmark, so each workload's tiny config is
 traced here in-process and its span counts are checked against the closed
-forms.
+forms. ``perfbench/run_once.py`` reads the trace's counters by name, so
+each tiny workload also goes through it here.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ def _load(name: str):
 
 spans = _load("spans")
 workloads = _load("workloads")
+run_once = _load("run_once")
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
@@ -64,3 +66,16 @@ def test_workload_configs_pass_the_config_schema(workload, tmp_path):
         assert load_config(path) == config
     suite = build_suite(tiny["problem"])
     resolve_algorithm(tiny["algorithm"], suite)
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_run_once_counters_match_closed_forms(workload, tmp_path):
+    config = workloads.make_config(workload, [0, 1], tiny=True)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = run_once.run(path, tmp_path / "out")
+    expected = workloads.expected_counters(config)
+    assert len(result["seeds"]) == 2
+    for seed in result["seeds"]:
+        assert seed["outcome"] == "completed"
+        assert {key: seed[key] for key in expected} == expected
