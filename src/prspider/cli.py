@@ -252,10 +252,11 @@ def load_config(path) -> dict:
 
 
 def _parse_run(block) -> dict:
-    """The run block, checked; a seed given twice would run twice."""
+    """The run block, checked; a seed or target given twice would count twice."""
     run = parse_block(block, RUN, "run")
-    if len(set(run["seeds"])) < len(run["seeds"]):
-        raise ConfigError(f"key 'seeds' in run block repeats a seed: {run['seeds']}")
+    for key, what in (("seeds", "a seed"), ("eps_targets", "a target")):
+        if len(set(run[key])) < len(run[key]):
+            raise ConfigError(f"key {key!r} in run block repeats {what}: {run[key]}")
     return run
 
 

@@ -26,12 +26,23 @@ blocks of rows (``BLOCK_ROWS`` for the quadratic kernels, the same bytes
 for the sigmoid ones), gather each sample once per block and carry the
 running sum from block to block.
 
+The sigmoid pair kernel takes its margins by BLAS gemv at any size. For a
+batch of at most ``numerics.SCALAR_ENTRIES`` entries and d >= 2, the rest
+runs on Python floats, bit for bit as the numpy path: ``+ - * /`` round as
+numpy's elementwise ufuncs do, the row sum starts from 0.0 as
+``np.add.reduce`` over d >= 2 columns does, and the slope's square is
+``q * q``, since ``q ** 2`` raises ``OverflowError`` on a Python float. At
+d = 1 numpy sums 8 or more rows of the lone column pairwise, so that case
+stays on numpy.
+
 The analytic oracles behind ``ProblemSuite.value``/``gradient`` evaluate
 all workers at once. ``QuadraticAnalytic`` holds the per-worker center
 means and spreads from the set-up's two passes; ``SigmoidAnalytic`` runs one
 stacked ``np.matmul`` over the worker-stacked data that the factories share
 with the objectives, which takes each worker's slice through the BLAS gemv
-of ``features[i] @ x``.
+of ``features[i] @ x``. It keeps the last point's margins, read-only, with
+the point's bytes as their key, so a record's ``value`` and ``gradient`` at
+one ``x_bar`` take the margins once.
 
 Data arrays (centers, features, offsets) are read-only, so any number of
 runs, serial or concurrent, can share one suite.
@@ -61,6 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
+    SCALAR_ENTRIES,
     ParamVector,
     as_vector,
     mean_reduce,
@@ -521,9 +533,17 @@ class SigmoidObjective(LocalObjective):
 
     def _pair_difference_mean(self, x_new, x_old, idx):
         # one gather and one pass per step for both points; margins by gemv
-        # blocks BLAS won't thread, or whole if one block (~4 % of a B=2 run)
+        # blocks BLAS won't thread, or whole if one block; a tiny batch's
+        # tail on Python floats (see the module docstring)
         a = self.features.take(idx, axis=0)
         count = a.shape[0]
+        if self.dim > 1 and 0 < count * self.dim <= SCALAR_ENTRIES:
+            return _pair_mean_on_floats(
+                np.matmul(a, x_new).tolist(),
+                np.matmul(a, x_old).tolist(),
+                self.offsets.take(idx).tolist(),
+                a.tolist(),
+            )
         t = np.empty((2, count))
         if count <= self._block_rows:
             np.matmul(a, x_new, out=t[0])
@@ -536,6 +556,27 @@ class SigmoidObjective(LocalObjective):
         t -= self.offsets.take(idx)
         grads = self._phi_prime(t)[:, :, None] * a
         return np.add.reduce(grads[0] - grads[1], axis=0) / count
+
+
+def _pair_mean_on_floats(new, old, offsets, rows) -> np.ndarray:
+    """The sigmoid pair kernel's tail on Python floats, with the same bits.
+
+    ``new`` and ``old`` are the BLAS margins of ``rows`` at both points.
+    The row sum starts from 0.0, as ``np.add.reduce`` over d >= 2 columns
+    does, so a column of -0.0 sums to +0.0; ``q * q``, since ``q ** 2``
+    raises ``OverflowError`` on a Python float.
+    """
+    total = [0.0] * len(rows[0])
+    for u, w, b, row in zip(new, old, offsets, rows):
+        u -= b
+        w -= b
+        qu = 1.0 + u * u
+        qw = 1.0 + w * w
+        pu = (u + u) / (qu * qu)
+        pw = (w + w) / (qw * qw)
+        total = [s + (pu * r - pw * r) for s, r in zip(total, row)]
+    count = len(rows)
+    return np.array([s / count for s in total])
 
 
 class QuadraticAnalytic:
@@ -561,7 +602,10 @@ class SigmoidAnalytic:
     """Every sigmoid worker's mean value and mean gradient at once.
 
     ``features`` (N, n, d) and ``offsets`` (N, n) are the arrays whose
-    worker slices the objectives hold, not copies of them.
+    worker slices the objectives hold, not copies of them. The margins at
+    the last point asked for are kept, so ``values`` and ``gradients`` at
+    one point compute them once; runs sharing the suite may race on the
+    cache, and at worst compute margins again.
     """
 
     def __init__(self, features: np.ndarray, offsets: np.ndarray):
@@ -572,14 +616,25 @@ class SigmoidAnalytic:
         rows = sigmoid_block_rows(d)
         # row blocks BLAS won't thread, as in the pair kernel; whole if one
         self._edges = _block_edges(n, d, rows) if n > rows else None
+        self._last = None  # (x.tobytes(), read-only margins at x)
 
     def _margins(self, x):
+        # key and margins are one tuple, replaced whole, so runs sharing
+        # the suite never pair one point's key with another's margins
+        x = np.asarray(x, dtype=np.float64)
+        key = x.tobytes()
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
         if self._edges is None:
-            return np.matmul(self.features, x) - self.offsets
-        t = np.empty(self.offsets.shape)
-        for lo, hi in zip(self._edges, self._edges[1:]):
-            np.matmul(self.features[:, lo:hi], x, out=t[:, lo:hi])
-        t -= self.offsets
+            t = np.matmul(self.features, x) - self.offsets
+        else:
+            t = np.empty(self.offsets.shape)
+            for lo, hi in zip(self._edges, self._edges[1:]):
+                np.matmul(self.features[:, lo:hi], x, out=t[:, lo:hi])
+            t -= self.offsets
+        t.flags.writeable = False
+        self._last = (key, t)
         return t
 
     def values(self, x: ParamVector) -> np.ndarray:

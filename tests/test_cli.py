@@ -327,6 +327,23 @@ class TestCmdRun:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_repeated_eps_target_exits_config(self, tmp_path, capsys, command):
+        # run would write each summary row twice and sweep count each miss
+        # twice
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, run={"seeds": [0, 1], "eps_targets": [1e-9, 1e-9]})
+        argv = [command, str(cfg)]
+        if command == "sweep":
+            argv += ["--axis", "N", "--values", "2"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: key 'eps_targets' in run block repeats a target: "
+            "[1e-09, 1e-09]\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 def explicit_quadratic_problem(initial_offset):
     # factory instance with a pinned start distance, so the sweep probes

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from prspider.algorithms import HyperParams, run_pr_spider_finite
 from prspider.harness import RunHooks
+from prspider.numerics import SCALAR_ENTRIES
 from prspider.problems import (
     BLOCK_ROWS,
     LocalObjective,
@@ -152,6 +153,80 @@ def test_sigmoid_pair_kernel_matches_two_gradient_formula_bitwise(seed, d, data)
     assert got.tobytes() == ref.tobytes()
     same = obj.pair_difference_mean(x_new, x_new.copy(), idx)
     assert same.tobytes() == np.zeros(d).tobytes()
+
+
+def _sigmoid_pair_case(seed, B, d):
+    # wide values with signed zeros, as in the hypothesis test above
+    rng = np.random.default_rng(seed)
+    n = 2 * B + 3
+    features, offsets = _wide(rng, (n, d)), _wide(rng, n)
+    features[rng.random((n, d)) < 0.2] = 0.0
+    features[rng.random((n, d)) < 0.2] = -0.0
+    x_new, x_old = _wide(rng, d), _wide(rng, d)
+    x_new[rng.random(d) < 0.3] = -0.0
+    x_old[rng.random(d) < 0.3] = -0.0
+    return features, offsets, x_new, x_old, rng.integers(0, n, size=B)
+
+
+def _assert_pair_kernel_matches(features, offsets, x_new, x_old, idx):
+    obj = SigmoidObjective(0, features, offsets)
+    got = obj.pair_difference_mean(x_new, x_old, idx)
+    ref = _sigmoid_pair_reference(features, offsets, x_new, x_old, idx)
+    assert got.dtype == np.float64 and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+# (B, d) at and just past SCALAR_ENTRIES batch entries: at d >= 2 a batch of
+# at most SCALAR_ENTRIES entries takes the pair kernel's Python-float tail
+_PAIR_BOUND = sorted(
+    {(SCALAR_ENTRIES // d + k, d) for d in (2, 4, 8) for k in (0, 1)}
+    | {(1, SCALAR_ENTRIES), (1, SCALAR_ENTRIES + 1)}
+)
+
+
+@pytest.mark.parametrize("B, d", _PAIR_BOUND)
+def test_sigmoid_pair_kernel_at_the_scalar_bound_matches_formula(B, d):
+    for seed in range(40):
+        _assert_pair_kernel_matches(*_sigmoid_pair_case(seed, B, d))
+
+
+def test_sigmoid_pair_kernel_sums_signed_zero_products_from_zero():
+    # column 2 gives (+p) * -0.0 - (-p) * -0.0 = -0.0 - 0.0 = -0.0, and
+    # np.add.reduce over d >= 2 columns starts from +0.0: the mean is +0.0
+    features = np.array([[1.0, 0.0, -0.0, 0.5]])
+    x_new, x_old = np.array([1.0, 0.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0, 0.0])
+    ref = _sigmoid_pair_reference(features, np.zeros(1), x_new, x_old, [0])
+    assert ref.tobytes() == np.array([1.0, 0.0, 0.0, 0.5]).tobytes()
+    _assert_pair_kernel_matches(features, np.zeros(1), x_new, x_old, [0])
+    for seed in range(40):
+        features, offsets, x_new, x_old, idx = _sigmoid_pair_case(seed, 1, 4)
+        features[:, 1:3] = [0.0, -0.0]
+        _assert_pair_kernel_matches(features, offsets, x_new, x_old, idx)
+
+
+@pytest.mark.parametrize("B", [8, 9, SCALAR_ENTRIES])
+def test_sigmoid_pair_kernel_sums_a_lone_column_as_numpy_does(B):
+    # at d = 1 numpy sums 8 or more rows pairwise, not in order
+    for seed in range(40):
+        _assert_pair_kernel_matches(*_sigmoid_pair_case(seed, B, 1))
+
+
+@pytest.mark.parametrize("B, d", [(1, 4), (2, 4), (4, 2), (2, 8)])
+def test_sigmoid_pair_kernel_carries_non_finite_values(B, d):
+    # inf and NaN in the data and the iterates: NaN where numpy gives NaN,
+    # 0 where an overflowing slope vanishes, and no Python exception. A
+    # margin near 1e100 has a finite square whose square overflows, which
+    # ``** 2`` on a Python float raises as OverflowError
+    specials = [np.inf, -np.inf, np.nan, 1e100, -1e100, 1e200]
+    with np.errstate(all="ignore"):
+        for seed in range(40):
+            features, offsets, x_new, x_old, idx = _sigmoid_pair_case(seed, B, d)
+            rng = np.random.default_rng(seed)
+            for array in (features, offsets, x_new, x_old):
+                flat = array.reshape(-1)
+                hit = rng.random(flat.shape) < 0.15
+                flat[hit] = rng.choice(specials, size=int(hit.sum()))
+            _assert_pair_kernel_matches(features, offsets, x_new, x_old, idx)
 
 
 # The sigmoid pair kernel at B=4099, d=256 (over 2**19 entries, so a whole
@@ -398,6 +473,40 @@ class TestSharedData:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+    def test_threaded_sigmoid_runs_share_the_margins_cache(self):
+        # B * d = 8 takes the pair kernel's Python-float tail and N * d = 16
+        # mean_reduce's; every record asks the suite's margins cache twice,
+        # and the four runs share the one cache
+        suite = make_nonconvex_suite(N=4, n=256, d=4, heterogeneity=0.5, seed=9)
+        hp = HyperParams(gamma=0.02, I=4, m=32, B=2, S=2, N=4)
+
+        def run(seed, parallel=False):
+            return run_pr_spider_finite(suite, hp, seed, parallel=parallel)
+
+        serial = [run(seed).to_csv() for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(run, seed, parallel=seed % 2 == 1)
+                    for seed in range(4)
+                ]
+                threaded = [f.result(timeout=60).to_csv() for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        x = suite.initial_point
+        margins = suite.analytic._margins(x)
+        assert suite.analytic._margins(x.copy()) is margins
+        # key and margins are one tuple, replaced whole: CPython 3.11 does
+        # not switch threads between two adjacent attribute stores, so the
+        # runs above cannot show a cache that keeps them apart
+        key, cached = suite.analytic._last
+        assert key == x.tobytes() and cached is margins
+        with pytest.raises(ValueError):
+            margins[0, 0] = 1.0
 
     def test_data_arrays_are_read_only(self):
         quad = make_quadratic_suite(N=1, n=4, d=2, heterogeneity=0.0, seed=0)

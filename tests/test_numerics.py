@@ -11,6 +11,7 @@ from prspider.numerics import (
     DRAW_INNER,
     DRAW_RESTART,
     ITER_BLOCK,
+    SCALAR_ENTRIES,
     RngStream,
     as_vector,
     axpy,
@@ -24,6 +25,16 @@ from prspider.problems import SCALAR_DRAWS, LocalObjective
 
 def vecs(*rows):
     return [np.array(r, dtype=np.float64) for r in rows]
+
+
+def accumulate_mean(stack):
+    """``mean_reduce``'s numpy formula for an (N, d) stack, N >= 2."""
+    first = stack[0]
+    acc = np.add.accumulate(stack[1:] - first, axis=0)[-1]
+    acc /= stack.shape[0]
+    mean = first + acc
+    np.copyto(mean, first, where=acc == 0.0)
+    return mean
 
 
 def loop_mean(vectors):
@@ -111,6 +122,32 @@ class TestMeanReduce:
             want = loop_mean(list(stack)).tobytes()
             assert mean_reduce(list(stack)).tobytes() == want
             assert mean_reduce(stack).tobytes() == want
+
+    @pytest.mark.parametrize(
+        "n, d",
+        # N * d at SCALAR_ENTRIES (Python floats) and just past it (arrays)
+        [(n, SCALAR_ENTRIES // n) for n in (2, 4, 8, 16)]
+        + [(SCALAR_ENTRIES + 1, 1), (2, SCALAR_ENTRIES // 2 + 1)],
+    )
+    def test_scalar_bound_matches_the_numpy_formula(self, n, d):
+        rng = np.random.default_rng(n * 100 + d)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        with np.errstate(all="ignore"):
+            for trial in range(60):
+                stack = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-8, 8, (n, d))
+                # signed zeros everywhere; inf and NaN in every third trial
+                pick = rng.random((n, d)) < (0.4 if trial % 3 else 0.2)
+                choices = specials if trial % 3 == 0 else specials[:2]
+                stack[pick] = rng.choice(choices, size=int(pick.sum()))
+                # some rows repeat the anchor, so some deviations are zero
+                stack[1:][rng.random(n - 1) < 0.3] = stack[0]
+                want = accumulate_mean(stack).tobytes()
+                assert mean_reduce(stack).tobytes() == want
+                assert mean_reduce(list(stack)).tobytes() == want
+            # other dtypes keep numpy's arithmetic
+            narrow = stack.astype(np.float32)
+            got = mean_reduce(narrow)
+            assert got.tobytes() == accumulate_mean(narrow).tobytes()
 
     def test_ragged_list_and_3d_array_rejected(self):
         with pytest.raises(ValueError):
