@@ -5,21 +5,20 @@ updates are independent (and may execute on a thread pool), barriers and
 metrics run on the coordinator between them. Runners never mutate the
 suite they are given: objectives hold no run state, and each run charges
 its oracle calls to a ``Meter`` of its own, so repeated and concurrent runs
-over one suite object are safe. Every runner shares one set-up and teardown
-(``_Run``) and keeps only its argument checks and its loop. A worker
-(``harness.WorkerState``) holds its iterate ``x`` and, in PR-SPIDER, its
-direction ``v`` and the reference point ``x_prev`` of its last update.
+over one suite object are safe. Every runner shares one set-up, schedule
+(``_Run.loop``) and teardown, and keeps only its argument checks, its step
+and its epoch boundary. A worker (``harness.WorkerState``) holds its
+iterate ``x`` and, in PR-SPIDER, its direction ``v``.
 
 ``run_pr_spider_finite`` restarts every epoch from exact local full
 gradients averaged at the server; ``run_pr_spider_online`` replaces those
-with size-``n_b`` batch gradients. Both share the inner loop: a recursive
-estimator step per worker, iterate/direction averaging every ``I``
-iterations, and a local move per iteration. The runner moves each worker's
-``x_prev`` to its ``x`` at every epoch start, after every estimator step
-and after every averaging, so each record sees ``x_prev is x``. The
-baselines are plain distributed SGD with iterate averaging every iteration
-(``run_parallel_minibatch_sgd``) or every ``I`` iterations
-(``run_parallel_restarted_sgd``).
+with size-``n_b`` batch gradients. Both share the step: move every worker
+along ``v``, check, then estimate the direction of iteration ``t + 1`` from
+the iterates before and after the move, with iterate/direction averaging
+every ``I`` iterations. The baselines are plain distributed SGD with
+iterate averaging every iteration (``run_parallel_minibatch_sgd``) or
+every ``I`` iterations (``run_parallel_restarted_sgd``); their boundary is
+the trailing average at the horizon.
 """
 
 from __future__ import annotations
@@ -279,20 +278,32 @@ class _Run:
             self.trace.outcome = exc.outcome
             exc.trace = self.trace
 
-    def record(self, s: int, t: int, k: int) -> None:
-        """Metrics point at ``(s, t)``, the run's ``k``-th iteration."""
-        if k % self.metrics_every == 0:
-            self.trace.records.append(
-                make_record(s, t, self.suite, self.workers, self.meter)
-            )
-        if self.hooks.on_record:
-            self.hooks.on_record(s, t, self.workers)
-
     def sync(self, s: int, t: int, payload: str, gradients=None) -> None:
         """Round at ``(s, t)``, then its ``on_sync`` hook."""
         sync_round(self.workers, payload, self.meter, gradients=gradients)
         if self.hooks.on_sync:
             self.hooks.on_sync(s, t, payload, self.workers)
+
+    def loop(self, S: int, m: int, I: int, payload: str, step, boundary) -> None:
+        """The schedule both families share: ``S`` epochs of ``m`` iterations.
+
+        Iteration ``t`` of epoch ``s`` records (into the trace every
+        ``metrics_every`` iterations, to ``on_record`` at each), takes
+        ``step(s, t)``, and averages ``payload`` at ``(s, t + 1)`` when that
+        is an in-epoch averaging step; ``boundary(s)`` closes each epoch.
+        """
+        for s in range(S):
+            for t in range(m):
+                if (s * m + t) % self.metrics_every == 0:
+                    self.trace.records.append(
+                        make_record(s, t, self.suite, self.workers, self.meter)
+                    )
+                if self.hooks.on_record:
+                    self.hooks.on_record(s, t, self.workers)
+                step(s, t)
+                if t + 1 < m and is_averaging_step(t + 1, I):
+                    self.sync(s, t + 1, payload)
+            boundary(s)
 
 
 def _run_spider(
@@ -301,9 +312,7 @@ def _run_spider(
     seed: int,
     *,
     online: bool,
-    metrics_every: int,
-    parallel: bool,
-    hooks: RunHooks | None,
+    **run_options,
 ) -> MetricsTrace:
     if hp.N != suite.num_workers:
         raise ValueError(
@@ -319,67 +328,55 @@ def _run_spider(
             "finite-sum variant needs enumerable samples; use the online one"
         )
     algo = "pr-spider-online" if online else "pr-spider-finite"
-    run = _Run(
-        suite, seed, {"name": algo, "params": hp.as_dict()},
-        metrics_every, parallel, hooks,
-    )
+    run = _Run(suite, seed, {"name": algo, "params": hp.as_dict()}, **run_options)
     workers, meter, rng = run.workers, run.meter, run.rng
 
-    def restart_gradients(s, t, purpose):
+    def restart(s, t, purpose):
         # exact local full gradients (finite-sum) or per-worker restart
-        # batches (online), at the workers' common iterate
+        # batches (online), at the workers' common iterate, averaged into
+        # the direction; the next epoch starts with its residual
+        # || mean direction - grad f(mean iterate) ||
         if online:
-            return draw_restart_direction(
+            grads = draw_restart_direction(
                 suite, workers[0].x, hp.n_b, rng, s, t, purpose, meter
             )
-        return [w.obj.full_gradient(w.x, meter) for w in workers]
+        else:
+            grads = [w.obj.full_gradient(w.x, meter) for w in workers]
+        run.sync(s, t, "gradients", grads)
+        meter.phase = "inner"
+        v_bar = mean_reduce([w.v for w in workers])
+        x_bar = mean_reduce([w.x for w in workers])
+        residual = math.sqrt(sq_norm(v_bar - suite.gradient(x_bar)))
+        run.trace.epoch_restart_residuals.append(residual)
+
+    def step(s, t):
+        # move, check, then estimate iteration t + 1 from the pre-move
+        # iterates; checking first charges a diverged run no further step
+        prev = [w.x for w in workers]
+        for w in workers:
+            w.x = axpy(w.x, -hp.gamma, w.v)
+        _check_finite([w.x for w in workers] + [w.v for w in workers], hp.N, s, t)
+        if t + 1 < hp.m:
+            def estimate(w):
+                gen = rng.substream(w.worker_id, s, t + 1, DRAW_INNER)
+                return spider_update(
+                    w.v, prev[w.worker_id], w.obj, w.x, hp.B, gen, meter
+                )
+
+            for w, v in zip(workers, _map_workers(run.pool, estimate, workers)):
+                w.v = v
+
+    def boundary(s):
+        if s < hp.S - 1:
+            run.sync(s, hp.m, "iterates")
+            meter.phase = "refresh"
+            restart(s, hp.m, DRAW_RESTART)
 
     # float overflow is a detected failure mode here, not a warning
     with run, np.errstate(over="ignore", invalid="ignore"):
-        grads = restart_gradients(0, 0, DRAW_INIT)
-        run.sync(0, 0, "gradients", grads)
-
-        for s in range(hp.S):
-            meter.phase = "inner"
-            for w in workers:
-                w.x_prev = w.x
-            run.trace.epoch_restart_residuals.append(_restart_residual(suite, workers))
-
-            for t in range(hp.m):
-                if t >= 1:
-                    def one_step(w, _s=s, _t=t):
-                        gen = rng.substream(w.worker_id, _s, _t, DRAW_INNER)
-                        return spider_update(
-                            w.v, w.x_prev, w.obj, w.x, hp.B, gen, meter
-                        )
-
-                    for w, v in zip(workers, _map_workers(run.pool, one_step, workers)):
-                        w.v, w.x_prev = v, w.x
-                    if is_averaging_step(t, hp.I):
-                        run.sync(s, t, "both")
-                        # the next difference starts from the average
-                        for w in workers:
-                            w.x_prev = w.x
-                run.record(s, t, s * hp.m + t)
-                for w in workers:
-                    w.x = axpy(w.x, -hp.gamma, w.v)
-                _check_finite(
-                    [w.x for w in workers] + [w.v for w in workers], hp.N, s, t
-                )
-
-            if s < hp.S - 1:
-                run.sync(s, hp.m, "iterates")
-                meter.phase = "refresh"
-                grads = restart_gradients(s, hp.m, DRAW_RESTART)
-                run.sync(s, hp.m, "gradients", grads)
+        restart(0, 0, DRAW_INIT)
+        run.loop(hp.S, hp.m, hp.I, "both", step, boundary)
     return run.trace
-
-
-def _restart_residual(suite: ProblemSuite, workers) -> float:
-    """|| mean direction - grad f(mean iterate) || at an epoch start."""
-    v_bar = mean_reduce([w.v for w in workers])
-    x_bar = mean_reduce([w.x for w in workers])
-    return math.sqrt(sq_norm(v_bar - suite.gradient(x_bar)))
 
 
 def run_pr_spider_finite(
@@ -430,9 +427,7 @@ def _run_local_sgd(
     seed: int,
     *,
     name: str,
-    metrics_every: int,
-    parallel: bool,
-    hooks: RunHooks | None,
+    **run_options,
 ) -> MetricsTrace:
     if horizon < 1 or batch < 1 or I < 1:
         raise ValueError("horizon, batch and I must be at least 1")
@@ -441,33 +436,32 @@ def _run_local_sgd(
     params = {"gamma": gamma, "batch": batch, "horizon": horizon}
     if name == "par-restarted-sgd":
         params["I"] = I
-    run = _Run(
-        suite, seed, {"name": name, "params": params},
-        metrics_every, parallel, hooks,
-    )
+    run = _Run(suite, seed, {"name": name, "params": params}, **run_options)
     workers, meter, rng = run.workers, run.meter, run.rng
     meter.phase = "inner"
 
+    def step(s, t):
+        def one_step(w):
+            obj = w.obj
+            if obj.is_finite_sum and batch == obj.sample_count:
+                # a batch covering the whole sample set is a full pass
+                grad = obj.full_gradient(w.x, meter)
+            else:
+                gen = rng.substream(w.worker_id, s, t, DRAW_INNER)
+                idx = obj.draw_indices(gen, batch)
+                grad = obj.batch_gradient_mean(w.x, idx, meter)
+            return axpy(w.x, -gamma, grad)
+
+        for w, x_new in zip(workers, _map_workers(run.pool, one_step, workers)):
+            w.x = x_new
+        _check_finite([w.x for w in workers], len(workers), s, t)
+
     with run, np.errstate(over="ignore", invalid="ignore"):
-        for k in range(horizon):
-            run.record(0, k, k)
-
-            def one_step(w, _k=k):
-                obj = w.obj
-                if obj.is_finite_sum and batch == obj.sample_count:
-                    # a batch covering the whole sample set is a full pass
-                    grad = obj.full_gradient(w.x, meter)
-                else:
-                    gen = rng.substream(w.worker_id, 0, _k, DRAW_INNER)
-                    idx = obj.draw_indices(gen, batch)
-                    grad = obj.batch_gradient_mean(w.x, idx, meter)
-                return axpy(w.x, -gamma, grad)
-
-            for w, x_new in zip(workers, _map_workers(run.pool, one_step, workers)):
-                w.x = x_new
-            _check_finite([w.x for w in workers], len(workers), 0, k)
-            if (k + 1) % I == 0 or k + 1 == horizon:
-                run.sync(0, k + 1, "iterates")
+        # one epoch of the whole horizon; its boundary is the trailing average
+        run.loop(
+            1, horizon, I, "iterates", step,
+            lambda s: run.sync(s, horizon, "iterates"),
+        )
     return run.trace
 
 

@@ -2,11 +2,11 @@
 
 The estimator tracks a direction ``v`` by adding, at each inner step, the
 batch-mean difference of per-sample gradients between the current iterate
-and the reference point ``x_prev``, the iterate of the last update. The
+and the reference point ``x_prev``, the iterate before the last move. The
 same batch is evaluated at both points: the variance cancellation depends
 on the shared samples, and the cost, charged to the run's meter, is two
-oracle accesses per sample. The caller holds ``v`` and ``x_prev`` and moves
-the reference point to the current iterate after each update.
+oracle accesses per sample. The caller holds ``v``, moves the iterate
+along it, and passes the iterates from before and after the move.
 """
 
 from __future__ import annotations

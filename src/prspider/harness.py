@@ -1,12 +1,13 @@
 """Simulated worker-server fabric: workers, rounds, metrics, traces.
 
 A worker is its objective and its vectors: the iterate ``x`` and, in
-PR-SPIDER, the direction ``v`` and its reference point ``x_prev``. One
-communication round is one synchronized exchange event, whatever rides
-in it. The run's ``problems.Meter`` is its one cost ledger: ``sync_round``
-counts each round and the d-vectors it ships there, beside the oracle
-calls, and a ``MetricsTrace`` reads its totals from it. Metrics come from
-the analytic suite oracles and charge neither oracle calls nor rounds.
+PR-SPIDER, the direction ``v`` that each iteration moves ``x`` along and
+then re-estimates. One communication round is one synchronized exchange
+event, whatever rides in it. The run's ``problems.Meter`` is its one cost
+ledger: ``sync_round`` counts each round and the d-vectors it ships there,
+beside the oracle calls, and a ``MetricsTrace`` reads its totals from it.
+Metrics come from the analytic suite oracles and charge neither oracle
+calls nor rounds.
 """
 
 from __future__ import annotations
@@ -74,16 +75,15 @@ def write_text_atomic(path, text: str) -> None:
 class WorkerState:
     """One worker: its objective and iterate ``x``.
 
-    In PR-SPIDER it also holds its direction ``v`` and the reference point
-    ``x_prev`` at which ``v`` was last updated; both stay ``None`` in the
-    local-SGD baselines.
+    In PR-SPIDER it also holds its direction ``v``, the one the next move
+    takes; the runner estimates it after each move, from the iterates
+    before and after it. It stays ``None`` in the local-SGD baselines.
     """
 
     worker_id: int
     obj: LocalObjective
     x: ParamVector
     v: ParamVector | None = None
-    x_prev: ParamVector | None = None
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,9 @@ class MetricsTrace:
         """Reloadable config plus run results; run keys stay at top level."""
         doc = dict(self.config_echo)
         calls = self.ledger.breakdown()
+        # PR-SPIDER's inner steps cost two oracle accesses per sample and
+        # the B-normalized view counts them once; a baseline step is single
+        pairs = doc["algorithm"]["name"].startswith("pr-spider")
         doc["result"] = {
             "outcome": self.outcome,
             "seed": self.seed,
@@ -160,10 +163,8 @@ class MetricsTrace:
             "bytes_equivalent": self.ledger.bytes_equivalent,
             "ifo_total": self.ifo_total,
             "ifo_breakdown": calls,
-            # inner steps cost two oracle accesses per sample; the
-            # B-normalized view counts them once
-            "ifo_total_pair_normalized": calls["init"] + calls["refresh"]
-            + calls["inner"] // 2,
+            "ifo_total_pair_normalized": self.ifo_total
+            - (calls["inner"] // 2 if pairs else 0),
             "records": len(self.records),
             "epoch_restart_residuals": list(self.epoch_restart_residuals),
         }
@@ -184,9 +185,10 @@ def sync_round(
     Averages the requested payload in worker-index order, broadcasts it
     over each worker's ``x`` and direction ``v``, and counts one round and
     its vectors on ``meter``. The ``gradients`` payload averages
-    caller-supplied vectors into ``v`` (the epoch-restart exchange). The
-    reference point ``x_prev`` is the runner's to move. Nothing is
-    returned: the averages are read from the workers.
+    caller-supplied vectors into ``v`` (the epoch-restart exchange). In
+    PR-SPIDER an in-epoch round follows a move and the estimate after it,
+    so it averages the iterates and the directions the next moves take.
+    Nothing is returned: the averages are read from the workers.
     """
     if not workers:
         raise ValueError("sync_round needs at least one worker")

@@ -525,20 +525,114 @@ def test_on_sync_fires_once_per_counted_round(name, parallel):
         assert calls[0] == "gradients"
 
 
+def spider_schedule(S, m, I):
+    # the initial gradient round, then per epoch: a "both" round at every
+    # t > 0 that I divides, before that t's record, and between epochs the
+    # iterate round and the restart gradient round
+    log = [("sync", 0, 0, "gradients")]
+    for s in range(S):
+        for t in range(m):
+            if t > 0 and t % I == 0:
+                log.append(("sync", s, t, "both"))
+            log.append(("record", s, t))
+        if s < S - 1:
+            log += [("sync", s, m, "iterates"), ("sync", s, m, "gradients")]
+    return log
+
+
+def baseline_schedule(horizon, I):
+    # an iterate round at every k > 0 that I divides and at the horizon,
+    # before that k's record
+    log = []
+    for k in range(horizon + 1):
+        if k > 0 and (k % I == 0 or k == horizon):
+            log.append(("sync", 0, k, "iterates"))
+        if k < horizon:
+            log.append(("record", 0, k))
+    return log
+
+
+SCHEDULES = {
+    # m % I != 0, S >= 2
+    "spider-finite-m7-I3-S3": (
+        lambda **kw: run_pr_spider_finite(
+            quad_suite(), HyperParams(gamma=1.0 / 16, I=3, m=7, B=2, S=3, N=4),
+            0, **kw,
+        ),
+        spider_schedule(3, 7, 3),
+    ),
+    "spider-finite-I1": (
+        lambda **kw: run_pr_spider_finite(
+            quad_suite(), HyperParams(gamma=1.0 / 16, I=1, m=4, B=2, S=2, N=4),
+            1, **kw,
+        ),
+        spider_schedule(2, 4, 1),
+    ),
+    # I > m: no in-epoch round
+    "spider-online-I-above-m": (
+        lambda **kw: run_pr_spider_online(
+            quad_suite(),
+            HyperParams(gamma=1.0 / 16, I=5, m=3, B=2, S=3, N=4, n_b=8),
+            2, **kw,
+        ),
+        spider_schedule(3, 3, 5),
+    ),
+    "par-sgd": (
+        lambda **kw: run_parallel_minibatch_sgd(
+            quad_suite(), 0.05, batch=2, horizon=7, seed=3, **kw
+        ),
+        baseline_schedule(7, 1),
+    ),
+    # horizon % I != 0: a trailing round at the horizon
+    "par-restarted-sgd-trailing": (
+        lambda **kw: run_parallel_restarted_sgd(
+            quad_suite(), 0.05, batch=2, I=4, horizon=10, seed=4, **kw
+        ),
+        baseline_schedule(10, 4),
+    ),
+    "par-restarted-sgd-I-above-horizon": (
+        lambda **kw: run_parallel_restarted_sgd(
+            quad_suite(), 0.05, batch=2, I=9, horizon=5, seed=5, **kw
+        ),
+        baseline_schedule(5, 9),
+    ),
+}
+
+
+@pytest.mark.parametrize("metrics_every", [1, 3])
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+@pytest.mark.parametrize("case", sorted(SCHEDULES))
+def test_hooks_follow_the_schedule(case, parallel, metrics_every):
+    # on_record fires at every iteration whatever the metrics cadence
+    run, expected = SCHEDULES[case]
+    log = []
+    hooks = RunHooks(
+        on_record=lambda s, t, workers: log.append(("record", s, t)),
+        on_sync=lambda s, t, payload, workers: log.append(("sync", s, t, payload)),
+    )
+    trace = run(parallel=parallel, metrics_every=metrics_every, hooks=hooks)
+    assert trace.outcome == "completed"
+    assert log == expected
+    records = sum(e[0] == "record" for e in expected)
+    assert trace.comm_rounds == len(expected) - records
+    assert len(trace.records) == -(-records // metrics_every)
+
+
 @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
 @pytest.mark.parametrize("name", sorted(RUNNERS))
-def test_reference_point_is_the_iterate_at_every_record(name, parallel):
-    # PR-SPIDER moves x_prev to x at each epoch start, after each step and
-    # after each "both" round, so every record sees x_prev is x; the
-    # baselines hold no direction and no reference point
+def test_worker_vectors_at_every_record(name, parallel):
+    # a worker is its iterate and, in PR-SPIDER, the finite direction its
+    # next move takes; the baselines hold no direction
     spider = name.startswith("pr-spider")
     seen = []
 
     def on_record(s, t, workers):
-        if spider:
-            seen.append(all(w.x_prev is w.x for w in workers))
-        else:
-            seen.append(all(w.v is None and w.x_prev is None for w in workers))
+        for w in workers:
+            assert not hasattr(w, "x_prev")
+            if spider:
+                seen.append(w.v.shape == w.x.shape and np.isfinite(w.v).all())
+            else:
+                seen.append(w.v is None)
 
     trace = RUNNERS[name](
         quad_suite(), parallel=parallel, hooks=RunHooks(on_record=on_record)

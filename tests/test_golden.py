@@ -131,7 +131,7 @@ GOLDEN = {
     ),
     "quadratic-par-sgd-diverged": (
         "9a367a88888f5784adc9b40ead1a2fac9c900bfe9eb79c6ab8b8fd02ce3b39a6",
-        "1d608cb5645e4f23dd19adb79f1e1eb15aa84aeaf355fd7d7edde08893666353",
+        "6ce89e2c0b765d294b61709f398964ac203da6426823d50570a24011ae064825",
     ),
     "quadratic-spider-finite-diverged": (
         "0ac5352e35f302c8ccd02a1a77cce8cafa5f16b6251d1537a1a31d2e521961ad",
@@ -143,11 +143,11 @@ GOLDEN = {
     ),
     "quadratic-par-restarted-sgd-parallel": (
         "bea58097a9fed6c1793398455cf16ff88d1dc1bdccf12be18e67fa82b7955922",
-        "0819e848dbf6096d3cfba02615c10c3b19c5cb7a2beb9b157498f1ee9b286a4a",
+        "59a0bf612e2e74c6772487a3e6cbec1647db23eff4254675bc98ffaba7cf6a5c",
     ),
     "quadratic-par-sgd-full-batch": (
         "374f65e044421b94e0835a002fff62afd9524a09a456b34ac28dc497d37d096f",
-        "517366cabcd1253183566331395b33e0ccd9906fd710cc256356d803304e0330",
+        "e74ed0eb47c547bf59cee668293ef0d591e38e059628d596c1d92c18be184a5e",
     ),
     "quadratic-spider-finite-parallel": (
         "82bfe3194b56a5a0afd3f807a67798713a0d97440172af004b7d48e355dbc7f5",
@@ -159,11 +159,11 @@ GOLDEN = {
     ),
     "sigmoid-online-par-sgd-parallel": (
         "0c203c5b3080a604e2ebae087de4bc4d2f0bdfc3d9541fdaa1eb7ea5d761285a",
-        "9538afd48ce2fea6c99eac9a285c9b19455768e932bf79852f01205ddf4cd385",
+        "7614b2fa00cdd085717e5b5029b71eb4547627d54513e99e46aebc9d5fa8f794",
     ),
     "sigmoid-par-restarted-sgd-serial": (
         "cc991f97e9be8ca5fbc5960c7229cafc9d237c932102df815ace5295fe2ed9d5",
-        "7fa1342c0af2d0f7573382d40f6f9bfbe74efef1deedd35a5e47b796f1103a09",
+        "e4eca40d8359d76e6510546184de857890f0f1b20e26cc4fe4f1e936435d90e0",
     ),
     "sigmoid-spider-finite-serial": (
         "1fc29e3f4b23a1d088cd0ff5e888cabaccd7ffe155ca6d735cdcc8900f33aac5",

@@ -30,7 +30,7 @@ def make_workers(suite, xs, with_v=True):
         x = np.array(xs[i], dtype=np.float64)
         w = WorkerState(worker_id=i, obj=obj, x=x)
         if with_v:
-            w.v, w.x_prev = np.zeros_like(x), x
+            w.v = np.zeros_like(x)
         workers.append(w)
     return workers
 
@@ -39,18 +39,15 @@ class TestSyncRound:
     def test_both_payload_counts_one_round_two_vectors(self):
         suite = make_quadratic_suite(N=2, n=2, d=2, heterogeneity=0, seed=0)
         workers = make_workers(suite, [[0.0, 0.0], [2.0, 2.0]])
-        before = [w.x_prev for w in workers]
         meter = Meter(2)
         assert sync_round(workers, "both", meter) is None
         assert meter.rounds == 1
         assert meter.bytes_equivalent == 2
         # a round charges no oracle call
         assert meter.total == 0
-        for w, x_prev in zip(workers, before):
+        for w in workers:
             assert np.array_equal(w.x, [1, 1])
             assert np.array_equal(w.v, [0, 0])
-            # moving the reference point is the runner's job
-            assert w.x_prev is x_prev
 
     def test_idempotent_average_is_bitwise_and_still_counted(self):
         suite = make_quadratic_suite(N=3, n=2, d=2, heterogeneity=0, seed=1)
@@ -159,9 +156,8 @@ def synthetic_trace(fos_values, echo=None):
         )
         for k, f in enumerate(fos_values)
     ]
-    return MetricsTrace(
-        config_echo=echo or {}, seed=0, ledger=Meter(1), records=records
-    )
+    echo = echo or {"algorithm": {"name": "pr-spider-finite"}}
+    return MetricsTrace(config_echo=echo, seed=0, ledger=Meter(1), records=records)
 
 
 class TestFirstHit:
@@ -236,6 +232,19 @@ class TestTraceSerialization:
             "init": 100, "inner": 60, "refresh": 40,
         }
         assert doc["result"]["ifo_total_pair_normalized"] == 170
+
+    @pytest.mark.parametrize("name", ["par-sgd", "par-restarted-sgd"])
+    def test_baseline_sidecar_has_no_pairs_to_normalize(self, name):
+        # a baseline step is one oracle access per sample, so its
+        # pair-normalized total is its total
+        trace = synthetic_trace([0.5], {"algorithm": {"name": name}})
+        trace.ledger = meter = Meter(2)
+        meter.phase = "inner"
+        meter.charge(0, 20)
+        meter.charge(1, 20)
+        result = trace.sidecar()["result"]
+        assert result["ifo_breakdown"] == {"init": 0, "inner": 40, "refresh": 0}
+        assert result["ifo_total_pair_normalized"] == result["ifo_total"] == 40
 
 
 class _FailingFile:
