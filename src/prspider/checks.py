@@ -82,7 +82,8 @@ def expected_ifo_finite(S: int, m: int, B: int, n: int, N: int) -> int:
 
 
 def expected_ifo_online(S: int, m: int, B: int, n_b: int, N: int) -> int:
-    return N * n_b + S * (m - 1) * N * 2 * B + (S - 1) * N * n_b
+    """The finite count with restart batches of ``n_b`` for passes of ``n``."""
+    return expected_ifo_finite(S, m, B, n_b, N)
 
 
 def _default_quadratic():

@@ -19,8 +19,10 @@ host; through ``SeedSequence`` and ``Generator.integers``, about 22 us.
 Tiny stacks skip numpy's per-call cost. ``mean_reduce`` of at most
 ``SCALAR_ENTRIES`` float64 entries runs on Python floats, whose ``+ - * /``
 round exactly as numpy's elementwise ufuncs do, and keeps numpy's order of
-summation, so both paths give the same bits. ``problems`` runs the tail of
-its small-batch sigmoid pair kernel the same way.
+summation, so both paths give the same bits; a list of tiny vectors is read
+without being stacked. ``problems`` runs the tail of its small-batch
+sigmoid pair kernel the same way, after margins taken by BLAS gemv through
+``ndarray.dot``.
 """
 
 from __future__ import annotations
@@ -84,38 +86,61 @@ def mean_reduce(vectors: Sequence[ParamVector] | np.ndarray) -> ParamVector:
     bitwise. ``np.add.accumulate`` adds row by row for any d, where
     ``np.add.reduce`` would sum a lone column (d = 1) pairwise. A float64
     stack of 2 or more rows and at most ``SCALAR_ENTRIES`` entries is
-    reduced on Python floats in the same order, with the same bits.
+    reduced on Python floats in the same order, with the same bits; a list
+    of such vectors is read without stacking it.
     """
-    stack = np.asarray(vectors, order="C")
-    if stack.ndim != 2 or stack.shape[0] == 0:
-        raise ValueError(f"mean_reduce needs N >= 1 vectors, got {stack.shape}")
-    first = stack[0]
-    if stack.shape[0] == 1:
-        return first.copy()
-    if stack.size <= SCALAR_ENTRIES and stack.dtype == np.float64:
-        return np.array([_anchored_mean(col) for col in zip(*stack.tolist())])
-    acc = np.add.accumulate(stack[1:] - first, axis=0)[-1]
-    acc /= stack.shape[0]
-    # a zero accumulated deviation means the mean IS the anchor; returning
-    # it verbatim keeps the identity bitwise (including signed zeros)
-    mean = first + acc
-    np.copyto(mean, first, where=acc == 0.0)
-    return mean
+    rows = _tiny_rows(vectors) if type(vectors) is list else None
+    if rows is None:
+        stack = np.asarray(vectors, order="C")
+        if stack.ndim != 2 or stack.shape[0] == 0:
+            raise ValueError(f"mean_reduce needs N >= 1 vectors, got {stack.shape}")
+        first = stack[0]
+        if stack.shape[0] == 1:
+            return first.copy()
+        if stack.size > SCALAR_ENTRIES or stack.dtype != np.float64:
+            acc = np.add.accumulate(stack[1:] - first, axis=0)[-1]
+            acc /= stack.shape[0]
+            # a zero accumulated deviation means the mean IS the anchor;
+            # returning it verbatim keeps the identity bitwise (including
+            # signed zeros)
+            mean = first + acc
+            np.copyto(mean, first, where=acc == 0.0)
+            return mean
+        rows = stack.tolist()
+    # per column, the deviations from the first row added row by row, as
+    # np.add.accumulate adds them (from 0.0: a zero sum of either sign
+    # returns the anchor), and a zero mean deviation returns the anchor
+    count = len(rows)
+    anchor, *rest = rows
+    mean = []
+    for j, a in enumerate(anchor):
+        acc = 0.0
+        for row in rest:
+            acc += row[j] - a
+        acc /= count
+        mean.append(a if acc == 0.0 else a + acc)
+    return np.array(mean)
 
 
-def _anchored_mean(column: tuple) -> float:
-    """``mean_reduce`` of one column of Python floats, with the same bits.
+_FLOAT64 = np.dtype(np.float64)
 
-    The deviations are added left to right from the first one, as
-    ``np.add.accumulate`` adds them, and a zero mean deviation returns the
-    anchor itself.
+
+def _tiny_rows(vectors: list) -> list | None:
+    """The rows of a list of float64 vectors as Python floats, if tiny.
+
+    ``None`` unless the list holds at least 2 and at most
+    ``SCALAR_ENTRIES`` entries in all, every item a 1-D float64 array of
+    the first one's length; ``mean_reduce`` stacks and checks anything else.
     """
-    v0 = column[0]
-    acc = column[1] - v0
-    for v in column[2:]:
-        acc += v - v0
-    acc /= len(column)
-    return v0 if acc == 0.0 else v0 + acc
+    if len(vectors) < 2:
+        return None
+    shape = getattr(vectors[0], "shape", None)
+    if shape is None or len(shape) != 1 or len(vectors) * shape[0] > SCALAR_ENTRIES:
+        return None
+    for v in vectors:
+        if type(v) is not np.ndarray or v.dtype is not _FLOAT64 or v.shape != shape:
+            return None
+    return [v.tolist() for v in vectors]
 
 
 def axpy(x: ParamVector, a: float, y: ParamVector) -> ParamVector:
@@ -264,7 +289,7 @@ class RngStream:
 
     seed: int
     # (worker, purpose) -> (epoch, first iteration, seed words): the last
-    # block of keys derived for each slot
+    # block of keys derived for each slot, its words a list of row arrays
     _blocks: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -279,7 +304,7 @@ class RngStream:
         # slot at most derive the same block twice
         block = self._blocks.get(slot)
         if block is None or block[0] != epoch or block[1] != first:
-            words = _seed_block(self.seed, worker, epoch, first, purpose)
+            words = list(_seed_block(self.seed, worker, epoch, first, purpose))
             block = self._blocks[slot] = (epoch, first, words)
         words = block[2][iteration - first]
         return np.random.Generator(np.random.PCG64(_SeedWords(words)))

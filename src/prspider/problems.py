@@ -26,23 +26,27 @@ blocks of rows (``BLOCK_ROWS`` for the quadratic kernels, the same bytes
 for the sigmoid ones), gather each sample once per block and carry the
 running sum from block to block.
 
-The sigmoid pair kernel takes its margins by BLAS gemv at any size. For a
-batch of at most ``numerics.SCALAR_ENTRIES`` entries and d >= 2, the rest
-runs on Python floats, bit for bit as the numpy path: ``+ - * /`` round as
-numpy's elementwise ufuncs do, the row sum starts from 0.0 as
-``np.add.reduce`` over d >= 2 columns does, and the slope's square is
-``q * q``, since ``q ** 2`` raises ``OverflowError`` on a Python float. At
-d = 1 numpy sums 8 or more rows of the lone column pairwise, so that case
-stays on numpy.
+The sigmoid pair kernel takes its margins by BLAS gemv at any size,
+through ``ndarray.dot``: the gemv ``np.matmul`` reaches, at about half its
+call cost. For a batch of at most ``numerics.SCALAR_ENTRIES`` entries and
+d >= 2, the rest runs on Python floats, bit for bit as the numpy path:
+``+ - * /`` round as numpy's elementwise ufuncs do, the row sum starts from
+0.0 as ``np.add.reduce`` over d >= 2 columns does, and the slope's square
+is ``q * q``, since ``q ** 2`` raises ``OverflowError`` on a Python float.
+At d = 1 numpy sums 8 or more rows of the lone column pairwise, so that
+case stays on numpy.
 
 The analytic oracles behind ``ProblemSuite.value``/``gradient`` evaluate
 all workers at once. ``QuadraticAnalytic`` holds the per-worker center
-means and spreads from the set-up's two passes; ``SigmoidAnalytic`` runs one
-stacked ``np.matmul`` over the worker-stacked data that the factories share
-with the objectives, which takes each worker's slice through the BLAS gemv
-of ``features[i] @ x``. It keeps the last point's margins, read-only, with
-the point's bytes as their key, so a record's ``value`` and ``gradient`` at
-one ``x_bar`` take the margins once.
+means and spreads from the set-up's two passes; ``SigmoidAnalytic`` takes
+its margins over the worker-stacked data that the factories share with the
+objectives, through the BLAS gemv of ``features[i] @ x`` per worker: one
+``ndarray.dot`` over the flat (N*n, d) view while BLAS runs it unthreaded
+and each worker's rows start a gemv row group, else a stacked
+``np.matmul``. It keeps the terms ``phi`` and ``phi'`` share at the last
+point, ``t``, ``t*t`` and ``1 + t*t``, read-only, with the point's bytes as
+their key, so a record's ``value`` and ``gradient`` at one ``x_bar`` take
+them once.
 
 Data arrays (centers, features, offsets) are read-only, so any number of
 runs, serial or concurrent, can share one suite.
@@ -271,27 +275,27 @@ class Meter:
     """Every cost of one run: oracle calls per worker and phase, and rounds.
 
     The runner sets ``phase`` between dispatches. Each worker charges only
-    its own row, so workers stepping on a thread pool need no lock.
-    ``rounds`` counts synchronized exchanges and ``bytes_equivalent`` the
-    d-vectors shipped in them; only the coordinator's ``sync_round``
-    writes them.
+    its own row and its own running total in ``totals``, so workers
+    stepping on a thread pool need no lock, and ``total``, read at every
+    record, sums N ints. ``rounds`` counts synchronized exchanges and
+    ``bytes_equivalent`` the d-vectors shipped in them; only the
+    coordinator's ``sync_round`` writes them.
     """
 
     def __init__(self, num_workers: int):
         self.phase = PHASES[0]
         self.rows = [dict.fromkeys(PHASES, 0) for _ in range(num_workers)]
+        self.totals = [0] * num_workers
         self.rounds = self.bytes_equivalent = 0
 
     def charge(self, worker: int, amount: int) -> None:
-        self.rows[worker][self.phase] += int(amount)
+        amount = int(amount)
+        self.rows[worker][self.phase] += amount
+        self.totals[worker] += amount
 
     @property
     def total(self) -> int:
-        total = 0
-        for row in self.rows:
-            for calls in row.values():
-                total += calls
-        return total
+        return sum(self.totals)
 
     def breakdown(self) -> dict:
         """Calls per phase over all workers, in ``PHASES`` order."""
@@ -362,11 +366,14 @@ class LocalObjective:
             picks = []
             while len(picks) < size:
                 out = raw()
-                for word in (out & _MASK32, out >> 32):
-                    m = word * pool
-                    if m & _MASK32 >= bound:
-                        picks.append(m >> 32)
-            return np.array(picks[:size], dtype=np.int64)
+                low = (out & _MASK32) * pool
+                if low & _MASK32 >= bound:
+                    picks.append(low >> 32)
+                high = (out >> 32) * pool
+                if high & _MASK32 >= bound:
+                    picks.append(high >> 32)
+            del picks[size:]
+            return np.array(picks, dtype=np.int64)
         parts, need = [], size
         while need > 0:
             raw = gen.bit_generator.random_raw((need + 1) // 2)
@@ -507,11 +514,6 @@ class SigmoidObjective(LocalObjective):
         self._block_rows = sigmoid_block_rows(d)
 
     @staticmethod
-    def _phi(t: np.ndarray) -> np.ndarray:
-        t2 = t * t
-        return t2 / (1.0 + t2)
-
-    @staticmethod
     def _phi_prime(t: np.ndarray) -> np.ndarray:
         t2 = t * t
         # t + t is 2t exactly, without converting a Python float
@@ -539,20 +541,20 @@ class SigmoidObjective(LocalObjective):
         count = a.shape[0]
         if self.dim > 1 and 0 < count * self.dim <= SCALAR_ENTRIES:
             return _pair_mean_on_floats(
-                np.matmul(a, x_new).tolist(),
-                np.matmul(a, x_old).tolist(),
+                a.dot(x_new).tolist(),
+                a.dot(x_old).tolist(),
                 self.offsets.take(idx).tolist(),
                 a.tolist(),
             )
         t = np.empty((2, count))
         if count <= self._block_rows:
-            np.matmul(a, x_new, out=t[0])
-            np.matmul(a, x_old, out=t[1])
+            a.dot(x_new, out=t[0])
+            a.dot(x_old, out=t[1])
         else:
             edges = _block_edges(count, self.dim, self._block_rows)
             for lo, hi in zip(edges, edges[1:]):
-                np.matmul(a[lo:hi], x_new, out=t[0, lo:hi])
-                np.matmul(a[lo:hi], x_old, out=t[1, lo:hi])
+                a[lo:hi].dot(x_new, out=t[0, lo:hi])
+                a[lo:hi].dot(x_old, out=t[1, lo:hi])
         t -= self.offsets.take(idx)
         grads = self._phi_prime(t)[:, :, None] * a
         return np.add.reduce(grads[0] - grads[1], axis=0) / count
@@ -566,17 +568,23 @@ def _pair_mean_on_floats(new, old, offsets, rows) -> np.ndarray:
     does, so a column of -0.0 sums to +0.0; ``q * q``, since ``q ** 2``
     raises ``OverflowError`` on a Python float.
     """
-    total = [0.0] * len(rows[0])
+    slopes = []
     for u, w, b, row in zip(new, old, offsets, rows):
         u -= b
         w -= b
         qu = 1.0 + u * u
         qw = 1.0 + w * w
-        pu = (u + u) / (qu * qu)
-        pw = (w + w) / (qw * qw)
-        total = [s + (pu * r - pw * r) for s, r in zip(total, row)]
+        slopes.append(((u + u) / (qu * qu), (w + w) / (qw * qw), row))
+    # per column, p*r - q*r added row by row
     count = len(rows)
-    return np.array([s / count for s in total])
+    mean = []
+    for k in range(len(rows[0])):
+        total = 0.0
+        for pu, pw, row in slopes:
+            r = row[k]
+            total += pu * r - pw * r
+        mean.append(total / count)
+    return np.array(mean)
 
 
 class QuadraticAnalytic:
@@ -602,47 +610,61 @@ class SigmoidAnalytic:
     """Every sigmoid worker's mean value and mean gradient at once.
 
     ``features`` (N, n, d) and ``offsets`` (N, n) are the arrays whose
-    worker slices the objectives hold, not copies of them. The margins at
-    the last point asked for are kept, so ``values`` and ``gradients`` at
-    one point compute them once; runs sharing the suite may race on the
-    cache, and at worst compute margins again.
+    worker slices the objectives hold, not copies of them. The terms that
+    ``phi`` and ``phi'`` share at the last point asked for are kept: the
+    margins ``t``, ``t * t`` and ``q = t * t + 1``. So ``values`` (``t*t /
+    q``) and ``gradients`` (``(t + t) / (q * q)``) at one point compute them
+    once; runs sharing the suite may race on the cache, and at worst
+    compute the terms again.
     """
 
     def __init__(self, features: np.ndarray, offsets: np.ndarray):
         self.features = features
         self.offsets = offsets
         self._features_t = features.transpose(0, 2, 1)
-        n, d = features.shape[1:]
+        N, n, d = features.shape
         rows = sigmoid_block_rows(d)
         # row blocks BLAS won't thread, as in the pair kernel; whole if one
         self._edges = _block_edges(n, d, rows) if n > rows else None
-        self._last = None  # (x.tobytes(), read-only margins at x)
+        # one gemv over every worker's rows while BLAS won't thread it and
+        # each worker's first row starts a gemv row group, as in its own
+        self._flat = (
+            features.reshape(N * n, d)
+            if N * n <= rows and n % BLOCK_ROWS == 0 else None
+        )
+        self._last = None  # (x.tobytes(), read-only (t, t*t, t*t + 1) at x)
 
-    def _margins(self, x):
-        # key and margins are one tuple, replaced whole, so runs sharing
-        # the suite never pair one point's key with another's margins
+    def _terms(self, x):
+        # key and terms are one tuple, replaced whole, so runs sharing the
+        # suite never pair one point's key with another's terms
         x = np.asarray(x, dtype=np.float64)
         key = x.tobytes()
         last = self._last
         if last is not None and last[0] == key:
             return last[1]
-        if self._edges is None:
-            t = np.matmul(self.features, x) - self.offsets
+        if self._flat is not None:
+            t = self._flat.dot(x).reshape(self.offsets.shape)
+        elif self._edges is None:
+            t = np.matmul(self.features, x)
         else:
             t = np.empty(self.offsets.shape)
             for lo, hi in zip(self._edges, self._edges[1:]):
                 np.matmul(self.features[:, lo:hi], x, out=t[:, lo:hi])
-            t -= self.offsets
-        t.flags.writeable = False
-        self._last = (key, t)
-        return t
+        t -= self.offsets
+        t2 = t * t
+        terms = (t, t2, t2 + 1.0)
+        for term in terms:
+            term.flags.writeable = False
+        self._last = (key, terms)
+        return terms
 
     def values(self, x: ParamVector) -> np.ndarray:
-        phi = SigmoidObjective._phi(self._margins(x))
-        return np.add.reduce(phi, axis=1) / phi.shape[1]
+        _, t2, q = self._terms(x)
+        return np.add.reduce(t2 / q, axis=1) / q.shape[1]
 
     def gradients(self, x: ParamVector) -> np.ndarray:
-        slopes = SigmoidObjective._phi_prime(self._margins(x))
+        t, _, q = self._terms(x)
+        slopes = (t + t) / (q * q)
         # a stack of (d, n) @ (n, 1): per worker, the gemv of features.T @ p
         grads = np.matmul(self._features_t, slopes[:, :, None])
         return grads[:, :, 0] / slopes.shape[1]

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prspider import algorithms
 from prspider.algorithms import (
@@ -394,6 +396,57 @@ def test_round_count_closed_form_when_I_does_not_divide_m(online, I, m):
     hp = HyperParams(gamma=1.0 / 16, I=I, m=m, B=1, S=3, N=2, n_b=n_b)
     trace = (run_pr_spider_online if online else run_pr_spider_finite)(suite, hp, 0)
     assert trace.comm_rounds == expected_comm_rounds(3, m, I)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    n=st.integers(1, 64),
+    d=st.integers(1, 8),
+    I=st.integers(1, 8),
+    m=st.integers(1, 40),
+    S=st.integers(1, 4),
+    extra_B=st.integers(0, 67),
+    metrics_every=st.integers(1, 4),
+    gamma=st.floats(0.01, 0.5),
+    heterogeneity=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@example(
+    N=4, n=16, d=4, I=4, m=8, S=3, extra_B=1, metrics_every=1, gamma=0.1,
+    heterogeneity=0.5, seed=0,
+)
+@example(
+    N=3, n=5, d=2, I=3, m=7, S=2, extra_B=6, metrics_every=2, gamma=0.2,
+    heterogeneity=1.0, seed=1,
+)
+def test_quadratic_runs_follow_the_gradient_descent_closed_form(
+    N, n, d, I, m, S, extra_B, metrics_every, gamma, heterogeneity, seed
+):
+    # every sample's gradient difference is x_new - x_old, so the SPIDER
+    # direction is exact and all workers move alike: after k = s*m + t
+    # moves, grad f(x_bar) = (1 - gamma)^k grad f(x0) and the workers agree.
+    # The records' costs follow the schedule: rounds and oracle calls of
+    # every exchange and step before the record at (s, t), none after it.
+    B = 1 + extra_B % (n + 3)  # 1 .. n + 3, so above n too
+    suite = make_quadratic_suite(
+        N=N, n=n, d=d, heterogeneity=heterogeneity, seed=seed
+    )
+    hp = HyperParams(gamma=gamma, I=I, m=m, B=B, S=S, N=N)
+    trace = run_pr_spider_finite(suite, hp, seed, metrics_every=metrics_every)
+    g0 = sq_norm(suite.gradient(suite.initial_point))
+    ks = [k for k in range(S * m) if k % metrics_every == 0]
+    assert [(r.s, r.t) for r in trace.records] == [divmod(k, m) for k in ks]
+    for k, r in zip(ks, trace.records):
+        s, t = divmod(k, m)
+        expected = (1.0 - gamma) ** (2 * k) * g0
+        if max(r.grad_sq, expected) > 1e-20:
+            assert abs(r.grad_sq - expected) <= 1e-5 * expected, (s, t)
+        assert r.consensus < 1e-25, (s, t)
+        assert r.comm_rounds == 1 + s * ((m - 1) // I + 2) + t // I, (s, t)
+        assert r.ifo_total == N * n + s * ((m - 1) * 2 * B + n) * N + t * 2 * B * N
+    assert trace.comm_rounds == expected_comm_rounds(S, m, I)
+    assert trace.ifo_total == expected_ifo_finite(S, m, B, n, N)
 
 
 class TestDescentTrend:

@@ -6,6 +6,8 @@ config goes through the calls ``perfbench/run_once.py`` makes
 (``build_suite``, ``resolve_algorithm``, ``run_one``, ``write_csv``,
 ``write_sidecar``), and the SHA-256 of both files must match the digest
 recorded there, so a change to those bytes shows in the test suite too.
+The tiny configs run 16 iterations each; one full ``sigmoid-finite`` seed
+(7,808 iterations and 61 restarts, about a second) is checked as well.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _digests(trace, tmp_path: Path, seed: int) -> dict:
+    csv_path = tmp_path / f"trace_seed{seed}.csv"
+    sidecar_path = tmp_path / f"trace_seed{seed}.json"
+    trace.write_csv(csv_path)
+    trace.write_sidecar(sidecar_path)
+    return {"csv": _sha256(csv_path), "sidecar": _sha256(sidecar_path)}
+
+
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_tiny_traces_match_benchmark_golden(workload, tmp_path):
     seeds = list(range(workloads.POOL_SIZE))
@@ -50,9 +60,19 @@ def test_tiny_traces_match_benchmark_golden(workload, tmp_path):
     for seed in seeds:
         trace = run_one(name, params, suite, seed, config["run"])
         assert trace.outcome == "completed"
-        csv_path = tmp_path / f"trace_seed{seed}.csv"
-        sidecar_path = tmp_path / f"trace_seed{seed}.json"
-        trace.write_csv(csv_path)
-        trace.write_sidecar(sidecar_path)
-        got = {"csv": _sha256(csv_path), "sidecar": _sha256(sidecar_path)}
+        got = _digests(trace, tmp_path, seed)
         assert got == golden[str(seed)], f"{workload} seed {seed}"
+
+
+def test_full_sigmoid_trace_matches_benchmark_golden(tmp_path):
+    # a run seed's trace and sidecar do not depend on the other seeds of
+    # its config, so one seed of the pool reproduces its recorded bytes
+    seed = 5
+    config = workloads.make_config("sigmoid-finite", [seed])
+    suite = build_suite(config["problem"])
+    name, params = resolve_algorithm(config["algorithm"], suite)
+    trace = run_one(name, params, suite, seed, config["run"])
+    assert trace.outcome == "completed"
+    assert len(trace.records) == 61 * 128
+    got = _digests(trace, tmp_path, seed)
+    assert got == GOLDEN["sigmoid-finite"]["full"][str(seed)]

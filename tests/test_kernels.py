@@ -476,8 +476,8 @@ class TestSharedData:
 
     def test_threaded_sigmoid_runs_share_the_margins_cache(self):
         # B * d = 8 takes the pair kernel's Python-float tail and N * d = 16
-        # mean_reduce's; every record asks the suite's margins cache twice,
-        # and the four runs share the one cache
+        # mean_reduce's; every record asks the suite's cache of the terms
+        # phi and phi' share twice, and the four runs share the one cache
         suite = make_nonconvex_suite(N=4, n=256, d=4, heterogeneity=0.5, seed=9)
         hp = HyperParams(gamma=0.02, I=4, m=32, B=2, S=2, N=4)
 
@@ -498,15 +498,24 @@ class TestSharedData:
             sys.setswitchinterval(interval)
         assert threaded == serial
         x = suite.initial_point
-        margins = suite.analytic._margins(x)
-        assert suite.analytic._margins(x.copy()) is margins
-        # key and margins are one tuple, replaced whole: CPython 3.11 does
-        # not switch threads between two adjacent attribute stores, so the
-        # runs above cannot show a cache that keeps them apart
+        terms = suite.analytic._terms(x)
+        assert suite.analytic._terms(x.copy()) is terms
+        t, t2, q = terms
+        margins = np.matmul(suite.analytic.features, x) - suite.analytic.offsets
+        assert t.tobytes() == margins.tobytes()
+        assert t2.tobytes() == (t * t).tobytes()
+        assert q.tobytes() == (t * t + 1.0).tobytes()
+        # key and terms are one tuple, replaced whole: CPython 3.11 does not
+        # switch threads between two adjacent attribute stores, so the runs
+        # above cannot show a cache that keeps them apart
         key, cached = suite.analytic._last
-        assert key == x.tobytes() and cached is margins
-        with pytest.raises(ValueError):
-            margins[0, 0] = 1.0
+        assert key == x.tobytes() and cached is terms
+        for term in terms:
+            with pytest.raises(ValueError):
+                term[0, 0] = 1.0
+        suite.analytic._terms(x + 1.0)
+        assert suite.analytic._last[0] == (x + 1.0).tobytes()
+        assert suite.analytic._last[1] is not terms
 
     def test_data_arrays_are_read_only(self):
         quad = make_quadratic_suite(N=1, n=4, d=2, heterogeneity=0.0, seed=0)

@@ -1,7 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from oracle_reference import one_worker_oracles
 
+from prspider.algorithms import HyperParams, run_pr_spider_finite
+from prspider.checks import expected_ifo_finite
 from prspider.harness import WorkerState, evaluate_fos
 from prspider.numerics import mean_reduce, sq_norm
 from prspider.problems import (
@@ -145,6 +150,42 @@ class TestMeter:
         assert {type(v) for v in breakdown.values()} == {int}
         assert type(meter.total) is int and meter.total == 15
 
+    def test_running_totals_hold_under_threads(self):
+        # each worker's thread charges its own row and running total while
+        # the others charge theirs, switching threads often; no update is
+        # lost, and a parallel run's ledger agrees with itself
+        N, charges = 4, 3000
+        meter = Meter(N)
+        meter.phase = "inner"
+
+        def charge_many(worker):
+            for k in range(charges):
+                meter.charge(worker, k % 7 + worker)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=N) as pool:
+                futures = [pool.submit(charge_many, w) for w in range(N)]
+                for future in futures:
+                    future.result(timeout=60)
+            suite = make_nonconvex_suite(
+                N=N, n=32, d=3, heterogeneity=0.5, seed=2
+            )
+            hp = HyperParams(gamma=0.05, I=2, m=9, B=3, S=3, N=N)
+            trace = run_pr_spider_finite(suite, hp, 0, parallel=True)
+        finally:
+            sys.setswitchinterval(interval)
+        per_worker = [sum(k % 7 + w for k in range(charges)) for w in range(N)]
+        assert meter.totals == per_worker
+        assert meter.total == sum(meter.breakdown().values()) == sum(per_worker)
+        ledger = trace.ledger
+        assert ledger.total == sum(ledger.breakdown().values())
+        assert ledger.total == expected_ifo_finite(3, 9, 3, 32, N)
+        assert ledger.totals == [sum(row.values()) for row in ledger.rows]
+        serial = run_pr_spider_finite(suite, hp, 0)
+        assert trace.to_csv() == serial.to_csv()
+
 
 class TestGlobalGradientOracle:
     def test_matches_mean_of_full_gradients(self):
@@ -286,6 +327,10 @@ def _stacked_suites():
     )
     yield "sigmoid-N1", make_nonconvex_suite(
         N=1, n=40, d=3, heterogeneity=0.5, seed=1
+    )
+    # one gemv over all workers' rows would start a worker mid row group
+    yield "sigmoid-n33-d16", make_nonconvex_suite(
+        N=3, n=33, d=16, heterogeneity=0.5, seed=8
     )
     yield "sigmoid-d1", make_nonconvex_suite(
         N=3, n=50, d=1, heterogeneity=0.5, seed=2
