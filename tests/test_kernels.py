@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,6 +21,7 @@ from prspider.harness import RunHooks
 from prspider.numerics import SCALAR_ENTRIES
 from prspider.problems import (
     BLOCK_ROWS,
+    QUAD_ROWS,
     LocalObjective,
     Meter,
     QuadraticObjective,
@@ -32,9 +35,13 @@ from prspider.problems import (
 
 METERED = ("batch_gradient_mean", "pair_difference_mean", "full_gradient")
 
-# batch sizes at the block edges, plus a spread of others
+# batch sizes at the block edges, plus a spread of others; 2 * QUAD_ROWS + 1
+# ends in a lone row, which joins the block before it
 BATCH_SIZES = st.one_of(
-    st.sampled_from([1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+    st.sampled_from([
+        1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+        QUAD_ROWS - 1, QUAD_ROWS, QUAD_ROWS + 1, 2 * QUAD_ROWS + 1,
+    ]),
     st.integers(1, 3 * BLOCK_ROWS + 3),
 )
 
@@ -86,6 +93,80 @@ def test_blocked_quadratic_kernels_match_row_formula_bitwise(
     assert full.tobytes() == ref.tobytes()
     # a full gradient is the batch of every sample
     assert full.tobytes() == obj.batch_gradient_mean(x_new, np.arange(n)).tobytes()
+
+
+def _quadratic_calls(obj, x_new, x_old, idx):
+    # every metered quadratic oracle, by name
+    return {
+        "pair_difference_mean": lambda: obj.pair_difference_mean(x_new, x_old, idx),
+        "batch_gradient_mean": lambda: obj.batch_gradient_mean(x_new, idx),
+        "full_gradient": lambda: obj.full_gradient(x_new),
+    }
+
+
+@pytest.mark.parametrize("oracle", METERED)
+def test_warm_quadratic_kernels_allocate_no_blocks(oracle):
+    # a warm call takes its block buffers from the thread's scratch; what
+    # is left is the running sum and the result, 16 KiB each at d=2048.
+    # tracemalloc sees numpy's allocations whatever the allocator does
+    # with them, so this holds on any malloc's thresholds
+    rng = np.random.default_rng(0)
+    d, n, B = 2048, 512, 256
+    obj = QuadraticObjective(0, rng.normal(size=(n, d)))
+    idx = rng.integers(0, n, size=B)
+    call = _quadratic_calls(obj, rng.normal(size=d), rng.normal(size=d), idx)[oracle]
+    call()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 64 * 1024
+
+
+def test_threads_calling_quadratic_kernels_match_serial_calls():
+    # each thread its own data, points and batch, several blocks each, and
+    # threads switching between almost every bytecode: a buffer shared by
+    # two threads would mix their rows
+    d, n = 64, 3 * QUAD_ROWS + 7
+    cases = []
+    for k in range(4):
+        rng = np.random.default_rng(k)
+        obj = QuadraticObjective(k, _wide(rng, (n, d)))
+        idx = rng.integers(0, n, size=2 * QUAD_ROWS + 1 + 7 * k)
+        calls = _quadratic_calls(obj, _wide(rng, d), _wide(rng, d), idx)
+        serial = {name: call().tobytes() for name, call in calls.items()}
+        cases.append((calls, serial))
+    mismatches, finished = [], []
+    start = threading.Barrier(len(cases))
+
+    def work(calls, serial):
+        start.wait()
+        for _ in range(40):
+            for name, call in calls.items():
+                if call().tobytes() != serial[name]:
+                    mismatches.append(name)
+        finished.append(True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=case) for case in cases]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(finished) == len(cases)
+    assert mismatches == []
 
 
 def _sigmoid_rows(features, offsets, x, idx):
@@ -456,6 +537,20 @@ class TestSharedData:
         for i, obj in enumerate(suite.objectives):
             assert all(objs[i] is obj for objs in seen)
         assert trace.ifo_total > 0
+
+    def test_parallel_quadratic_run_matches_serial_run(self):
+        # the pool's threads run the workers' kernels at once, each on its
+        # own scratch; B spans three blocks of QUAD_ROWS
+        suite = make_quadratic_suite(N=4, n=90, d=64, heterogeneity=0.5, seed=5)
+        assert BLOCK_ROWS + 3 > 2 * QUAD_ROWS
+        serial = self._run(suite, 0).to_csv()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = self._run(suite, 0, parallel=True).to_csv()
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == serial
 
     def test_threaded_runs_match_serial_runs(self):
         suite = make_quadratic_suite(N=2, n=70, d=5, heterogeneity=0.5, seed=3)
