@@ -15,8 +15,8 @@ from .algorithms import (
     run_parallel_restarted_sgd,
     run_pr_spider_finite,
     run_pr_spider_online,
+    spider_update,
 )
-from .estimator import is_averaging_step, spider_update
 from .harness import (
     CertificateError,
     MetricsRecord,
@@ -65,7 +65,6 @@ __all__ = [
     "draw_restart_direction",
     "evaluate_fos",
     "first_hit",
-    "is_averaging_step",
     "make_nonconvex_suite",
     "make_quadratic_suite",
     "mean_reduce",

@@ -15,10 +15,15 @@ gradients averaged at the server; ``run_pr_spider_online`` replaces those
 with size-``n_b`` batch gradients. Both share the step: move every worker
 along ``v``, check, then estimate the direction of iteration ``t + 1`` from
 the iterates before and after the move, with iterate/direction averaging
-every ``I`` iterations. The baselines are plain distributed SGD with
-iterate averaging every iteration (``run_parallel_minibatch_sgd``) or
-every ``I`` iterations (``run_parallel_restarted_sgd``); their boundary is
-the trailing average at the horizon.
+every ``I`` iterations. The estimate (``spider_update``) adds to ``v`` the
+batch mean of per-sample gradient differences between the two iterates.
+One batch serves both points, since the variance cancellation depends on
+the shared samples, and costs two oracle accesses per sample. The runner
+draws every batch, inner and restart alike, and holds ``v`` in the
+worker. The baselines are plain distributed SGD with iterate averaging
+every iteration (``run_parallel_minibatch_sgd``) or every ``I``
+iterations (``run_parallel_restarted_sgd``); their boundary is the
+trailing average at the horizon.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .estimator import is_averaging_step, spider_update
 from .harness import (
     CertificateError,
     MetricsTrace,
@@ -49,7 +53,12 @@ from .numerics import (
     mean_reduce,
     sq_norm,
 )
-from .problems import Meter, ProblemSuite, UnsupportedOperationError
+from .problems import (
+    LocalObjective,
+    Meter,
+    ProblemSuite,
+    UnsupportedOperationError,
+)
 
 __all__ = [
     "HyperParams",
@@ -62,6 +71,7 @@ __all__ = [
     "run_parallel_minibatch_sgd",
     "run_parallel_restarted_sgd",
     "draw_restart_direction",
+    "spider_update",
 ]
 
 
@@ -205,6 +215,24 @@ def draw_restart_direction(
     return vectors
 
 
+def spider_update(
+    v: ParamVector,
+    x_prev: ParamVector,
+    obj: LocalObjective,
+    x_curr: ParamVector,
+    indices,
+    meter: Meter | None = None,
+) -> ParamVector:
+    """The direction after one SPIDER step on the batch ``indices``.
+
+    ``v`` plus the batch mean of ``grad f_j(x_curr) - grad f_j(x_prev)``,
+    charging ``2 * len(indices)`` to the worker's row of ``meter``.
+    ``x_prev`` is the iterate before the last move. The inputs are left
+    unchanged, and an empty batch raises ``ValueError``.
+    """
+    return v + obj.pair_difference_mean(x_curr, x_prev, indices, meter)
+
+
 def _check_finite(vectors, N, s, t):
     # one check of every vector, row k being worker k % N's; the first
     # worker holding a non-finite value is named
@@ -301,7 +329,7 @@ class _Run:
                 if self.hooks.on_record:
                     self.hooks.on_record(s, t, self.workers)
                 step(s, t)
-                if t + 1 < m and is_averaging_step(t + 1, I):
+                if t + 1 < m and (t + 1) % I == 0:
                     self.sync(s, t + 1, payload)
             boundary(s)
 
@@ -359,8 +387,9 @@ def _run_spider(
         if t + 1 < hp.m:
             def estimate(w):
                 gen = rng.substream(w.worker_id, s, t + 1, DRAW_INNER)
+                idx = w.obj.draw_indices(gen, hp.B)
                 return spider_update(
-                    w.v, prev[w.worker_id], w.obj, w.x, hp.B, gen, meter
+                    w.v, prev[w.worker_id], w.obj, w.x, idx, meter
                 )
 
             for w, v in zip(workers, _map_workers(run.pool, estimate, workers)):

@@ -30,15 +30,12 @@ rows in index order at any height, the quadratic bits do not depend on
 margins' gemv row groups.
 
 Block buffers are each thread's scratch (``_scratch``), kept across calls,
-so a warm kernel allocates only its running sum and its result. Fresh block
-buffers are mapped, faulted in page by page and trimmed again by the
-allocator on every call: at d=2048 and B=256 the pair kernel allocated
-1,122 KiB per call, and a ``quadratic-finite`` run took 229,795 minor
-faults (about 228 per pair call) and 0.36 s of system time; with the
-scratch it takes 228 faults per run and no system time. The quadratic
-kernels tile their points into the scratch once per call, so every subtract
-writes one of its (h, d) inputs: that runs faster than a broadcast (d,)
-operand, which numpy buffers, or a third output array.
+so a warm kernel allocates only its running sum and its result: fresh
+block buffers would be mapped, faulted in page by page and trimmed again
+by the allocator on every call. The quadratic kernels tile their points
+into the scratch once per call, so every subtract writes one of its (h, d)
+inputs: that runs faster than a broadcast (d,) operand, which numpy
+buffers, or a third output array.
 
 The sigmoid pair kernel takes its margins by BLAS gemv at any size,
 through ``ndarray.dot``: the gemv ``np.matmul`` reaches, at about half its
@@ -599,9 +596,11 @@ class SigmoidObjective(LocalObjective):
         # one gather and one pass per step for both points; margins by gemv
         # blocks BLAS won't thread, or whole if one block; a tiny batch's
         # tail on Python floats (see the module docstring)
+        count = idx.shape[0]
+        if not count:
+            raise ValueError("a batch mean needs at least one sample")
         a = self.features.take(idx, axis=0)
-        count = a.shape[0]
-        if self.dim > 1 and 0 < count * self.dim <= SCALAR_ENTRIES:
+        if self.dim > 1 and count * self.dim <= SCALAR_ENTRIES:
             return _pair_mean_on_floats(
                 a.dot(x_new).tolist(),
                 a.dot(x_old).tolist(),

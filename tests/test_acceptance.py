@@ -104,11 +104,9 @@ def test_criterion_4_estimator_unbiasedness_by_enumeration():
     v0 = rng.normal(size=2)
     x_prev = rng.normal(size=2)
     x_curr = rng.normal(size=2)
-    from prspider.estimator import spider_update_with_samples
+    from prspider.algorithms import spider_update
 
-    outcomes = [
-        spider_update_with_samples(v0, x_prev, obj, x_curr, [j]) for j in range(3)
-    ]
+    outcomes = [spider_update(v0, x_prev, obj, x_curr, [j]) for j in range(3)]
     enumerated = np.stack(outcomes).mean(axis=0)
     # the exact worker gradient: row 0 of the suite's analytic oracles
     grads = suite.analytic.gradients

@@ -1,26 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from prspider.estimator import (
-    is_averaging_step,
-    spider_update,
-    spider_update_with_samples,
-)
+from prspider.algorithms import spider_update
 from prspider.numerics import RngStream, sq_norm
 from prspider.problems import (
     Meter,
+    make_nonconvex_suite,
     make_quadratic_suite,
     quadratic_suite_from_centers,
     sigmoid_suite_from_params,
 )
-
-
-class TestIsAveragingStep:
-    @pytest.mark.parametrize(
-        "t,I,expected", [(4, 2, True), (5, 2, False), (1, 1, True), (7, 7, True)]
-    )
-    def test_schedule(self, t, I, expected):
-        assert is_averaging_step(t, I) is expected
 
 
 def one_worker_quadratic(n=5, d=3, seed=0):
@@ -40,8 +31,8 @@ class TestSpiderUpdate:
         x_prev = rng.normal(size=3)
         x_curr = rng.normal(size=3)
         for batch_seed in range(5):
-            gen = RngStream(batch_seed).substream(0, 0, 1)
-            v = spider_update(v0, x_prev, obj, x_curr, B=2, rng=gen)
+            idx = obj.draw_indices(RngStream(batch_seed).substream(0, 0, 1), 2)
+            v = spider_update(v0, x_prev, obj, x_curr, idx)
             expected = v0 + x_curr - x_prev
             assert np.max(np.abs(v - expected)) <= 1e-12
 
@@ -50,34 +41,25 @@ class TestSpiderUpdate:
         obj = suite.objectives[0]
         v0 = np.array([0.1, -0.2, 0.3])
         x = np.array([1.0, 2.0, 3.0])
-        gen = RngStream(0).substream(0, 0, 1)
-        v = spider_update(v0, x, obj, x.copy(), B=4, rng=gen)
+        idx = obj.draw_indices(RngStream(0).substream(0, 0, 1), 4)
+        v = spider_update(v0, x, obj, x.copy(), idx)
         assert v.tobytes() == v0.tobytes()
 
     def test_ifo_cost_is_two_per_sample(self):
         suite = one_worker_quadratic()
         obj = suite.objectives[0]
-        gen = RngStream(0).substream(0, 0, 1)
+        idx = obj.draw_indices(RngStream(0).substream(0, 0, 1), 7)
         meter = Meter(1)
         meter.phase = "inner"
-        spider_update(np.zeros(3), np.zeros(3), obj, np.ones(3), B=7, rng=gen,
-                      meter=meter)
+        spider_update(np.zeros(3), np.zeros(3), obj, np.ones(3), idx, meter)
         assert meter.rows == [{"init": 0, "inner": 14, "refresh": 0}]
-
-    def test_rejects_nonpositive_batch(self):
-        suite = one_worker_quadratic()
-        gen = RngStream(0).substream(0, 0, 1)
-        with pytest.raises(ValueError):
-            spider_update(np.zeros(3), np.zeros(3), suite.objectives[0],
-                          np.ones(3), B=0, rng=gen)
 
     def test_inputs_are_left_unchanged(self):
         # the caller owns v and x_prev and moves x_prev itself
         suite = one_worker_quadratic()
         v0, x_prev = np.zeros(3), np.zeros(3)
         x_curr = np.array([1.0, 1.0, 1.0])
-        gen = RngStream(0).substream(0, 0, 1)
-        v = spider_update(v0, x_prev, suite.objectives[0], x_curr, B=1, rng=gen)
+        v = spider_update(v0, x_prev, suite.objectives[0], x_curr, [0])
         assert v is not v0
         assert np.array_equal(v0, np.zeros(3))
         assert np.array_equal(x_prev, np.zeros(3))
@@ -94,13 +76,50 @@ class TestSpiderUpdate:
         x_prev = rng.normal(size=2)
         x_curr = rng.normal(size=2)
         outcomes = [
-            spider_update_with_samples(v0, x_prev, obj, x_curr, [j]) for j in range(3)
+            spider_update(v0, x_prev, obj, x_curr, [j]) for j in range(3)
         ]
         enumerated_mean = np.stack(outcomes).mean(axis=0)
         # the exact worker gradient: row 0 of the suite's analytic oracles
         grads = suite.analytic.gradients
         expected = v0 + grads(x_curr)[0] - grads(x_prev)[0]
         assert np.max(np.abs(enumerated_mean - expected)) <= 1e-12
+
+
+EMPTY_BATCH_SUITES = {
+    "quadratic": lambda: make_quadratic_suite(
+        N=1, n=5, d=3, heterogeneity=0.3, seed=0
+    ),
+    "sigmoid-finite": lambda: make_nonconvex_suite(
+        N=1, n=5, d=3, heterogeneity=0.3, seed=0
+    ),
+    "sigmoid-online": lambda: make_nonconvex_suite(
+        N=1, n=None, d=3, heterogeneity=0.3, seed=0, online_pool=8
+    ),
+}
+
+EMPTY_BATCH_CALLS = {
+    "batch_gradient_mean": lambda obj, x, idx: obj.batch_gradient_mean(x, idx),
+    "pair_difference_mean": lambda obj, x, idx: obj.pair_difference_mean(
+        x, -x, idx
+    ),
+    "spider_update": lambda obj, x, idx: spider_update(x, -x, obj, x, idx),
+}
+
+
+@pytest.mark.parametrize("call", sorted(EMPTY_BATCH_CALLS))
+@pytest.mark.parametrize("family", sorted(EMPTY_BATCH_SUITES))
+@pytest.mark.parametrize(
+    "empty", [[], np.array([], dtype=np.int64)], ids=["list", "int64"]
+)
+def test_empty_batch_raises_value_error_without_warning(family, call, empty):
+    # a batch mean over no samples is refused by every kernel, before any
+    # gather, rather than returning NaN or failing on the index dtype
+    obj = EMPTY_BATCH_SUITES[family]().objectives[0]
+    x = np.array([0.5, -1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least one sample"):
+            EMPTY_BATCH_CALLS[call](obj, x, empty)
 
 
 class TestTelescoping:
@@ -114,7 +133,8 @@ class TestTelescoping:
         v = v0
         stream = RngStream(11)
         for k, x in enumerate(xs[1:], start=1):
-            v = spider_update(v, xs[k - 1], obj, x, B=3, rng=stream.substream(0, 0, k))
+            idx = obj.draw_indices(stream.substream(0, 0, k), 3)
+            v = spider_update(v, xs[k - 1], obj, x, idx)
         expected = v0 + xs[-1] - xs[0]
         assert np.max(np.abs(v - expected)) <= 1e-12
 
@@ -148,7 +168,7 @@ class TestErrorAccumulation:
             for t in range(1, steps + 1):
                 for i, obj in enumerate(suite.objectives):
                     idx = stream_root.integers(0, n, size=B)
-                    vs[i] = spider_update_with_samples(
+                    vs[i] = spider_update(
                         vs[i], trajs[i][t - 1], obj, trajs[i][t], idx
                     )
                 v_bar = np.stack(vs).mean(axis=0)
