@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import copy  # noqa: F401 -- perfbench/spans.py swaps ``algorithms.copy``
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -268,7 +267,9 @@ class _Run:
     ``Meter`` as its ledger; records and epoch-start residuals are appended
     to it as the run goes. As a context manager it shuts the worker thread
     pool down however the run ends, and gives a ``DivergedError`` or
-    ``CertificateError`` the trace so far with its outcome set.
+    ``CertificateError`` the trace so far with its outcome set. The pool,
+    and ``concurrent.futures`` with it, loads only for a parallel run of
+    two or more workers.
     """
 
     def __init__(self, suite, seed, algorithm, metrics_every, parallel, hooks):
@@ -294,7 +295,11 @@ class _Run:
         }
         self.trace = MetricsTrace(echo, seed, self.meter)
         N = suite.num_workers
-        self.pool = ThreadPoolExecutor(max_workers=N) if parallel and N > 1 else None
+        self.pool = None
+        if parallel and N > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.pool = ThreadPoolExecutor(max_workers=N)
 
     def __enter__(self):
         return self

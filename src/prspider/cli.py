@@ -29,9 +29,10 @@ per seed; the sidecar echoes the fully resolved configuration and is a
 valid config, so any experiment reruns exactly from its outputs. The
 ``PRSPIDER_OUT`` environment variable prefixes relative output directories.
 
-Outputs are written to a temporary file beside the target and moved into
-place, so a failed or killed run never leaves a partial file; ``sweep``
-rewrites ``sweep.csv`` after each point.
+Outputs are streamed into a temporary file beside the target and moved
+into place, so a failed or killed run never leaves a partial file; ``sweep``
+rewrites ``sweep.csv`` after each point. ``statistics`` loads only in
+``sweep``, which alone uses it.
 
 Exit codes: 0 success, 2 configuration error, 3 divergence,
 4 verification failure, 5 an objective below the problem's certified
@@ -46,7 +47,6 @@ import copy
 import json
 import math
 import os
-import statistics
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -69,7 +69,7 @@ from .harness import (
     CertificateError,
     MetricsTrace,
     first_hit,
-    write_text_atomic,
+    open_atomic,
 )
 from .problems import (
     ProblemSuite,
@@ -386,10 +386,10 @@ def _hit_row(trace: MetricsTrace, eps: float, N: int) -> dict:
 
 
 def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    lines = [",".join(fieldnames)]
-    for row in rows:
-        lines.append(",".join(str(row.get(k, "")) for k in fieldnames))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    with open_atomic(path) as fh:
+        fh.write(",".join(fieldnames) + "\n")
+        for row in rows:
+            fh.write(",".join(str(row.get(k, "")) for k in fieldnames) + "\n")
 
 
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
@@ -450,6 +450,8 @@ def cmd_sweep(
     hold_total_data: bool = False,
     out_override: str | None = None,
 ) -> int:
+    import statistics
+
     base = load_config(config_path)
     run = _parse_run(base["run"])
     if axis != "eps" and not run["eps_targets"]:

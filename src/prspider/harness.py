@@ -8,15 +8,22 @@ ledger: ``sync_round`` counts each round and the d-vectors it ships there,
 beside the oracle calls, and a ``MetricsTrace`` reads its totals from it.
 Metrics come from the analytic suite oracles and charge neither oracle
 calls nor rounds.
+
+Every output file goes through ``open_atomic``: its writer streams into a
+temporary file beside the target, row by row or JSON chunk by chunk, so a
+write holds no copy of the file's text, and a finished file is moved into
+place whole. A record is a slotted dataclass: 96 bytes, 256 with its
+values and its slot in the trace's list.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -33,7 +40,7 @@ __all__ = [
     "evaluate_fos",
     "first_hit",
     "CSV_HEADER",
-    "write_text_atomic",
+    "open_atomic",
 ]
 
 PAYLOADS = ("iterates", "both", "gradients")
@@ -52,19 +59,21 @@ class CertificateError(RuntimeError):
     trace = None
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file beside it.
+@contextmanager
+def open_atomic(path) -> Iterator[TextIO]:
+    """A text file to write ``path`` through, opened beside it.
 
-    The temporary file is moved over ``path`` by ``os.replace`` once it is
-    complete, so a reader sees the old file or the new one, never part of
-    one, and a write that fails leaves the old file and no temporary file.
+    The caller writes into the temporary file it yields; once the ``with``
+    block ends, ``os.replace`` moves it over ``path``. A reader sees the old
+    file or the new one, never part of one, and a write that fails leaves
+    the old file and no temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -86,7 +95,7 @@ class WorkerState:
     v: ParamVector | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsRecord:
     """Per-iteration metrics plus the cumulative cost counters."""
 
@@ -137,17 +146,19 @@ class MetricsTrace:
     def comm_rounds(self) -> int:
         return self.ledger.rounds
 
-    def to_csv(self) -> str:
-        lines = [CSV_HEADER]
+    def csv_lines(self) -> Iterator[str]:
+        """The trace CSV, one line at a time, each ending in a newline."""
+        yield CSV_HEADER + "\n"
         for r in self.records:
-            lines.append(
+            yield (
                 f"{r.s},{r.t},{r.f_bar!r},{r.grad_sq!r},{r.consensus!r},"
-                f"{r.fos!r},{r.ifo_total},{r.comm_rounds}"
+                f"{r.fos!r},{r.ifo_total},{r.comm_rounds}\n"
             )
-        return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        write_text_atomic(path, self.to_csv())
+        with open_atomic(path) as fh:
+            for line in self.csv_lines():
+                fh.write(line)
 
     def sidecar(self) -> dict:
         """Reloadable config plus run results; run keys stay at top level."""
@@ -171,7 +182,9 @@ class MetricsTrace:
         return doc
 
     def write_sidecar(self, path) -> None:
-        write_text_atomic(path, json.dumps(self.sidecar(), indent=2) + "\n")
+        with open_atomic(path) as fh:
+            json.dump(self.sidecar(), fh, indent=2)
+            fh.write("\n")
 
 
 def sync_round(

@@ -45,7 +45,10 @@ d >= 2, the rest runs on Python floats, bit for bit as the numpy path:
 0.0 as ``np.add.reduce`` over d >= 2 columns does, and the slope's square
 is ``q * q``, since ``q ** 2`` raises ``OverflowError`` on a Python float.
 At d = 1 numpy sums 8 or more rows of the lone column pairwise, so that
-case stays on numpy.
+case stays on numpy. On the numpy path the gathered rows and both
+points' gradient rows are scratch too: the slopes are tiled into the
+gradient rows by a copy and multiplied in place, since a ufunc with a
+broadcast operand allocates a 64 KiB buffer.
 
 The analytic oracles behind ``ProblemSuite.value``/``gradient`` evaluate
 all workers at once. ``QuadraticAnalytic`` holds the per-worker center
@@ -599,14 +602,17 @@ class SigmoidObjective(LocalObjective):
         count = idx.shape[0]
         if not count:
             raise ValueError("a batch mean needs at least one sample")
-        a = self.features.take(idx, axis=0)
         if self.dim > 1 and count * self.dim <= SCALAR_ENTRIES:
+            a = self.features.take(idx, axis=0)
             return _pair_mean_on_floats(
                 a.dot(x_new).tolist(),
                 a.dot(x_old).tolist(),
                 self.offsets.take(idx).tolist(),
                 a.tolist(),
             )
+        _check_indices(idx, self._pool_size)
+        a = _scratch("gathered", count, self.dim)
+        np.take(self.features, idx, axis=0, out=a, mode="wrap")
         t = np.empty((2, count))
         if count <= self._block_rows:
             a.dot(x_new, out=t[0])
@@ -616,9 +622,15 @@ class SigmoidObjective(LocalObjective):
             for lo, hi in zip(edges, edges[1:]):
                 a[lo:hi].dot(x_new, out=t[0, lo:hi])
                 a[lo:hi].dot(x_old, out=t[1, lo:hi])
-        t -= self.offsets.take(idx)
-        grads = self._phi_prime(t)[:, :, None] * a
-        return np.add.reduce(grads[0] - grads[1], axis=0) / count
+        t -= np.take(self.offsets, idx, mode="wrap")
+        # both points' gradient rows, in scratch (see the module docstring)
+        new, old = _scratch("grads", 2 * count, self.dim).reshape(2, count, -1)
+        slopes = self._phi_prime(t)
+        new[...] = slopes[0, :, None]
+        old[...] = slopes[1, :, None]
+        np.multiply(new, a, out=new)
+        np.multiply(old, a, out=old)
+        return np.add.reduce(np.subtract(new, old, out=new), axis=0) / count
 
 
 def _pair_mean_on_floats(new, old, offsets, rows) -> np.ndarray:

@@ -312,14 +312,14 @@ class TestSpiderFinite:
         hp = HyperParams(gamma=1.0 / 16, I=2, m=8, B=2, S=2, N=4)
         a = run_pr_spider_finite(suite, hp, 9)
         b = run_pr_spider_finite(suite, hp, 9)
-        assert a.to_csv() == b.to_csv()
+        assert list(a.csv_lines()) == list(b.csv_lines())
 
     def test_parallel_workers_bitwise_equal_serial(self):
         suite = quad_suite()
         hp = HyperParams(gamma=1.0 / 16, I=2, m=8, B=2, S=2, N=4)
         serial = run_pr_spider_finite(suite, hp, 9, parallel=False)
         threaded = run_pr_spider_finite(suite, hp, 9, parallel=True)
-        assert serial.to_csv() == threaded.to_csv()
+        assert list(serial.csv_lines()) == list(threaded.csv_lines())
 
 
 class TestSpiderOnline:
@@ -378,7 +378,7 @@ class TestSpiderOnline:
         hp_o = replace(hp_f, n_b=4)
         finite = run_pr_spider_finite(suite, hp_f, 7)
         online = run_pr_spider_online(suite, hp_o, 7)
-        assert finite.to_csv() == online.to_csv()
+        assert list(finite.csv_lines()) == list(online.csv_lines())
 
     def test_zero_step_size_stationary(self):
         suite = quad_suite()
@@ -513,7 +513,7 @@ class TestBaselines:
         suite = quad_suite()
         a = run_parallel_minibatch_sgd(suite, 0.05, batch=3, horizon=20, seed=3)
         b = run_parallel_restarted_sgd(suite, 0.05, batch=3, I=1, horizon=20, seed=3)
-        assert a.to_csv() == b.to_csv()
+        assert list(a.csv_lines()) == list(b.csv_lines())
 
     def test_period_equal_horizon_is_one_shot(self):
         suite = quad_suite()

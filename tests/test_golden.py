@@ -8,9 +8,15 @@ families, finite and online sampling, ``parallel`` on and off, batches that
 span several kernel blocks, the single-column (d=1) quadratic, an explicit
 quadratic suite, and runs that diverge (their partial trace is pinned).
 
-The quadratic path is pure elementwise numpy, so its digests hold on any
-machine. The sigmoid path goes through a BLAS matvec: a BLAS or CPU change
-can move the ``sigmoid-*`` digests without any change to prspider.
+No digest holds on every machine. The digests were recorded under
+OpenBLAS's SkylakeX kernel, and every family's trace depends on BLAS's
+summation order. The quadratic metrics take ``numerics.sq_norm`` and
+``sq_norms`` through a BLAS dot, so ``f_bar``, ``grad_sq`` and ``fos``
+move in their last bits under another kernel: with
+``OPENBLAS_CORETYPE=Haswell`` on the same CPU, 11 of the 12 digest pairs
+fail, and only the d=1 quadratic passes. The sigmoid path also takes its
+margins and analytic gradients through BLAS matvecs, so a BLAS or CPU
+change can move the ``sigmoid-*`` digests without any change to prspider.
 """
 
 from __future__ import annotations

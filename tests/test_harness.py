@@ -1,10 +1,13 @@
+import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracle_reference import one_worker_oracles
 
 from prspider import cli, harness
+from prspider.algorithms import HyperParams, run_pr_spider_finite
 from prspider.harness import (
     CSV_HEADER,
     MetricsRecord,
@@ -301,3 +304,114 @@ class TestAtomicWrites:
         write(synthetic_trace([0.3, 0.2, 0.1]), path)
         assert path.read_text() != "old\n"
         assert os.listdir(tmp_path) == ["out"]
+
+
+class _FailingOnWrite:
+    """A file whose ``fail_at``-th write fails as a full disk.
+
+    The writes before it land in the file and are flushed; ``writes``
+    counts every call, so a run with ``fail_at=None`` counts a writer's
+    writes.
+    """
+
+    def __init__(self, fh, fail_at, writes):
+        self.fh, self.fail_at, self.writes = fh, fail_at, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes.append(text)
+        if len(self.writes) == self.fail_at:
+            raise OSError(28, "No space left on device")
+        self.fh.write(text)
+        self.fh.flush()
+
+
+def _peak_bytes(call) -> int:
+    """The traced memory ``call()`` takes at its peak, above what it started at."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestStreamedWrites:
+    @pytest.mark.parametrize("writer", sorted(TestAtomicWrites.WRITERS))
+    def test_a_failure_at_any_write_keeps_old_file_and_no_temporary(
+        self, tmp_path, monkeypatch, writer
+    ):
+        write = TestAtomicWrites.WRITERS[writer]
+        path = tmp_path / "out"
+        write(synthetic_trace([0.5]), path)
+        before = path.read_bytes()
+        real_open = open
+        writes = []
+
+        def use(fail_at):
+            writes.clear()
+            monkeypatch.setattr(
+                harness, "open",
+                lambda *args, **kw: _FailingOnWrite(
+                    real_open(*args, **kw), fail_at, writes
+                ),
+                raising=False,
+            )
+
+        use(None)
+        write(synthetic_trace([0.3, 0.2, 0.1]), tmp_path / "count")
+        os.remove(tmp_path / "count")
+        last = len(writes)
+        assert last >= 4  # a header or opening and a line per record
+        for fail_at in (1, 2, last):
+            use(fail_at)
+            with pytest.raises(OSError, match="No space left"):
+                write(synthetic_trace([0.3, 0.2, 0.1]), path)
+            assert len(writes) == fail_at
+            assert path.read_bytes() == before
+            assert os.listdir(tmp_path) == ["out"]
+
+    def test_csv_file_is_its_lines(self, tmp_path):
+        trace = synthetic_trace([0.3, 0.2, 0.1])
+        trace.write_csv(tmp_path / "trace.csv")
+        lines = list(trace.csv_lines())
+        assert lines[0] == CSV_HEADER + "\n"
+        assert (tmp_path / "trace.csv").read_text() == "".join(lines)
+
+    def test_csv_write_holds_no_copy_of_the_file(self, tmp_path):
+        rng = np.random.default_rng(0)
+        trace = synthetic_trace(rng.random(20_000).tolist())
+        path = tmp_path / "trace.csv"
+        peak = _peak_bytes(lambda: trace.write_csv(path))
+        assert path.stat().st_size > 1_000_000
+        assert peak <= 256 * 1024
+
+    def test_sidecar_write_holds_no_copy_of_the_file(self, tmp_path):
+        # an explicit suite's sidecar echoes its whole dataset
+        rng = np.random.default_rng(0)
+        suite = quadratic_suite_from_centers(
+            rng.normal(size=(2, 1024, 16)).tolist(), rng.normal(size=16).tolist()
+        )
+        hp = HyperParams(gamma=0.1, I=1, m=2, B=1, S=1, N=2)
+        trace = run_pr_spider_finite(suite, hp, seed=0)
+        path = tmp_path / "trace.json"
+        peak = _peak_bytes(lambda: trace.write_sidecar(path))
+        assert json.loads(path.read_text()) == trace.sidecar()
+        assert path.stat().st_size > 1_000_000
+        assert peak < path.stat().st_size / 10
+
+    def test_records_have_no_instance_dict(self):
+        record = synthetic_trace([0.5]).records[0]
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.fos = 0.0

@@ -104,17 +104,12 @@ def _quadratic_calls(obj, x_new, x_old, idx):
     }
 
 
-@pytest.mark.parametrize("oracle", METERED)
-def test_warm_quadratic_kernels_allocate_no_blocks(oracle):
-    # a warm call takes its block buffers from the thread's scratch; what
-    # is left is the running sum and the result, 16 KiB each at d=2048.
-    # tracemalloc sees numpy's allocations whatever the allocator does
-    # with them, so this holds on any malloc's thresholds
-    rng = np.random.default_rng(0)
-    d, n, B = 2048, 512, 256
-    obj = QuadraticObjective(0, rng.normal(size=(n, d)))
-    idx = rng.integers(0, n, size=B)
-    call = _quadratic_calls(obj, rng.normal(size=d), rng.normal(size=d), idx)[oracle]
+def _warm_peak(call) -> int:
+    """Traced bytes at the peak of a second ``call()``, above its start.
+
+    tracemalloc sees numpy's allocations whatever the allocator does with
+    them, so a bound on this holds on any malloc's thresholds.
+    """
     call()
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -123,11 +118,40 @@ def test_warm_quadratic_kernels_allocate_no_blocks(oracle):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         call()
-        peak = tracemalloc.get_traced_memory()[1] - before
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 64 * 1024
+
+
+@pytest.mark.parametrize("oracle", METERED)
+def test_warm_quadratic_kernels_allocate_no_blocks(oracle):
+    # a warm call takes its block buffers from the thread's scratch; what
+    # is left is the running sum and the result, 16 KiB each at d=2048
+    rng = np.random.default_rng(0)
+    d, n, B = 2048, 512, 256
+    obj = QuadraticObjective(0, rng.normal(size=(n, d)))
+    idx = rng.integers(0, n, size=B)
+    call = _quadratic_calls(obj, rng.normal(size=d), rng.normal(size=d), idx)[oracle]
+    assert _warm_peak(call) <= 64 * 1024
+
+
+def test_warm_sigmoid_pair_kernel_allocates_no_blocks():
+    # the gathered rows and both points' gradient rows, 528 KiB at
+    # sigmoid-online-parallel's inner batch, come from the thread's
+    # scratch; what is left is the margins, the slopes and the result
+    rng = np.random.default_rng(0)
+    d, n, B = 256, 512, 88
+    obj = SigmoidObjective(
+        0, rng.uniform(-1.0, 1.0, size=(n, d)) / 16, rng.uniform(-0.2, 0.2, size=n)
+    )
+    idx = rng.integers(0, n, size=B)
+    x_new, x_old = rng.normal(size=d), rng.normal(size=d)
+
+    def call():
+        return obj.pair_difference_mean(x_new, x_old, idx)
+
+    assert _warm_peak(call) <= 64 * 1024
 
 
 def test_threads_calling_quadratic_kernels_match_serial_calls():
@@ -491,13 +515,16 @@ def test_out_of_range_sample_index_raises():
     obj = QuadraticObjective(0, np.zeros((4, 3)))
     x = np.zeros(3)
     sig = SigmoidObjective(0, np.ones((4, 3)), np.zeros(4))
-    for bad in ([0, 4], [-5]):
+    # at 3 columns, 7 indices are past the sigmoid pair kernel's float tail
+    for bad in ([0, 4], [-5], [0] * 6 + [4], [-5] + [0] * 6):
         with pytest.raises(IndexError):
             obj.pair_difference_mean(x, x, bad)
         with pytest.raises(IndexError):
             obj.batch_gradient_mean(x, bad)
         with pytest.raises(IndexError):
             sig.batch_gradient_mean(x, bad)
+        with pytest.raises(IndexError):
+            sig.pair_difference_mean(x, x, bad)
     # negative indices count from the end, as in ``centers[idx]``
     centers = np.arange(12.0).reshape(4, 3)
     obj = QuadraticObjective(0, centers)
@@ -543,18 +570,18 @@ class TestSharedData:
         # own scratch; B spans three blocks of QUAD_ROWS
         suite = make_quadratic_suite(N=4, n=90, d=64, heterogeneity=0.5, seed=5)
         assert BLOCK_ROWS + 3 > 2 * QUAD_ROWS
-        serial = self._run(suite, 0).to_csv()
+        serial = list(self._run(suite, 0).csv_lines())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            parallel = self._run(suite, 0, parallel=True).to_csv()
+            parallel = list(self._run(suite, 0, parallel=True).csv_lines())
         finally:
             sys.setswitchinterval(interval)
         assert parallel == serial
 
     def test_threaded_runs_match_serial_runs(self):
         suite = make_quadratic_suite(N=2, n=70, d=5, heterogeneity=0.5, seed=3)
-        serial = [self._run(suite, seed).to_csv() for seed in range(4)]
+        serial = [list(self._run(suite, seed).csv_lines()) for seed in range(4)]
         # more runs than cores, switching threads often, over one suite
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -564,7 +591,7 @@ class TestSharedData:
                     pool.submit(self._run, suite, seed, parallel=seed % 2 == 1)
                     for seed in range(4)
                 ]
-                threaded = [f.result(timeout=60).to_csv() for f in futures]
+                threaded = [list(f.result(timeout=60).csv_lines()) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
@@ -579,7 +606,7 @@ class TestSharedData:
         def run(seed, parallel=False):
             return run_pr_spider_finite(suite, hp, seed, parallel=parallel)
 
-        serial = [run(seed).to_csv() for seed in range(4)]
+        serial = [list(run(seed).csv_lines()) for seed in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -588,7 +615,7 @@ class TestSharedData:
                     pool.submit(run, seed, parallel=seed % 2 == 1)
                     for seed in range(4)
                 ]
-                threaded = [f.result(timeout=60).to_csv() for f in futures]
+                threaded = [list(f.result(timeout=60).csv_lines()) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
