@@ -170,6 +170,8 @@ MAX_BATCH = int(np.iinfo(np.intp).max)
 # sweep axis -> the key its values are checked as
 AXES = {"N": GENERATED["N"], "I": AUTO["I"], "eps": AUTO["eps"],
         "heterogeneity": GENERATED["heterogeneity"]}
+# the axes that set a problem key; the others set an algorithm key
+PROBLEM_AXES = ("N", "heterogeneity")
 
 _KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
           str: "a string", dict: "an object", list: "a list"}
@@ -423,23 +425,26 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
 
 
 def _apply_axis(config: dict, axis: str, value, mode: str, total) -> dict:
-    """A copy of ``config`` with the axis key set.
+    """``config`` with the axis key set, sharing every block it leaves alone.
 
-    The key goes in the problem block or in the algorithm's ``mode`` block,
-    and a ``total`` sets ``n`` to ``total / N``; ``build_suite`` and
-    ``resolve_algorithm`` check the copy.
+    The key goes in a copy of the problem block or of the algorithm's
+    ``mode`` block, and a ``total`` sets ``n`` to ``total / N``;
+    ``build_suite`` and ``resolve_algorithm`` check the result. An explicit
+    suite's dataset stays the one ``config`` holds, uncopied.
     """
-    derived = copy.deepcopy(config)
-    if axis in ("N", "heterogeneity"):
+    derived = dict(config)
+    if axis in PROBLEM_AXES:
+        problem = derived["problem"] = dict(config["problem"])
         if total is not None:
             if total % value != 0:
                 raise ConfigError(
                     f"total data {total} not divisible by N={value}"
                 )
-            derived["problem"]["n"] = total // value
-        derived["problem"][axis] = value
+            problem["n"] = total // value
+        problem[axis] = value
     else:
-        derived["algorithm"][mode][axis] = value
+        algorithm = derived["algorithm"] = dict(config["algorithm"])
+        algorithm[mode] = {**config["algorithm"][mode], axis: value}
     return derived
 
 
@@ -472,9 +477,12 @@ def cmd_sweep(
     rows = []
     summary = []
     code = EXIT_OK
+    suite = None
     for value in values:
         config = _apply_axis(base, axis, value, mode, total)
-        suite = build_suite(config["problem"])
+        # an eps or I point runs on the problem the last point built
+        if suite is None or axis in PROBLEM_AXES:
+            suite = build_suite(config["problem"])
         name, params = resolve_algorithm(config["algorithm"], suite)
         eps_targets = [value] if axis == "eps" else run["eps_targets"]
         point = []

@@ -12,18 +12,23 @@ calls nor rounds.
 Every output file goes through ``open_atomic``: its writer streams into a
 temporary file beside the target, row by row or JSON chunk by chunk, so a
 write holds no copy of the file's text, and a finished file is moved into
-place whole. A record is a slotted dataclass: 96 bytes, 256 with its
-values and its slot in the trace's list.
+place whole. A trace keeps its records as columns (``Records``): two
+``array.array`` buffers of machine words, 64 bytes a record, and a read
+builds the ``MetricsRecord`` it returns. The CSV writer and ``first_hit``
+read the columns themselves.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -34,6 +39,7 @@ __all__ = [
     "CertificateError",
     "WorkerState",
     "MetricsRecord",
+    "Records",
     "MetricsTrace",
     "RunHooks",
     "sync_round",
@@ -109,6 +115,64 @@ class MetricsRecord:
     comm_rounds: int
 
 
+class Records(Sequence):
+    """A trace's records as columns: 64 bytes a record.
+
+    The ``'q'`` buffer holds each record's ``s``, ``t``, ``ifo_total`` and
+    ``comm_rounds`` in turn, the ``'d'`` buffer its ``f_bar``, ``grad_sq``,
+    ``consensus`` and ``fos``. It reads as a list of ``MetricsRecord``
+    does: by index, negative index, slice (a list) and in order, and each
+    read builds the record it returns. ``append`` adds a record whole or,
+    if a value does not fit its column, not at all.
+    """
+
+    __slots__ = ("_ints", "_floats")
+
+    def __init__(self, records: Iterable[MetricsRecord] = ()):
+        self._ints = array("q")
+        self._floats = array("d")
+        for record in records:
+            self.append(record)
+
+    def append(self, r: MetricsRecord) -> None:
+        end = len(self._ints)
+        try:
+            self._ints.extend((r.s, r.t, r.ifo_total, r.comm_rounds))
+            self._floats.extend((r.f_bar, r.grad_sq, r.consensus, r.fos))
+        except BaseException:
+            del self._ints[end:], self._floats[end:]
+            raise
+
+    def __len__(self) -> int:
+        return len(self._ints) // 4
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError("record index out of range")
+        i = 4 * (k % n)
+        s, t, ifo_total, comm_rounds = self._ints[i : i + 4]
+        return MetricsRecord(s, t, *self._floats[i : i + 4], ifo_total, comm_rounds)
+
+    def __iter__(self) -> Iterator[MetricsRecord]:
+        for row in self._rows():
+            yield MetricsRecord(*row)
+
+    def __repr__(self) -> str:
+        return f"Records({list(self)!r})"
+
+    def _rows(self) -> Iterator[tuple]:
+        """Each record's values in ``MetricsRecord`` field order."""
+        ints = iter(self._ints)
+        floats = iter(self._floats)
+        for (s, t, ifo, comm), values in zip(
+            zip(ints, ints, ints, ints), zip(floats, floats, floats, floats)
+        ):
+            yield (s, t, *values, ifo, comm)
+
+
 @dataclass
 class RunHooks:
     """Optional observation callbacks; must not mutate run state.
@@ -129,14 +193,20 @@ class MetricsTrace:
 
     ``ledger`` is the run's ``Meter``; the runner fills ``records`` and
     ``epoch_restart_residuals`` as it goes and sets ``outcome`` at its end.
+    ``records`` is a ``Records``, 64 bytes a record; any iterable of
+    ``MetricsRecord`` given for it is copied into one.
     """
 
     config_echo: dict
     seed: int
     ledger: Meter
-    records: list[MetricsRecord] = field(default_factory=list)
+    records: Records = field(default_factory=Records)
     outcome: str = "completed"  # | "diverged" | "below-optimum"
     epoch_restart_residuals: list[float] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not isinstance(self.records, Records):
+            self.records = Records(self.records)
 
     @property
     def ifo_total(self) -> int:
@@ -149,10 +219,9 @@ class MetricsTrace:
     def csv_lines(self) -> Iterator[str]:
         """The trace CSV, one line at a time, each ending in a newline."""
         yield CSV_HEADER + "\n"
-        for r in self.records:
+        for s, t, f_bar, grad_sq, consensus, fos, ifo, comm in self.records._rows():
             yield (
-                f"{r.s},{r.t},{r.f_bar!r},{r.grad_sq!r},{r.consensus!r},"
-                f"{r.fos!r},{r.ifo_total},{r.comm_rounds}\n"
+                f"{s},{t},{f_bar!r},{grad_sq!r},{consensus!r},{fos!r},{ifo},{comm}\n"
             )
 
     def write_csv(self, path) -> None:
@@ -280,7 +349,8 @@ def first_hit(trace: MetricsTrace, eps: float) -> MetricsRecord | None:
     """
     if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
-    for r in trace.records:
-        if r.fos <= eps:
-            return r
+    records = trace.records
+    for k, fos in enumerate(islice(records._floats, 3, None, 4)):
+        if fos <= eps:
+            return records[k]
     return None

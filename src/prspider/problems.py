@@ -33,9 +33,10 @@ Block buffers are each thread's scratch (``_scratch``), kept across calls,
 so a warm kernel allocates only its running sum and its result: fresh
 block buffers would be mapped, faulted in page by page and trimmed again
 by the allocator on every call. The quadratic kernels tile their points
-into the scratch once per call, so every subtract writes one of its (h, d)
-inputs: that runs faster than a broadcast (d,) operand, which numpy
-buffers, or a third output array.
+into the scratch once per call, so every subtract takes (h, d) operands:
+that runs faster than a broadcast (d,) operand, which numpy buffers. The
+pair kernel's first subtract writes its block's rows straight from the
+gathered centers, with no copy of them first.
 
 The sigmoid pair kernel takes its margins by BLAS gemv at any size,
 through ``ndarray.dot``: the gemv ``np.matmul`` reaches, at about half its
@@ -523,9 +524,8 @@ class QuadraticObjective(LocalObjective):
         edges = _block_edges(idx.shape[0], self.dim, QUAD_ROWS)
         height = _block_height(edges)
         gathered = _scratch("gathered", height, self.dim)
-        # both points tiled once per call: a subtract whose output is one of
-        # its inputs runs faster than one writing a third array, and an (h,
-        # d) operand than a broadcast (d,) one, which numpy buffers
+        # both points tiled once per call: an (h, d) operand runs faster
+        # than a broadcast (d,) one, which numpy buffers
         points = _scratch("points", 2 * height, self.dim)
         points[:height] = x_new
         points[height:] = x_old
@@ -537,8 +537,7 @@ class QuadraticObjective(LocalObjective):
             count = hi - lo
             c = gathered[:count]
             np.take(centers, idx[lo:hi], axis=0, out=c, mode="wrap")
-            rows[...] = c
-            np.subtract(new[:count], rows, out=rows)
+            np.subtract(new[:count], c, out=rows)
             np.subtract(old[:count], c, out=c)
             np.subtract(rows, c, out=rows)
 

@@ -511,6 +511,50 @@ class TestCmdSweep:
         assert len(rows) == 4  # 2 values x 2 seeds x 1 eps
         assert {r["value"] for r in rows} == {"0.0", "1.0"}
 
+    def test_eps_axis_builds_the_suite_once(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, run={"seeds": [0, 1]})
+        builds = []
+        build_suite = cli.build_suite
+
+        def counted(problem):
+            builds.append(problem)
+            return build_suite(problem)
+
+        monkeypatch.setattr(cli, "build_suite", counted)
+        values = ["0.2", "0.1", "0.05"]
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", str(cfg), "--axis", "eps", "--values", ",".join(values),
+             "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        assert len(builds) == 1
+        rows = read_rows(out / "sweep.csv")
+        # each point's rows are what `prspider run` at that eps reports
+        for value in values:
+            point = tmp_path / f"cfg_{value}.json"
+            write_config(
+                point,
+                algorithm={
+                    "name": "pr-spider-finite",
+                    "auto": {"eps": float(value), "I": 4},
+                },
+                run={"seeds": [0, 1], "eps_targets": [float(value)]},
+            )
+            assert main(["run", str(point), "--out", str(tmp_path / value)]) == 0
+            want = [
+                {k: r[k] for k in cli.HIT_FIELDS}
+                for r in read_rows(tmp_path / value / "summary.csv")
+            ]
+            got = [
+                {k: r[k] for k in cli.HIT_FIELDS}
+                for r in rows
+                if r["value"] == value
+            ]
+            assert got == want
+            assert all(r["ifo_at_eps"] for r in got)
+
 
 class TestCmdVerify:
     def test_default_suites_pass(self):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tracemalloc
 
@@ -167,7 +168,7 @@ class TestFirstHit:
     def test_stationary_start_hits_first_record(self):
         trace = synthetic_trace([0.0, 0.0, 0.0])
         hit = first_hit(trace, 0.5)
-        assert hit is trace.records[0]
+        assert hit == trace.records[0]
         assert (hit.s, hit.t, hit.ifo_total) == (0, 0, 10)
 
     def test_eps_zero_generic_miss(self):
@@ -185,10 +186,80 @@ class TestFirstHit:
     def test_harmonic_decay_hits_at_index_three(self):
         trace = synthetic_trace([1 / (k + 1) for k in range(10)])
         hit = first_hit(trace, 0.25)
-        assert hit is trace.records[3]
+        assert hit == trace.records[3]
         assert hit.t == 3
         assert hit.ifo_total == 40
         assert hit.comm_rounds == 4
+
+
+def record(k, fos=0.5, **values):
+    fields = dict(
+        s=k // 4, t=k % 4, f_bar=k / 3, grad_sq=fos, consensus=0.0, fos=fos,
+        ifo_total=10 * k, comm_rounds=k,
+    )
+    return MetricsRecord(**{**fields, **values})
+
+
+class TestRecords:
+    def test_reads_as_a_list_of_records(self):
+        records = [record(k) for k in range(5)]
+        trace = synthetic_trace([])
+        assert len(trace.records) == 0 and not trace.records
+        for r in records:
+            trace.records.append(r)
+        assert len(trace.records) == 5 and trace.records
+        assert list(trace.records) == records
+        assert [trace.records[k] for k in range(-5, 5)] == records + records
+        assert trace.records[1:4] == records[1:4]
+        assert trace.records[::-2] == records[::-2]
+        assert trace.records[7:] == []
+        for k in (5, -6):
+            with pytest.raises(IndexError):
+                trace.records[k]
+
+    def test_trace_from_any_iterable_of_records(self):
+        records = [record(k) for k in range(3)]
+        echo = {"algorithm": {"name": "pr-spider-finite"}}
+        for given in (records, tuple(records), iter(records)):
+            trace = MetricsTrace(echo, 0, Meter(1), records=given)
+            assert list(trace.records) == records
+
+    def test_a_value_that_does_not_fit_adds_nothing(self):
+        trace = synthetic_trace([0.5, 0.25])
+        before = list(trace.records)
+        with pytest.raises(OverflowError):
+            trace.records.append(record(2, comm_rounds=2**63))
+        with pytest.raises(TypeError):
+            trace.records.append(record(2, consensus="0.0"))
+        assert len(trace.records) == 2
+        trace.records.append(record(2))
+        assert list(trace.records) == [*before, record(2)]
+
+    def test_csv_bytes_of_signed_zero_infinities_nan_and_big_counts(self):
+        trace = synthetic_trace([])
+        trace.records.append(record(
+            0, s=2**31, t=2**40, f_bar=-0.0, grad_sq=math.inf,
+            consensus=math.nan, fos=-math.inf, ifo_total=2**62,
+            comm_rounds=2**31 + 1,
+        ))
+        assert list(trace.csv_lines())[1] == (
+            "2147483648,1099511627776,-0.0,inf,nan,-inf,"
+            "4611686018427387904,2147483649\n"
+        )
+        assert math.copysign(1.0, trace.records[0].f_bar) == -1.0
+
+    def test_first_hit_misses_or_hits_the_last_record(self):
+        trace = synthetic_trace([0.5, 0.4, 0.3])
+        assert first_hit(trace, 0.29) is None
+        hit = first_hit(trace, 0.3)
+        assert hit == trace.records[-1]
+        assert (hit.t, hit.ifo_total) == (2, 30)
+
+    def test_sidecar_counts_the_records(self):
+        assert synthetic_trace([]).sidecar()["result"]["records"] == 0
+        trace = synthetic_trace([0.5, 0.4, 0.3])
+        trace.records.append(record(3))
+        assert trace.sidecar()["result"]["records"] == 4
 
 
 class TestTraceSerialization:
@@ -409,6 +480,19 @@ class TestStreamedWrites:
         assert json.loads(path.read_text()) == trace.sidecar()
         assert path.stat().st_size > 1_000_000
         assert peak < path.stat().st_size / 10
+
+    def test_a_record_takes_at_most_80_bytes(self):
+        trace = synthetic_trace([])
+
+        def append():
+            for k in range(20_000):
+                trace.records.append(record(
+                    k, fos=1.0 / (k + 1), ifo_total=1000 * k, comm_rounds=300 + k,
+                ))
+
+        peak = _peak_bytes(append)
+        assert len(trace.records) == 20_000
+        assert peak / 20_000 <= 80
 
     def test_records_have_no_instance_dict(self):
         record = synthetic_trace([0.5]).records[0]

@@ -28,7 +28,7 @@ def test_library_use_example_runs(capsys):
     hit = names["hit"]
     # the hit is a record of the trace, and the example prints from it
     assert isinstance(hit, MetricsRecord)
-    assert any(hit is r for r in names["trace"].records)
+    assert any(hit == r for r in names["trace"].records)
     printed = (hit.s, hit.t, hit.ifo_total, hit.comm_rounds, hit.fos)
     assert capsys.readouterr().out == " ".join(map(str, printed)) + "\n"
 
