@@ -230,7 +230,27 @@ class MetricsTrace:
                 fh.write(line)
 
     def sidecar(self) -> dict:
-        """Reloadable config plus run results; run keys stay at top level."""
+        """Reloadable config plus run results; run keys stay at top level.
+
+        An explicit suite's data arrays are in it as the lists that reload
+        them.
+        """
+        doc = self._document()
+        if "problem" in doc:
+            doc["problem"] = {
+                key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in doc["problem"].items()
+            }
+        return doc
+
+    def write_sidecar(self, path) -> None:
+        """``sidecar()`` as JSON; data arrays are written a row at a time."""
+        with open_atomic(path) as fh:
+            json.dump(self._document(), fh, indent=2, default=_JsonRows.of)
+            fh.write("\n")
+
+    def _document(self) -> dict:
+        """The sidecar, with an explicit suite's data arrays as arrays."""
         doc = dict(self.config_echo)
         calls = self.ledger.breakdown()
         # PR-SPIDER's inner steps cost two oracle accesses per sample and
@@ -250,10 +270,33 @@ class MetricsTrace:
         }
         return doc
 
-    def write_sidecar(self, path) -> None:
-        with open_atomic(path) as fh:
-            json.dump(self.sidecar(), fh, indent=2)
-            fh.write("\n")
+
+class _JsonRows(list):
+    """An array as the JSON list ``json.dump`` writes, a row at a time.
+
+    ``json.dump`` takes any list and reads only its length and its items,
+    so no list of the whole array is built: a row of numbers is read as
+    floats, the bytes ``tolist()`` gives, and a row of rows comes back to
+    ``of``, ``json.dump``'s ``default``.
+    """
+
+    def __init__(self, array: np.ndarray):
+        super().__init__()
+        self.array = array
+
+    @classmethod
+    def of(cls, value) -> _JsonRows:
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        return cls(value)
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __iter__(self) -> Iterator:
+        if self.array.ndim == 1:
+            return iter(self.array.tolist())
+        return iter(self.array)
 
 
 def sync_round(

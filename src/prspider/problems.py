@@ -66,11 +66,18 @@ them once.
 Data arrays (centers, features, offsets) are read-only, so any number of
 runs, serial or concurrent, can share one suite.
 
-A quadratic suite is set up in two streamed passes over row blocks, with
-no dataset-sized temporaries: one draws the centers block by block into
-the one array that holds them and carries the per-worker and grand row
-sums, and one reads them back for the spreads around both means. Draws,
-means and spreads equal the whole-array formulas bit for bit.
+A quadratic suite is set up in one pass over row blocks that writes each
+center once, where it lives, with no block buffer and no dataset-sized
+temporary. Each block of centers is drawn in place by
+``standard_normal(out=)`` and finished in place with ``normal``'s own
+arithmetic; the per-worker and grand row sums are carried through the row
+just before each block, which is saved, overwritten by the running sum,
+reduced with the block and put back. A second pass reads each worker's
+centers back for its spread around its own mean, the analytic oracle's
+value offset, and nothing more: a worker's sigma, its spread around the
+grand mean, is computed the first time it is read, which no
+``pr-spider-finite`` run does. Draws, means, spreads and sigma equal the
+whole-array formulas bit for bit.
 
 Every metered oracle takes a batch of sample indices; one sample is
 ``[j]``, and a full gradient is the batch of every sample, ``0 .. n-1``.
@@ -266,60 +273,95 @@ def _blocked_mean(
     return acc / count
 
 
+def _draw_centers(rng, out, scale, center_spread, worker_mean) -> None:
+    """Draw a block of centers into ``out``, where they stay.
+
+    Bit for bit ``rng.normal(0.0, scale, out.shape) * center_spread +
+    worker_mean``: the standard normals are drawn in place and finished in
+    place with ``normal``'s own arithmetic, ``0.0 + scale * z``, whose
+    ``+= 0.0`` turns a -0.0 into +0.0.
+    """
+    rng.standard_normal(out=out)
+    out *= scale
+    out += 0.0
+    out *= center_spread
+    out += worker_mean
+
+
+def _carry(rows: np.ndarray, start: int, stop: int, sums, saved) -> None:
+    """Add ``rows[start:stop]`` to each running row sum in ``sums``.
+
+    The row just before the block carries each sum into one
+    ``np.add.reduce`` with the block, so rows are added in index order,
+    bit for bit as ``np.add.reduce`` sums a whole C-ordered batch of d >= 2
+    columns. That row is saved into ``saved`` first and put back after.
+    """
+    before = rows[start - 1]
+    np.copyto(saved, before)
+    for acc in sums:
+        np.copyto(before, acc)
+        np.add.reduce(rows[start - 1 : stop], axis=0, out=acc)
+    np.copyto(before, saved)
+
+
 def _center_means(
-    centers: np.ndarray, fill=None
+    centers: np.ndarray, draw=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each worker's center mean and the grand mean of (N, n, d) centers.
 
     The set-up's first pass: one walk over each worker's rows, a block at a
-    time. ``fill(i, out)``, when given, writes the next block of worker
-    ``i``'s rows into ``out`` and the block is stored into ``centers``;
-    otherwise the blocks are read from ``centers``. Both means sum rows in
-    index order (``_carry_sum``), bit for bit as ``centers[i].mean(axis=0)``
-    and ``centers.reshape(-1, d).mean(axis=0)`` do.
+    time. ``draw(i, out)``, when given, writes worker ``i``'s next block of
+    rows into ``out``, the view of ``centers`` where they stay. Both means
+    sum rows in index order, bit for bit as ``centers[i].mean(axis=0)`` and
+    ``centers.reshape(-1, d).mean(axis=0)`` do: a worker's first block is
+    reduced on its own, and the row just before every later block carries
+    the running sums through it (``_carry``), the grand sum across workers
+    too. So ``centers`` is written, but every row it held or was drawn
+    into is put back; it must be C-ordered and the caller's own.
     """
     N, n, d = centers.shape
+    rows = centers.reshape(N * n, d, copy=False)
     edges = _block_edges(n, d, BLOCK_ROWS)
-    buf = np.empty((_block_height(edges) + 1, d))
     sums = np.empty((N, d))
     total = np.empty(d)
+    saved = np.empty(d)
     for i in range(N):
         for lo, hi in zip(edges, edges[1:]):
-            block = buf[1 : 1 + hi - lo]
-            if fill is None:
-                block[...] = centers[i, lo:hi]
-            else:
-                fill(i, block)
-                centers[i, lo:hi] = block
-            _carry_sum(buf, hi - lo, sums[i], first=not lo)
-            if d > 1:
-                _carry_sum(buf, hi - lo, total, first=not (i or lo))
+            start, stop = i * n + lo, i * n + hi
+            if draw is not None:
+                draw(i, rows[start:stop])
+            if lo:
+                _carry(rows, start, stop, (sums[i], total), saved)
+                continue
+            np.add.reduce(rows[start:stop], axis=0, out=sums[i])
+            if not i:
+                np.copyto(total, sums[0])
+            elif d > 1:
+                _carry(rows, start, stop, (total,), saved)
     if d == 1:
         # a lone column is summed pairwise, not in order, so it is reduced
         # whole (each worker's already is: its rows are one block)
-        total = np.add.reduce(centers.reshape(-1, 1), axis=0)
+        total = np.add.reduce(rows, axis=0)
     return sums / n, total / (N * n)
 
 
-def _mean_sq_distances(centers: np.ndarray, *points) -> list[float]:
-    """``np.mean(np.sum((centers - p) ** 2, axis=1))`` for each point ``p``.
+def _mean_sq_distances(centers: np.ndarray, point: np.ndarray) -> float:
+    """``np.mean(np.sum((centers - point) ** 2, axis=1))``, bit for bit.
 
-    The set-up's second pass: one read of the (n, d) centers, a block of
-    rows at a time. Each block's per-row sums go into an (n,) vector per
-    point, and each vector is averaged whole, so the results are the
-    formula's bits without its (n, d) temporary.
+    One read of the (n, d) centers, a block of rows at a time. Each block's
+    per-row sums go into one (n,) vector, which is averaged whole, so the
+    result is the formula's bits without its (n, d) temporary.
     """
     n, d = centers.shape
     diff = np.empty((min(n, BLOCK_ROWS), d))
-    row_sums = np.empty((len(points), n))
+    row_sums = np.empty(n)
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
         block = diff[: hi - lo]
-        for point, out in zip(points, row_sums):
-            np.subtract(centers[lo:hi], point, out=block)
-            np.square(block, out=block)
-            np.add.reduce(block, axis=1, out=out[lo:hi])
-    return [float(np.mean(sums)) for sums in row_sums]
+        np.subtract(centers[lo:hi], point, out=block)
+        np.square(block, out=block)
+        np.add.reduce(block, axis=1, out=row_sums[lo:hi])
+    return float(np.mean(row_sums))
 
 
 class Meter:
@@ -366,6 +408,9 @@ class LocalObjective:
     ``full_gradient``; their batch oracles take the indices that
     ``draw_indices`` returns. ``smoothness`` and ``variance_bound`` are the
     advertised L and sigma; both are certified by the randomized test suite.
+    ``variance_bound`` is known once the suite factory has built every
+    worker: the sigmoid factory assigns it, and a quadratic objective
+    computes it on first read.
     """
 
     def __init__(
@@ -490,9 +535,22 @@ class LocalObjective:
 
 
 class QuadraticObjective(LocalObjective):
-    """Average of ``0.5 * ||x - c_j||^2`` over per-sample centers."""
+    """Average of ``0.5 * ||x - c_j||^2`` over per-sample centers.
 
-    def __init__(self, worker_id: int, centers: np.ndarray):
+    ``grand_mean`` is the mean of every worker's centers, which the suite
+    factory passes; without it the objective is a one-worker suite, and
+    its own center mean is the grand mean. ``variance_bound`` is computed
+    from the centers and the grand mean the first time it is read, and
+    kept: no ``pr-spider-finite`` run reads it, and its pass over the
+    centers costs as much as the spreads' pass of the set-up.
+    """
+
+    def __init__(
+        self,
+        worker_id: int,
+        centers: np.ndarray,
+        grand_mean: np.ndarray | None = None,
+    ):
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
         centers = _read_only(centers)
         n, d = centers.shape
@@ -502,9 +560,31 @@ class QuadraticObjective(LocalObjective):
             sample_count=n,
             pool_size=n,
             smoothness=1.0,
-            variance_bound=0.0,  # assigned by the suite factory
+            variance_bound=None,  # computed on first read
         )
         self.centers = centers
+        self._grand_mean = grand_mean
+
+    @property
+    def variance_bound(self) -> float:
+        """Uniform worker-vs-global deviation, ``sqrt(mean ||c - g||^2)``.
+
+        For this family the gradient deviation is x-free and equals the
+        spread of the centers around the grand mean ``g``. Threads that
+        make the first read together each compute the same bits.
+        """
+        sigma = self._variance_bound
+        if sigma is None:
+            grand_mean = self._grand_mean
+            if grand_mean is None:
+                grand_mean = self.centers.mean(axis=0)
+            sigma = math.sqrt(_mean_sq_distances(self.centers, grand_mean))
+            self._variance_bound = sigma
+        return sigma
+
+    @variance_bound.setter
+    def variance_bound(self, value: float | None) -> None:
+        self._variance_bound = value
 
     def _gradient_mean(self, x, idx):
         _check_indices(idx, self._pool_size)
@@ -662,9 +742,10 @@ def _pair_mean_on_floats(new, old, offsets, rows) -> np.ndarray:
 class QuadraticAnalytic:
     """Every quadratic worker's mean value and mean gradient at once.
 
-    ``center_means`` (N, d) are the workers' center means and ``spread_sq``
-    (N,) their mean squared spreads around them, the exact value offsets;
-    both are held as read-only views.
+    ``center_means`` (N, d) are the workers' center means, from the set-up's
+    first pass, and ``spread_sq`` (N,) their mean squared spreads around
+    them, the exact value offsets, from its second; both are held as
+    read-only views.
     """
 
     def __init__(self, center_means: np.ndarray, spread_sq: np.ndarray):
@@ -752,7 +833,9 @@ class ProblemSuite:
     ``gradients``): the factories build their family's evaluator over the
     suite's data, so a suite comes from a factory, and a modified copy from
     ``dataclasses.replace``. ``config`` echoes the construction parameters
-    for experiment bookkeeping.
+    for experiment bookkeeping; an explicit suite's data arrays are in it as
+    the read-only arrays the suite holds, not as lists, and a sidecar writes
+    them as lists.
     """
 
     objectives: list[LocalObjective]
@@ -808,18 +891,15 @@ def _finish_quadratic_suite(
     initial_point: ParamVector,
     config: dict,
 ) -> ProblemSuite:
-    objectives = []
-    spreads = np.empty(len(center_means))
-    for i, center_mean in enumerate(center_means):
-        # the set-up's second pass: both spreads from one read of the worker
-        spreads[i], dev_sq = _mean_sq_distances(
-            centers[i], center_mean, grand_mean
-        )
-        obj = QuadraticObjective(i, centers[i])
-        # uniform worker-vs-global deviation: for this family the gradient
-        # deviation is x-free and equals the spread around the grand mean
-        obj.variance_bound = math.sqrt(dev_sq)
-        objectives.append(obj)
+    # the set-up's second pass: each worker's spread around its own mean,
+    # the analytic oracle's value offset; sigma waits for its first read
+    spreads = np.array(
+        [_mean_sq_distances(c, mean) for c, mean in zip(centers, center_means)]
+    )
+    grand_mean = _read_only(grand_mean)
+    objectives = [
+        QuadraticObjective(i, c, grand_mean) for i, c in enumerate(centers)
+    ]
     suite = ProblemSuite(
         objectives=objectives,
         optimum_value=0.0,
@@ -861,9 +941,7 @@ def make_quadratic_suite(
     def draw(i, out):
         # block by block, the same draws and bits as one (N, n, d) draw
         # times center_spread plus worker_means[:, None, :]
-        draws = rng.normal(0.0, scale, size=out.shape)
-        np.multiply(draws, center_spread, out=out)
-        out += worker_means[i]
+        _draw_centers(rng, out, scale, center_spread, worker_means[i])
 
     center_means, grand_mean = _center_means(centers, draw)
     offset = rng.normal(0.0, scale, size=d)
@@ -940,7 +1018,7 @@ def quadratic_suite_from_centers(centers, initial_point) -> ProblemSuite:
     initial_point = _explicit_array("initial_point", initial_point, centers.shape[2:])
     config = {
         "family": "quadratic-explicit",
-        "centers": centers.tolist(),
+        "centers": _read_only(centers),
         "initial_point": initial_point.tolist(),
     }
     center_means, grand_mean = _center_means(centers)
@@ -1032,8 +1110,8 @@ def sigmoid_suite_from_params(
     initial_point = _explicit_array("initial_point", initial_point, features.shape[2:])
     config = {
         "family": "sigmoid-explicit",
-        "features": features.tolist(),
-        "offsets": offsets.tolist(),
+        "features": _read_only(features),
+        "offsets": _read_only(offsets),
         "initial_point": initial_point.tolist(),
         "online": online,
     }

@@ -701,5 +701,5 @@ class TestSharedData:
             for key, array in inputs.items():
                 array += 3.0
                 held = np.stack([getattr(obj, key) for obj in suite.objectives])
-                assert held.tolist() == suite.config[key]
+                assert held.tolist() == suite.config[key].tolist()
             assert oracles(suite) == before

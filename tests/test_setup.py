@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prspider import problems
+from prspider.algorithms import HyperParams, run_pr_spider_finite
 from prspider.numerics import ordered_sum, sq_norms
 from prspider.problems import make_quadratic_suite, quadratic_suite_from_centers
 
@@ -118,3 +121,104 @@ def test_setup_allocates_no_dataset_sized_temporary():
         tracemalloc.stop()
     assert suite.objectives[1].centers.nbytes * N == dataset
     assert peak <= dataset + 2**20
+
+
+def test_explicit_suite_holds_its_dataset_once():
+    N, n, d = 4, 1024, 64
+    centers = np.random.default_rng(2).normal(size=(N, n, d))
+    tracemalloc.start()
+    try:
+        suite = quadratic_suite_from_centers(centers, np.zeros(d))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert suite.config["centers"].tolist() == centers.tolist()
+    assert held <= centers.nbytes + 2**20
+
+
+class _StubGenerator:
+    """Hands ``standard_normal(out=)`` chosen values, one row per call."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, out):
+        out[...] = self.z[:, None]
+
+
+@pytest.mark.parametrize("spread", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("scale", [1.0, 1.0 / math.sqrt(7)])
+def test_center_draws_finish_as_normal_does(spread, scale):
+    # ``normal`` gives 0.0 + scale * z, which turns z = -0.0 into +0.0; a
+    # test against rng.normal all but never meets that draw
+    z = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.7, -1.3, 2.5]
+    means = [-0.0, 0.0, 1.5, -2.25, 5e-324]
+    out = np.empty((len(z), len(means)))
+    problems._draw_centers(
+        _StubGenerator(np.array(z)), out, scale, spread, np.array(means)
+    )
+    for row, zi in zip(out.tolist(), z):
+        for got, w in zip(row, means):
+            assert got.hex() == ((0.0 + scale * zi) * spread + w).hex()
+
+
+@pytest.fixture
+def distance_calls(monkeypatch):
+    """Each ``_mean_sq_distances`` call's point count, in call order."""
+    calls = []
+    real = problems._mean_sq_distances
+
+    def counted(centers, *points):
+        calls.append(len(points))
+        return real(centers, *points)
+
+    monkeypatch.setattr(problems, "_mean_sq_distances", counted)
+    return calls
+
+
+def test_sigma_is_computed_on_first_read_only(distance_calls):
+    N, n, d = 3, 70, 8
+    suite = make_quadratic_suite(N, n, d, 0.5, 11)
+    assert distance_calls == [1] * N  # the spreads' pass
+    hp = HyperParams(gamma=0.1, I=2, m=4, B=3, S=2, N=N)
+    run_pr_spider_finite(suite, hp, seed=0)
+    assert len(distance_calls) == N
+    sigma = suite.variance_bound
+    assert distance_calls == [1] * (2 * N)
+    bounds = [o.variance_bound.hex() for o in suite.objectives]
+    assert suite.variance_bound == sigma
+    assert len(distance_calls) == 2 * N
+    _, stats, _ = _reference_generated(N, n, d, 0.5, 11, 1.0, None)
+    assert bounds == [b.hex() for b in stats[2]]
+
+
+def test_concurrent_first_reads_of_sigma_agree(monkeypatch):
+    N, n, d = 2, 100, 64
+    suite = make_quadratic_suite(N, n, d, 3.0, 5)
+    _, stats, _ = _reference_generated(N, n, d, 3.0, 5, 1.0, None)
+    real = problems._mean_sq_distances
+    both_inside = threading.Barrier(2)
+    first = threading.local()
+
+    def meet_then_compute(centers, *points):
+        # both threads start worker 0's sigma before either stores it
+        if not getattr(first, "done", False):
+            first.done = True
+            both_inside.wait(timeout=10)
+        return real(centers, *points)
+
+    monkeypatch.setattr(problems, "_mean_sq_distances", meet_then_compute)
+    reads = [None, None]
+
+    def read(k):
+        reads[k] = [o.variance_bound for o in suite.objectives]
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert [[s.hex() for s in r] for r in reads] == [
+        [b.hex() for b in stats[2]]
+    ] * 2
