@@ -274,10 +274,13 @@ class MetricsTrace:
 class _JsonRows(list):
     """An array as the JSON list ``json.dump`` writes, a row at a time.
 
-    ``json.dump`` takes any list and reads only its length and its items,
-    so no list of the whole array is built: a row of numbers is read as
-    floats, the bytes ``tolist()`` gives, and a row of rows comes back to
-    ``of``, ``json.dump``'s ``default``.
+    The list's own storage stays empty: an encoder reads it through its
+    length and its items, so no list of the whole array is built. A row of
+    numbers is read as floats, the bytes ``tolist()`` gives, and a row of
+    rows comes back to ``of``, the encoder's ``default``. ``json.dump``'s
+    Python encoder reads a list that way; CPython's C encoder (``dumps``
+    with no indent) does too, since it lists any list subclass by
+    iterating it. ``tests/test_harness.py`` pins both.
     """
 
     def __init__(self, array: np.ndarray):

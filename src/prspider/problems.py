@@ -145,7 +145,7 @@ BLOCK_ROWS = 32
 # Rows per quadratic kernel block: at d=2048 a block of float64 rows is
 # 256 KiB, so the pair kernel's four buffers (gathered centers, rows, and
 # both points tiled) fit a 2 MiB L2 together. Quadratic bits do not depend
-# on it, since _carry_sum adds rows in index order at any height.
+# on it, since _carry adds rows in index order at any height.
 QUAD_ROWS = 16
 
 # draw_indices' words: a raw output is two 32-bit words, low word first
@@ -237,39 +237,25 @@ def _scratch(slot: str, rows: int, dim: int) -> np.ndarray:
     return buf[:rows]
 
 
-def _carry_sum(
-    buf: np.ndarray, rows: int, acc: np.ndarray, first: bool
-) -> None:
-    """Add the block ``buf[1 : 1 + rows]`` to the running row sum ``acc``.
-
-    Rows are summed in index order, bit for bit as ``np.add.reduce`` sums a
-    whole C-ordered batch of d >= 2 columns: the first block is reduced on
-    its own, and row 0 of ``buf`` carries the running sum into each later
-    block.
-    """
-    if first:
-        np.add.reduce(buf[1 : 1 + rows], axis=0, out=acc)
-    else:
-        buf[0] = acc
-        np.add.reduce(buf[: 1 + rows], axis=0, out=acc)
-
-
 def _blocked_mean(
     count: int, dim: int, fill, rows: int = BLOCK_ROWS
 ) -> np.ndarray:
     """Mean of ``count`` rows that ``fill(lo, hi, out)`` writes by blocks.
 
     ``fill`` writes rows ``lo:hi`` into ``out``, one block at a time, and
-    the rows are summed in index order (``_carry_sum``), bit for bit as
-    ``rows.mean(axis=0)`` sums them. The block buffer is this thread's
-    scratch; the mean is a fresh array.
+    the rows are summed in index order (``_carry``, through row 0 of the
+    buffer), bit for bit as ``rows.mean(axis=0)`` sums them. The block
+    buffer is this thread's scratch; the mean is a fresh array.
     """
     edges = _block_edges(count, dim, rows)
     buf = _scratch("mean", _block_height(edges) + 1, dim)
     acc = np.empty(dim)
     for lo, hi in zip(edges, edges[1:]):
         fill(lo, hi, buf[1 : 1 + hi - lo])
-        _carry_sum(buf, hi - lo, acc, first=not lo)
+        if lo:
+            _carry(buf, 1, 1 + hi - lo, (acc,))
+        else:
+            np.add.reduce(buf[1 : 1 + hi], axis=0, out=acc)
     return acc / count
 
 
@@ -288,20 +274,25 @@ def _draw_centers(rng, out, scale, center_spread, worker_mean) -> None:
     out += worker_mean
 
 
-def _carry(rows: np.ndarray, start: int, stop: int, sums, saved) -> None:
+def _carry(
+    rows: np.ndarray, start: int, stop: int, sums, saved=None
+) -> None:
     """Add ``rows[start:stop]`` to each running row sum in ``sums``.
 
     The row just before the block carries each sum into one
     ``np.add.reduce`` with the block, so rows are added in index order,
     bit for bit as ``np.add.reduce`` sums a whole C-ordered batch of d >= 2
-    columns. That row is saved into ``saved`` first and put back after.
+    columns. When ``saved`` is given, that row is saved into it first and
+    put back after; otherwise the row is scratch and is overwritten.
     """
     before = rows[start - 1]
-    np.copyto(saved, before)
+    if saved is not None:
+        np.copyto(saved, before)
     for acc in sums:
         np.copyto(before, acc)
         np.add.reduce(rows[start - 1 : stop], axis=0, out=acc)
-    np.copyto(before, saved)
+    if saved is not None:
+        np.copyto(before, saved)
 
 
 def _center_means(
@@ -317,10 +308,12 @@ def _center_means(
     reduced on its own, and the row just before every later block carries
     the running sums through it (``_carry``), the grand sum across workers
     too. So ``centers`` is written, but every row it held or was drawn
-    into is put back; it must be C-ordered and the caller's own.
+    into is put back. It must be the factory's own C-ordered array, so that
+    its flat ``(N * n, d)`` reshape is a view: generated centers are, and
+    ``_explicit_array`` copies an explicit suite's into C order.
     """
     N, n, d = centers.shape
-    rows = centers.reshape(N * n, d, copy=False)
+    rows = centers.reshape(N * n, d)  # a view: centers is C-ordered
     edges = _block_edges(n, d, BLOCK_ROWS)
     sums = np.empty((N, d))
     total = np.empty(d)
@@ -538,11 +531,11 @@ class QuadraticObjective(LocalObjective):
     """Average of ``0.5 * ||x - c_j||^2`` over per-sample centers.
 
     ``grand_mean`` is the mean of every worker's centers, which the suite
-    factory passes; without it the objective is a one-worker suite, and
-    its own center mean is the grand mean. ``variance_bound`` is computed
-    from the centers and the grand mean the first time it is read, and
-    kept: no ``pr-spider-finite`` run reads it, and its pass over the
-    centers costs as much as the spreads' pass of the set-up.
+    factory passes. ``variance_bound`` is then computed from the centers
+    and the grand mean the first time it is read, and kept: no
+    ``pr-spider-finite`` run reads it, and its pass over the centers costs
+    as much as the spreads' pass of the set-up. A stand-alone objective,
+    built without ``grand_mean``, advertises 0.0.
     """
 
     def __init__(
@@ -560,7 +553,8 @@ class QuadraticObjective(LocalObjective):
             sample_count=n,
             pool_size=n,
             smoothness=1.0,
-            variance_bound=None,  # computed on first read
+            # computed on first read when the suite factory built it
+            variance_bound=0.0 if grand_mean is None else None,
         )
         self.centers = centers
         self._grand_mean = grand_mean
@@ -575,10 +569,7 @@ class QuadraticObjective(LocalObjective):
         """
         sigma = self._variance_bound
         if sigma is None:
-            grand_mean = self._grand_mean
-            if grand_mean is None:
-                grand_mean = self.centers.mean(axis=0)
-            sigma = math.sqrt(_mean_sq_distances(self.centers, grand_mean))
+            sigma = math.sqrt(_mean_sq_distances(self.centers, self._grand_mean))
             self._variance_bound = sigma
         return sigma
 
@@ -987,7 +978,7 @@ def _check_numbers(data) -> None:
 
 
 def _explicit_array(key: str, data, shape: tuple) -> np.ndarray:
-    """An explicit suite's array ``key`` as a finite float64 copy of ``shape``.
+    """An explicit suite's array ``key`` as a finite, C-ordered float64 copy.
 
     A named axis (``"n"``) takes any length of at least 1. Every message
     starts with ``key``, so a config error names the bad array.
@@ -996,7 +987,7 @@ def _explicit_array(key: str, data, shape: tuple) -> np.ndarray:
         _check_numbers(data)
         if len(shape) == 1:
             return as_vector(data, shape[0])
-        array = np.array(data, dtype=np.float64)
+        array = np.array(data, dtype=np.float64, order="C")
         if not np.isfinite(array).all():
             raise ValueError("non-finite entries")
     except (ValueError, TypeError, OverflowError) as exc:

@@ -481,6 +481,22 @@ class TestStreamedWrites:
         assert path.stat().st_size > 1_000_000
         assert peak < path.stat().st_size / 10
 
+    def test_sidecar_bytes_are_those_of_its_lists(self, tmp_path):
+        # data arrays go to the encoder as rows; both of CPython's json
+        # encoders must write the bytes of the listed arrays
+        rng = np.random.default_rng(1)
+        suite = quadratic_suite_from_centers(
+            rng.normal(size=(2, 3, 4)), rng.normal(size=4)
+        )
+        hp = HyperParams(gamma=0.1, I=1, m=2, B=1, S=1, N=2)
+        trace = run_pr_spider_finite(suite, hp, seed=0)
+        path = tmp_path / "trace.json"
+        trace.write_sidecar(path)
+        listed = trace.sidecar()
+        assert path.read_text() == json.dumps(listed, indent=2) + "\n"
+        compact = json.dumps(trace._document(), default=harness._JsonRows.of)
+        assert compact == json.dumps(listed)
+
     def test_a_record_takes_at_most_80_bytes(self):
         trace = synthetic_trace([])
 

@@ -104,6 +104,34 @@ def test_explicit_suite_matches_whole_array_formulas_bitwise(N, n, d, seed):
     _assert_suite_bitwise(suite, centers, stats, initial_point)
 
 
+def _fortran(a):
+    return np.asfortranarray(a)
+
+
+def _transposed(a):
+    return np.ascontiguousarray(a.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+def _strided(a):
+    wide = np.zeros((a.shape[0], 2 * a.shape[1], a.shape[2]))
+    wide[:, ::2] = a
+    return wide[:, ::2]
+
+
+@pytest.mark.parametrize("layout", [_fortran, _transposed, _strided])
+def test_explicit_suite_takes_centers_in_any_memory_layout(layout):
+    # the factory's own copy is C-ordered, whatever the caller's layout;
+    # n spans several blocks, so the carried sums see every layout
+    rng = np.random.default_rng(5)
+    centers = rng.normal(size=(3, 70, 5)) * 10.0 ** rng.uniform(-8, 8, (3, 70, 5))
+    initial_point = rng.normal(size=5)
+    held = layout(centers)
+    assert not held.flags.c_contiguous and np.array_equal(held, centers)
+    suite = quadratic_suite_from_centers(held, initial_point)
+    _assert_suite_bitwise(suite, centers, _reference_stats(centers), initial_point)
+    assert held.tobytes() == centers.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(0, 4, 2), (2, 0, 2), (2, 4, 0), (4, 2)])
 def test_explicit_centers_need_three_nonempty_axes(shape):
     with pytest.raises(ValueError, match="centers must have shape"):
