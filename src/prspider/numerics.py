@@ -16,12 +16,12 @@ four seed words directly. A draw site of two indices, drawn by
 ``LocalObjective.draw_indices``, costs about 4.2 us on a 2-vCPU x86-64
 host; through ``SeedSequence`` and ``Generator.integers``, about 22 us.
 
-Tiny stacks skip numpy's per-call cost. ``mean_reduce`` of at most
-``SCALAR_ENTRIES`` float64 entries runs on Python floats, whose ``+ - * /``
-round exactly as numpy's elementwise ufuncs do, and keeps numpy's order of
-summation, so both paths give the same bits; a list of tiny vectors is read
-without being stacked. ``problems`` runs the tail of its small-batch
-sigmoid pair kernel the same way, after margins taken by BLAS gemv through
+Tiny stacks skip numpy's per-call cost. ``mean_reduce`` stacks every
+input once; a float64 stack of at most ``SCALAR_ENTRIES`` entries is then
+reduced on Python floats, whose ``+ - * /`` round exactly as numpy's
+elementwise ufuncs do, in numpy's order of summation, so both paths give
+the same bits. ``problems`` runs the tail of its small-batch sigmoid pair
+kernel the same way, after margins taken by BLAS gemv through
 ``ndarray.dot``.
 """
 
@@ -86,32 +86,28 @@ def mean_reduce(vectors: Sequence[ParamVector] | np.ndarray) -> ParamVector:
     bitwise. ``np.add.accumulate`` adds row by row for any d, where
     ``np.add.reduce`` would sum a lone column (d = 1) pairwise. A float64
     stack of 2 or more rows and at most ``SCALAR_ENTRIES`` entries is
-    reduced on Python floats in the same order, with the same bits; a list
-    of such vectors is read without stacking it.
+    reduced on Python floats in the same order, with the same bits.
     """
-    rows = _tiny_rows(vectors) if type(vectors) is list else None
-    if rows is None:
-        stack = np.asarray(vectors, order="C")
-        if stack.ndim != 2 or stack.shape[0] == 0:
-            raise ValueError(f"mean_reduce needs N >= 1 vectors, got {stack.shape}")
-        first = stack[0]
-        if stack.shape[0] == 1:
-            return first.copy()
-        if stack.size > SCALAR_ENTRIES or stack.dtype != np.float64:
-            acc = np.add.accumulate(stack[1:] - first, axis=0)[-1]
-            acc /= stack.shape[0]
-            # a zero accumulated deviation means the mean IS the anchor;
-            # returning it verbatim keeps the identity bitwise (including
-            # signed zeros)
-            mean = first + acc
-            np.copyto(mean, first, where=acc == 0.0)
-            return mean
-        rows = stack.tolist()
+    stack = np.asarray(vectors, order="C")
+    if stack.ndim != 2 or stack.shape[0] == 0:
+        raise ValueError(f"mean_reduce needs N >= 1 vectors, got {stack.shape}")
+    first = stack[0]
+    if stack.shape[0] == 1:
+        return first.copy()
+    if stack.size > SCALAR_ENTRIES or stack.dtype != np.float64:
+        acc = np.add.accumulate(stack[1:] - first, axis=0)[-1]
+        acc /= stack.shape[0]
+        # a zero accumulated deviation means the mean IS the anchor;
+        # returning it verbatim keeps the identity bitwise (including
+        # signed zeros)
+        mean = first + acc
+        np.copyto(mean, first, where=acc == 0.0)
+        return mean
     # per column, the deviations from the first row added row by row, as
     # np.add.accumulate adds them (from 0.0: a zero sum of either sign
     # returns the anchor), and a zero mean deviation returns the anchor
-    count = len(rows)
-    anchor, *rest = rows
+    count = stack.shape[0]
+    anchor, *rest = stack.tolist()
     mean = []
     for j, a in enumerate(anchor):
         acc = 0.0
@@ -120,27 +116,6 @@ def mean_reduce(vectors: Sequence[ParamVector] | np.ndarray) -> ParamVector:
         acc /= count
         mean.append(a if acc == 0.0 else a + acc)
     return np.array(mean)
-
-
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _tiny_rows(vectors: list) -> list | None:
-    """The rows of a list of float64 vectors as Python floats, if tiny.
-
-    ``None`` unless the list holds at least 2 and at most
-    ``SCALAR_ENTRIES`` entries in all, every item a 1-D float64 array of
-    the first one's length; ``mean_reduce`` stacks and checks anything else.
-    """
-    if len(vectors) < 2:
-        return None
-    shape = getattr(vectors[0], "shape", None)
-    if shape is None or len(shape) != 1 or len(vectors) * shape[0] > SCALAR_ENTRIES:
-        return None
-    for v in vectors:
-        if type(v) is not np.ndarray or v.dtype is not _FLOAT64 or v.shape != shape:
-            return None
-    return [v.tolist() for v in vectors]
 
 
 def axpy(x: ParamVector, a: float, y: ParamVector) -> ParamVector:

@@ -20,36 +20,41 @@ every worker's mean value and mean gradient at once.
 
 The metered batch means sum their per-sample rows in index order, the
 order ``rows.mean(axis=0)`` uses, so they match the row-materialising
-formula bit for bit. The quadratic kernels and the sigmoid restart
-gradients get there without materialising the rows: they walk the batch in
-blocks of rows (``QUAD_ROWS`` for the quadratic kernels,
-``sigmoid_block_rows`` for the sigmoid ones), gather each sample once per
-block and carry the running sum from block to block. Since that sum adds
-rows in index order at any height, the quadratic bits do not depend on
-``QUAD_ROWS``; the sigmoid bits depend on ``BLOCK_ROWS`` through the
-margins' gemv row groups.
+formula bit for bit. All four kernels get there without materialising
+the rows: ``_blocked_mean`` walks the batch in blocks of rows (``QUAD_ROWS``
+for the quadratic kernels, ``sigmoid_block_rows`` for the sigmoid ones),
+the kernel gathers each sample once per block, and the running sum is
+carried from block to block. Since that sum adds rows in index order at
+any height, the quadratic bits do not depend on ``QUAD_ROWS``; the sigmoid
+bits depend on ``BLOCK_ROWS`` through the margins' gemv row groups.
 
 Block buffers are each thread's scratch (``_scratch``), kept across calls,
 so a warm kernel allocates only its running sum and its result: fresh
 block buffers would be mapped, faulted in page by page and trimmed again
-by the allocator on every call. The quadratic kernels tile their points
+by the allocator on every call. A thread holds one block per buffer, at
+any batch size. Each buffer starts on a 64-byte boundary, where
+``np.empty`` gives 16 bytes: a subtract of (16, 2048) blocks at 16-, 32- or
+48-byte offsets runs up to twice as long, so a kernel's speed would
+follow where its buffers land. The quadratic kernels tile their points
 into the scratch once per call, so every subtract takes (h, d) operands:
 that runs faster than a broadcast (d,) operand, which numpy buffers. The
 pair kernel's first subtract writes its block's rows straight from the
 gathered centers, with no copy of them first.
 
-The sigmoid pair kernel takes its margins by BLAS gemv at any size,
+Both sigmoid kernels take their margins by BLAS gemv, block by block,
 through ``ndarray.dot``: the gemv ``np.matmul`` reaches, at about half its
-call cost. For a batch of at most ``numerics.SCALAR_ENTRIES`` entries and
-d >= 2, the rest runs on Python floats, bit for bit as the numpy path:
-``+ - * /`` round as numpy's elementwise ufuncs do, the row sum starts from
-0.0 as ``np.add.reduce`` over d >= 2 columns does, and the slope's square
-is ``q * q``, since ``q ** 2`` raises ``OverflowError`` on a Python float.
-At d = 1 numpy sums 8 or more rows of the lone column pairwise, so that
-case stays on numpy. On the numpy path the gathered rows and both
-points' gradient rows are scratch too: the slopes are tiled into the
-gradient rows by a copy and multiplied in place, since a ufunc with a
-broadcast operand allocates a 64 KiB buffer.
+call cost. One per-block fill serves both: it gathers the block's rows into
+scratch once and writes ``phi'(<a, x> - b) * a`` for the restart's point,
+or for both of the pair's points and their row difference. The slopes are
+tiled into the gradient rows by a copy and multiplied in place, since a
+ufunc with a broadcast operand allocates a 64 KiB buffer. For a pair batch
+of at most ``numerics.SCALAR_ENTRIES`` entries and d >= 2, the tail after
+the margins runs on Python floats, bit for bit as the numpy path: ``+ - *
+/`` round as numpy's elementwise ufuncs do, the row sum starts from 0.0 as
+``np.add.reduce`` over d >= 2 columns does, and the slope's square is ``q *
+q``, since ``q ** 2`` raises ``OverflowError`` on a Python float. At d = 1
+numpy sums 8 or more rows of the lone column pairwise, so that case stays
+on numpy.
 
 The analytic oracles behind ``ProblemSuite.value``/``gradient`` evaluate
 all workers at once. ``QuadraticAnalytic`` holds the per-worker center
@@ -58,10 +63,10 @@ its margins over the worker-stacked data that the factories share with the
 objectives, through the BLAS gemv of ``features[i] @ x`` per worker: one
 ``ndarray.dot`` over the flat (N*n, d) view while BLAS runs it unthreaded
 and each worker's rows start a gemv row group, else a stacked
-``np.matmul``. It keeps the terms ``phi`` and ``phi'`` share at the last
-point, ``t``, ``t*t`` and ``1 + t*t``, read-only, with the point's bytes as
-their key, so a record's ``value`` and ``gradient`` at one ``x_bar`` take
-them once.
+``np.matmul`` per block of ``sigmoid_block_rows`` rows. It keeps the
+terms ``phi`` and ``phi'`` share at the last point, ``t``, ``t*t`` and ``1 +
+t*t``, read-only, with the point's bytes as their key, so a record's
+``value`` and ``gradient`` at one ``x_bar`` take them once.
 
 Data arrays (centers, features, offsets) are read-only, so any number of
 runs, serial or concurrent, can share one suite.
@@ -221,7 +226,7 @@ _SCRATCH = _Scratch()
 
 
 def _scratch(slot: str, rows: int, dim: int) -> np.ndarray:
-    """This thread's float64 buffer ``slot``, as a (rows, dim) view.
+    """This thread's float64 buffer ``slot``, a 64-byte aligned (rows, dim) view.
 
     The buffer is kept across calls and replaced only when ``dim`` changes
     or more rows are asked for, so a warm kernel allocates no block-sized
@@ -233,7 +238,10 @@ def _scratch(slot: str, rows: int, dim: int) -> np.ndarray:
     buffers = _SCRATCH.buffers
     buf = buffers.get(slot)
     if buf is None or buf.shape[1] != dim or buf.shape[0] < rows:
-        buf = buffers[slot] = np.empty((rows, dim))
+        # float64 data is 8-byte aligned, so 7 spare entries reach a 64-byte one
+        raw = np.empty(rows * dim + 7)
+        start = -raw.ctypes.data % 64 // 8
+        buf = buffers[slot] = raw[start : start + rows * dim].reshape(rows, dim)
     return buf[:rows]
 
 
@@ -652,27 +660,14 @@ class SigmoidObjective(LocalObjective):
         return (t + t) / ((1.0 + t2) ** 2)
 
     def _gradient_mean(self, x, idx):
-        # the restart gradient: row blocks, so an online restart batch of
-        # any size needs memory for one block only
-        _check_indices(idx, self._pool_size)
-
-        def fill(lo, hi, out):
-            block = idx[lo:hi]
-            np.take(self.features, block, axis=0, out=out, mode="wrap")
-            t = out @ x
-            t -= np.take(self.offsets, block, mode="wrap")
-            out *= self._phi_prime(t)[:, None]
-
-        return _blocked_mean(idx.shape[0], self.dim, fill, self._block_rows)
+        # the restart gradient; a batch of any size, online restarts
+        # included, needs memory for one block only
+        return self._slope_mean(idx, x)
 
     def _pair_difference_mean(self, x_new, x_old, idx):
-        # one gather and one pass per step for both points; margins by gemv
-        # blocks BLAS won't thread, or whole if one block; a tiny batch's
-        # tail on Python floats (see the module docstring)
-        count = idx.shape[0]
-        if not count:
-            raise ValueError("a batch mean needs at least one sample")
-        if self.dim > 1 and count * self.dim <= SCALAR_ENTRIES:
+        # a tiny batch's tail on Python floats (see the module docstring);
+        # an empty one is refused by _block_edges
+        if self.dim > 1 and 0 < idx.shape[0] * self.dim <= SCALAR_ENTRIES:
             a = self.features.take(idx, axis=0)
             return _pair_mean_on_floats(
                 a.dot(x_new).tolist(),
@@ -680,27 +675,40 @@ class SigmoidObjective(LocalObjective):
                 self.offsets.take(idx).tolist(),
                 a.tolist(),
             )
+        return self._slope_mean(idx, x_new, x_old)
+
+    def _slope_mean(self, idx, x, x_old=None):
+        """Mean of the rows ``phi'(<a, x> - b) * a`` over ``idx``, by blocks.
+
+        With ``x_old``, each row is the difference of that row at ``x`` and
+        at ``x_old``, formed before the sum. Each block's samples are
+        gathered once into scratch for both points; margins are taken per
+        block, so no gemv is big enough for BLAS to thread it.
+        """
         _check_indices(idx, self._pool_size)
-        a = _scratch("gathered", count, self.dim)
-        np.take(self.features, idx, axis=0, out=a, mode="wrap")
-        t = np.empty((2, count))
-        if count <= self._block_rows:
-            a.dot(x_new, out=t[0])
-            a.dot(x_old, out=t[1])
-        else:
-            edges = _block_edges(count, self.dim, self._block_rows)
-            for lo, hi in zip(edges, edges[1:]):
-                a[lo:hi].dot(x_new, out=t[0, lo:hi])
-                a[lo:hi].dot(x_old, out=t[1, lo:hi])
-        t -= np.take(self.offsets, idx, mode="wrap")
-        # both points' gradient rows, in scratch (see the module docstring)
-        new, old = _scratch("grads", 2 * count, self.dim).reshape(2, count, -1)
-        slopes = self._phi_prime(t)
-        new[...] = slopes[0, :, None]
-        old[...] = slopes[1, :, None]
-        np.multiply(new, a, out=new)
-        np.multiply(old, a, out=old)
-        return np.add.reduce(np.subtract(new, old, out=new), axis=0) / count
+        edges = _block_edges(idx.shape[0], self.dim, self._block_rows)
+        height = _block_height(edges)
+        gathered = _scratch("gathered", height, self.dim)
+        # the first point's gradient rows are the block itself, the
+        # second's are scratch
+        points, spare = (x,), None
+        if x_old is not None:
+            points, spare = (x, x_old), _scratch("grads", height, self.dim)
+
+        def fill(lo, hi, out):
+            a = gathered[: hi - lo]
+            np.take(self.features, idx[lo:hi], axis=0, out=a, mode="wrap")
+            b = np.take(self.offsets, idx[lo:hi], mode="wrap")
+            for point, grad in zip(points, (out, spare)):
+                grad = grad[: hi - lo]
+                t = a.dot(point)
+                t -= b
+                grad[...] = self._phi_prime(t)[:, None]
+                np.multiply(grad, a, out=grad)
+            if spare is not None:
+                np.subtract(out, spare[: hi - lo], out=out)
+
+        return _blocked_mean(idx.shape[0], self.dim, fill, self._block_rows)
 
 
 def _pair_mean_on_floats(new, old, offsets, rows) -> np.ndarray:
@@ -768,8 +776,8 @@ class SigmoidAnalytic:
         self._features_t = features.transpose(0, 2, 1)
         N, n, d = features.shape
         rows = sigmoid_block_rows(d)
-        # row blocks BLAS won't thread, as in the pair kernel; whole if one
-        self._edges = _block_edges(n, d, rows) if n > rows else None
+        # row blocks BLAS won't thread, as in the metered kernels
+        self._edges = _block_edges(n, d, rows)
         # one gemv over every worker's rows while BLAS won't thread it and
         # each worker's first row starts a gemv row group, as in its own
         self._flat = (
@@ -788,8 +796,6 @@ class SigmoidAnalytic:
             return last[1]
         if self._flat is not None:
             t = self._flat.dot(x).reshape(self.offsets.shape)
-        elif self._edges is None:
-            t = np.matmul(self.features, x)
         else:
             t = np.empty(self.offsets.shape)
             for lo, hi in zip(self._edges, self._edges[1:]):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from prspider.algorithms import HyperParams, run_pr_spider_finite
 from prspider.harness import RunHooks
+from prspider import problems
 from prspider.numerics import SCALAR_ENTRIES
 from prspider.problems import (
     BLOCK_ROWS,
@@ -152,6 +153,61 @@ def test_warm_sigmoid_pair_kernel_allocates_no_blocks():
         return obj.pair_difference_mean(x_new, x_old, idx)
 
     assert _warm_peak(call) <= 64 * 1024
+
+
+def _in_fresh_thread(call):
+    """``call()``'s result, computed in a new thread with empty scratch."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(call()))
+    thread.start()
+    thread.join(timeout=120)
+    assert out, "the call raised or did not finish"
+    return out[0]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4, 7, 256, 2048])
+def test_scratch_buffers_start_on_a_64_byte_boundary(dim):
+    # np.empty alone gives 16-byte alignment, so the offsets of a kernel's
+    # buffers, and with them its speed, would follow the heap
+    def addresses():
+        seen = []
+        for rows in (1, 2, 5, 16, 33, 3):
+            for slot in ("first", "second"):
+                buf = problems._scratch(slot, rows, dim)
+                assert buf.shape == (rows, dim) and buf.flags.c_contiguous
+                buf[...] = 1.0
+                seen.append(buf.ctypes.data)
+        return seen
+
+    assert all(address % 64 == 0 for address in _in_fresh_thread(addresses))
+
+
+def test_sigmoid_kernel_scratch_holds_one_block():
+    # a batch of three blocks and a lone row, at any size of which a thread
+    # keeps one block per slot (the mean buffer has its carry row too)
+    d = 256
+    height = sigmoid_block_rows(d)
+    B = 3 * height + 1
+    rng = np.random.default_rng(11)
+    features = rng.uniform(-1.0, 1.0, size=(512, d)) / np.sqrt(d)
+    offsets = rng.uniform(-0.2, 0.2, size=512)
+    obj = SigmoidObjective(0, features, offsets)
+    idx = rng.integers(0, 512, size=B)
+    x_new, x_old = rng.normal(size=d), rng.normal(size=d)
+
+    def calls():
+        pair = obj.pair_difference_mean(x_new, x_old, idx)
+        batch = obj.batch_gradient_mean(x_new, idx)
+        buffers = problems._SCRATCH.buffers
+        return pair, batch, {slot: buf.shape for slot, buf in buffers.items()}
+
+    pair, batch, shapes = _in_fresh_thread(calls)
+    assert shapes and all(rows <= height + 2 for rows, _ in shapes.values())
+    # B * d is below 2**19, so the references' gemvs are not threaded
+    ref = _sigmoid_pair_reference(features, offsets, x_new, x_old, idx)
+    assert pair.tobytes() == ref.tobytes()
+    ref = _sigmoid_row_mean(features, offsets, x_new, idx)
+    assert batch.tobytes() == ref.tobytes()
 
 
 def test_threads_calling_quadratic_kernels_match_serial_calls():

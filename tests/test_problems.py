@@ -413,6 +413,28 @@ class TestStackedAnalytic:
         want = (total / suite.num_workers, sq_norm(grad), consensus)
         assert evaluate_fos(suite, workers) == want
 
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65])
+    def test_sigmoid_margin_paths_match_one_worker_oracles(self, N, n):
+        # at d=2048 a margin block is 32 rows: N=1, n=32 takes the flat gemv,
+        # every other shape the blocked matmul, in one block up to n=33 and
+        # in two past it (a lone last row joins the block before it)
+        d = 2048
+        rng = np.random.default_rng(N * 100 + n)
+        features = rng.uniform(-1.0, 1.0, size=(N, n, d)) / np.sqrt(d)
+        offsets = rng.uniform(-0.2, 0.2, size=(N, n))
+        suite = sigmoid_suite_from_params(features, offsets, np.zeros(d))
+        analytic = suite.analytic
+        assert (analytic._flat is not None) == (N * n <= 32 and n % 32 == 0)
+        assert len(analytic._edges) - 1 == (2 if n > 33 else 1)
+        for x in self._points(suite, count=3):
+            values = analytic.values(x)
+            grads = analytic.gradients(x)
+            for i, obj in enumerate(suite.objectives):
+                value, grad = one_worker_oracles(obj, x)
+                assert values[i] == value
+                assert grads[i].tobytes() == grad.tobytes()
+
     def test_hand_built_suite_asks_each_objective(self):
         # a hand-built suite needs its family's evaluator: there is no
         # per-objective fallback, and given one it answers each objective

@@ -1,13 +1,15 @@
-"""Every function and method defined in ``src/prspider`` has a caller.
+"""Every function, method and module-level name in ``src/prspider`` is used.
 
 Like ``test_unused_imports.py``, this walks syntax trees, so it needs no
 linter. A definition counts as used when a module of ``src/prspider`` or
-``perfbench/`` mentions its name other than by defining it: as a name
-(``axpy(...)``), an attribute (``obj.draw_indices``) or a string
+``perfbench/`` mentions its name other than by defining it: as a name it
+reads (``axpy(...)``), an attribute (``obj.draw_indices``) or a string
 (``setattr(owner, "substream", ...)``, which is how the span tracer
 patches calls). A name in ``__all__`` is exported, not called, so the
 strings of an ``__all__`` assignment do not count. Tests do not count
 either: API surface that only a test calls has no caller in the program.
+The same rule holds for every name a module assigns at its top level,
+``__all__`` itself excepted: a constant nothing reads is dead code too.
 """
 
 from __future__ import annotations
@@ -40,13 +42,17 @@ def _mentions(tree: ast.AST) -> set[str]:
         if _exports(node):
             continue
         pending.extend(ast.iter_child_nodes(node))
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
     return names
+
+
+def _all_mentions(trees: list[ast.AST]) -> set[str]:
+    return set().union(*map(_mentions, trees))
 
 
 def unused_functions(defining: list[str], referencing: list[str]) -> list[str]:
@@ -56,9 +62,7 @@ def unused_functions(defining: list[str], referencing: list[str]) -> list[str]:
     Dunders and ``PROTOCOL`` names are exempt.
     """
     trees = [ast.parse(source) for source in defining]
-    mentioned = set()
-    for tree in trees + [ast.parse(source) for source in referencing]:
-        mentioned |= _mentions(tree)
+    mentioned = _all_mentions(trees + [ast.parse(s) for s in referencing])
     unused = []
     for tree in trees:
         for node in ast.walk(tree):
@@ -70,6 +74,47 @@ def unused_functions(defining: list[str], referencing: list[str]) -> list[str]:
             if name not in PROTOCOL and name not in mentioned:
                 unused.append(name)
     return unused
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _module_names(tree: ast.Module) -> list[str]:
+    """Names bound by assignments at module level.
+
+    The bodies of a module-level ``if``, ``try`` or ``with`` are module
+    level too; functions and classes are not.
+    """
+    names = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop(0)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [
+                n.id
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            ]
+        elif not isinstance(node, SCOPES):
+            pending += [n for n in ast.iter_child_nodes(node) if isinstance(n, ast.stmt)]
+    return names
+
+
+def unread_module_names(defining: list[str], referencing: list[str]) -> list[str]:
+    """Module-level names of ``defining`` that no source reads.
+
+    As for ``unused_functions``; ``__all__`` is exempt.
+    """
+    trees = [ast.parse(source) for source in defining]
+    mentioned = _all_mentions(trees + [ast.parse(s) for s in referencing])
+    return [
+        name
+        for tree in trees
+        for name in _module_names(tree)
+        if name != "__all__" and name not in mentioned
+    ]
 
 
 def test_the_check_sees_unused_functions():
@@ -97,3 +142,29 @@ def _sources(folder: Path) -> list[str]:
 
 def test_no_uncalled_functions():
     assert unused_functions(_sources(PACKAGE), _sources(PERFBENCH)) == []
+
+
+def test_the_check_sees_unread_module_names():
+    source = (
+        "import numpy as np\n"
+        "__all__ = ['EXPORTED']\n"
+        "EXPORTED = 1\n"
+        "_DTYPE = np.dtype(np.float64)\n"
+        "LIMIT: int = 16\n"
+        "_LOW, *_HIGH = 0, 1, 2\n"
+        "if LIMIT:\n"
+        "    _NESTED = 2\n"
+        "def f(x):\n"
+        "    local = x\n"
+        "    return _LOW < local < LIMIT\n"
+        "class C:\n"
+        "    FIELD = 0\n"
+    )
+    caller = "getattr(module, '_HIGH')\n"
+    assert unread_module_names([source], [caller]) == [
+        "EXPORTED", "_DTYPE", "_NESTED",
+    ]
+
+
+def test_no_unread_module_names():
+    assert unread_module_names(_sources(PACKAGE), _sources(PERFBENCH)) == []
