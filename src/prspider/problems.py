@@ -32,29 +32,33 @@ Block buffers are each thread's scratch (``_scratch``), kept across calls,
 so a warm kernel allocates only its running sum and its result: fresh
 block buffers would be mapped, faulted in page by page and trimmed again
 by the allocator on every call. A thread holds one block per buffer, at
-any batch size. Each buffer starts on a 64-byte boundary, where
-``np.empty`` gives 16 bytes: a subtract of (16, 2048) blocks at 16-, 32- or
-48-byte offsets runs up to twice as long, so a kernel's speed would
-follow where its buffers land. The quadratic kernels tile their points
-into the scratch once per call, so every subtract takes (h, d) operands:
-that runs faster than a broadcast (d,) operand, which numpy buffers. The
-pair kernel's first subtract writes its block's rows straight from the
-gathered centers, with no copy of them first.
+any batch size. Each buffer starts on a 64-byte boundary (``np.empty``
+gives 16 bytes): alone, a subtract of (16, 2048) blocks at 16-, 32- or
+48-byte offsets ran up to twice as long. The end-to-end effect is
+unresolved, and kernel speed still depends on the heap: ``_blocked_mean``
+fills its buffer from row 1, and sums, results and iterates keep
+``np.empty``'s alignment. The quadratic kernels tile their points into the
+scratch once per call, so every subtract takes (h, d) operands: that runs
+faster than a broadcast (d,) operand, which numpy buffers. The pair
+kernel's first subtract writes its block's rows straight from the gathered
+centers, with no copy of them first.
 
 Both sigmoid kernels take their margins by BLAS gemv, block by block,
 through ``ndarray.dot``: the gemv ``np.matmul`` reaches, at about half its
-call cost. One per-block fill serves both: it gathers the block's rows into
-scratch once and writes ``phi'(<a, x> - b) * a`` for the restart's point,
-or for both of the pair's points and their row difference. The slopes are
-tiled into the gradient rows by a copy and multiplied in place, since a
-ufunc with a broadcast operand allocates a 64 KiB buffer. For a pair batch
-of at most ``numerics.SCALAR_ENTRIES`` entries and d >= 2, the tail after
-the margins runs on Python floats, bit for bit as the numpy path: ``+ - *
-/`` round as numpy's elementwise ufuncs do, the row sum starts from 0.0 as
-``np.add.reduce`` over d >= 2 columns does, and the slope's square is ``q *
-q``, since ``q ** 2`` raises ``OverflowError`` on a Python float. At d = 1
-numpy sums 8 or more rows of the lone column pairwise, so that case stays
-on numpy.
+call cost. One per-block fill serves both. The restart gathers a block's
+rows into the block and scales them there by their slopes, a broadcast
+multiply. The pair gathers them into scratch once and writes the rows at
+both points and their difference, tiling the slopes by a copy: a ufunc
+with a broadcast operand allocates a 64 KiB buffer. The restart keeps that
+buffer, since a tiled copy is one more pass over the block: a d=256
+restart ran 10-15 % longer with it. For a pair batch of at most
+``numerics.SCALAR_ENTRIES`` entries and d >= 2, the tail after the margins
+runs on Python floats, bit for bit as the numpy path: ``+ - * /`` round as
+numpy's elementwise ufuncs do, the row sum starts from 0.0 as
+``np.add.reduce`` over d >= 2 columns does, and the slope's square is
+``q * q``, since ``q ** 2`` raises ``OverflowError`` on a Python float. At
+d = 1 numpy sums 8 or more rows of the lone column pairwise, so that case
+stays on numpy.
 
 The analytic oracles behind ``ProblemSuite.value``/``gradient`` evaluate
 all workers at once. ``QuadraticAnalytic`` holds the per-worker center
@@ -654,15 +658,13 @@ class SigmoidObjective(LocalObjective):
         self._block_rows = sigmoid_block_rows(d)
 
     @staticmethod
-    def _phi_prime(t: np.ndarray) -> np.ndarray:
+    def _slopes(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``phi'(<a_j, x> - b_j)`` for the rows of ``a``, margins by gemv."""
+        t = a.dot(x)
+        t -= b
         t2 = t * t
         # t + t is 2t exactly, without converting a Python float
         return (t + t) / ((1.0 + t2) ** 2)
-
-    def _gradient_mean(self, x, idx):
-        # the restart gradient; a batch of any size, online restarts
-        # included, needs memory for one block only
-        return self._slope_mean(idx, x)
 
     def _pair_difference_mean(self, x_new, x_old, idx):
         # a tiny batch's tail on Python floats (see the module docstring);
@@ -675,38 +677,37 @@ class SigmoidObjective(LocalObjective):
                 self.offsets.take(idx).tolist(),
                 a.tolist(),
             )
-        return self._slope_mean(idx, x_new, x_old)
+        return self._gradient_mean(x_new, idx, x_old)
 
-    def _slope_mean(self, idx, x, x_old=None):
+    def _gradient_mean(self, x, idx, x_old=None):
         """Mean of the rows ``phi'(<a, x> - b) * a`` over ``idx``, by blocks.
 
-        With ``x_old``, each row is the difference of that row at ``x`` and
-        at ``x_old``, formed before the sum. Each block's samples are
-        gathered once into scratch for both points; margins are taken per
-        block, so no gemv is big enough for BLAS to thread it.
+        This is the restart gradient, and a batch of any size, online
+        restarts included, needs memory for one block only. With ``x_old``,
+        each row is the difference of that row at ``x`` and at ``x_old``,
+        formed before the sum: the pair kernel. Margins are taken per block,
+        so no gemv is big enough for BLAS to thread it.
         """
         _check_indices(idx, self._pool_size)
         edges = _block_edges(idx.shape[0], self.dim, self._block_rows)
-        height = _block_height(edges)
-        gathered = _scratch("gathered", height, self.dim)
-        # the first point's gradient rows are the block itself, the
-        # second's are scratch
-        points, spare = (x,), None
         if x_old is not None:
-            points, spare = (x, x_old), _scratch("grads", height, self.dim)
+            gathered = _scratch("gathered", _block_height(edges), self.dim)
+            spare = _scratch("grads", _block_height(edges), self.dim)
 
         def fill(lo, hi, out):
-            a = gathered[: hi - lo]
-            np.take(self.features, idx[lo:hi], axis=0, out=a, mode="wrap")
             b = np.take(self.offsets, idx[lo:hi], mode="wrap")
-            for point, grad in zip(points, (out, spare)):
-                grad = grad[: hi - lo]
-                t = a.dot(point)
-                t -= b
-                grad[...] = self._phi_prime(t)[:, None]
+            a = out if x_old is None else gathered[: hi - lo]
+            np.take(self.features, idx[lo:hi], axis=0, out=a, mode="wrap")
+            if x_old is None:
+                # a broadcast multiply: tiling the slopes would add a pass
+                # over the block (see the module docstring)
+                out *= self._slopes(a, x, b)[:, None]
+                return
+            old = spare[: hi - lo]
+            for point, grad in ((x, out), (x_old, old)):
+                grad[...] = self._slopes(a, point, b)[:, None]
                 np.multiply(grad, a, out=grad)
-            if spare is not None:
-                np.subtract(out, spare[: hi - lo], out=out)
+            np.subtract(out, old, out=out)
 
         return _blocked_mean(idx.shape[0], self.dim, fill, self._block_rows)
 
