@@ -11,10 +11,16 @@ A key becomes a generator exactly as
 iteration, purpose))))`` would make it: same seed words, same draws.
 ``SeedSequence``'s hash is fixed by NEP 19, so ``RngStream`` computes it
 itself, for ``ITER_BLOCK`` consecutive iterations of one (worker, epoch,
-purpose) at a time, in one vectorised numpy pass, and hands each PCG64 its
-four seed words directly. A draw site of two indices, drawn by
-``LocalObjective.draw_indices``, costs about 4.2 us on a 2-vCPU x86-64
-host; through ``SeedSequence`` and ``Generator.integers``, about 22 us.
+purpose) at a time, in one vectorised numpy pass: a ``SeedBlock``, whose
+lanes are the iterations. ``substream`` returns a ``Substream`` handle on
+one lane, whose generator is built only when an attribute of it is read.
+A tiny draw builds none: on its block's first one, ``SeedBlock`` derives
+every lane's first ``LANE_OUTPUTS`` PCG64 outputs in one more pass, on
+uint64 limbs (seeding as numpy's ``pcg64_set_seed``, XSL-RR output), and
+``LocalObjective.draw_indices`` reads its indices from them. On a 2-vCPU
+x86-64 host a draw site of two indices costs about 1.9 us, block passes
+included; with ``Generator.integers`` on the handle, about 9.9 us; through
+``SeedSequence``, about 22 us.
 
 Tiny stacks skip numpy's per-call cost. ``mean_reduce`` stacks every
 input once; a float64 stack of at most ``SCALAR_ENTRIES`` entries is then
@@ -38,6 +44,7 @@ from numpy.random.bit_generator import ISeedSequence
 __all__ = [
     "ParamVector",
     "RngStream",
+    "Substream",
     "DRAW_INNER",
     "DRAW_RESTART",
     "DRAW_INIT",
@@ -250,6 +257,152 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+# Raw outputs derived per lane by the lane pass: six 32-bit words.
+LANE_OUTPUTS = 3
+
+# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905). Limb
+# arithmetic runs on uint64 arrays with uint64 operands only: NumPy 1.x
+# promotes uint64 mixed with a signed integer to float64, and a uint64
+# scalar warns on overflow where an array wraps.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+_ONE, _TOP_BIT, _ROT_SHIFT, _ROT_MASK = (
+    np.uint64(1), np.uint64(63), np.uint64(58), np.uint64(63)
+)
+
+
+def _u128_consts(rows: list[list[int]]) -> tuple[np.ndarray, ...]:
+    """128-bit constants as uint64 arrays of shape ``(rows, cols, 1)``: high
+    limb, low limb, and the low limb's low and high 32-bit halves."""
+    hi = np.array([[v >> 64 for v in r] for r in rows], dtype=np.uint64)
+    lo = np.array([[v % 2**64 for v in r] for r in rows], dtype=np.uint64)
+    return tuple(c[..., None] for c in (hi, lo, lo & _LOW32, lo >> _HALF))
+
+
+# pcg64_set_seed steps state 0 to inc, adds the seed s, and steps again; a
+# raw output steps once more, then reads the state. So output j's state is
+# s * M**(j+1) + inc * (1 + M + ... + M**(j+1)), mod 2**128: row 0 holds
+# the seed's factors, row 1 the increment's.
+_OUTPUT_MULTS = _u128_consts(
+    [
+        [pow(_PCG_MULT, j + 1, 2**128) for j in range(1, LANE_OUTPUTS + 1)],
+        [
+            sum(pow(_PCG_MULT, i, 2**128) for i in range(j + 2)) % 2**128
+            for j in range(1, LANE_OUTPUTS + 1)
+        ],
+    ]
+)
+
+
+def _mul_u128(hi: np.ndarray, lo: np.ndarray, consts) -> tuple:
+    """``(hi, lo) * c mod 2**128`` per entry, for constants ``c`` that
+    broadcast against it.
+
+    The low limbs' 128-bit product is taken in 32-bit halves, whose
+    partial products fit a uint64.
+    """
+    c_hi, c_lo, c0, c1 = consts
+    x0 = lo & _LOW32
+    x1 = lo >> _HALF
+    p01 = x0 * c1
+    p10 = x1 * c0
+    mid = x0 * c0
+    mid >>= _HALF
+    mid += p01 & _LOW32
+    mid += p10 & _LOW32
+    top = x1 * c1
+    top += p01 >> _HALF
+    top += p10 >> _HALF
+    top += mid >> _HALF
+    top += lo * c_hi
+    top += hi * c_lo
+    return top, lo * c_lo
+
+
+def _pcg64_outputs(words: np.ndarray) -> np.ndarray:
+    """First ``LANE_OUTPUTS`` raw outputs of PCG64 seeded by each row.
+
+    Row ``k`` of the ``(rows, LANE_OUTPUTS)`` uint64 result equals
+    ``PCG64(_SeedWords(words[k])).random_raw(LANE_OUTPUTS)``: numpy's
+    ``pcg64_set_seed`` reads words 0-1 as the 128-bit state seed and words
+    2-3 as the stream, high word first, so ``inc = (stream << 1) | 1``;
+    each output is PCG's XSL-RR, ``rotr64(hi ^ lo, hi >> 58)``.
+    """
+    s_hi, s_lo, q_hi, q_lo = words.T
+    # seed and increment as one (2, rows) number of two limbs
+    hi = np.stack((s_hi, q_hi << _ONE))
+    hi[1] |= q_lo >> _TOP_BIT
+    lo = np.stack((s_lo, q_lo << _ONE))
+    lo[1] |= _ONE
+    (hi, add_hi), (lo, add_lo) = _mul_u128(
+        hi[:, None], lo[:, None], _OUTPUT_MULTS
+    )
+    lo += add_lo
+    hi += add_hi
+    hi += lo < add_lo  # the carry out of the low limb
+    xored = hi ^ lo
+    rot = hi >> _ROT_SHIFT
+    out = xored >> rot
+    out |= xored << ((np.uint64(64) - rot) & _ROT_MASK)
+    return np.ascontiguousarray(out.T)
+
+
+class SeedBlock:
+    """The keys of one slot's ``ITER_BLOCK`` iterations, one lane each.
+
+    ``words[lane]`` seeds iteration ``first + lane`` of ``epoch``.
+    ``tables`` caches what a caller derives from ``lane_outputs``, under the
+    caller's own keys. A block is never changed, only filled: threads that
+    race on a table or on the outputs at most compute it twice.
+    """
+
+    __slots__ = ("epoch", "first", "words", "tables", "_outputs")
+
+    def __init__(self, epoch: int, first: int, words: np.ndarray):
+        self.epoch = epoch
+        self.first = first
+        self.words = words
+        self.tables = {}
+        self._outputs = None
+
+    def lane_outputs(self) -> np.ndarray:
+        """Every lane's first ``LANE_OUTPUTS`` raw outputs, an
+        ``(ITER_BLOCK, LANE_OUTPUTS)`` uint64 array derived on first use.
+        """
+        out = self._outputs
+        if out is None:
+            out = self._outputs = _pcg64_outputs(self.words)
+        return out
+
+
+class Substream:
+    """One key's substream: its ``SeedBlock`` and its lane in it.
+
+    Every public attribute (``integers``, ``normal``, ``bit_generator``, ...)
+    is that of the key's ``Generator``, built on first use from the lane's
+    seed words. ``LocalObjective.draw_indices`` reads a batch of at most
+    ``SCALAR_DRAWS`` indices from the block's lane outputs and builds none.
+    """
+
+    __slots__ = ("block", "lane", "_gen")
+
+    def __init__(self, block: SeedBlock, lane: int):
+        self.block = block
+        self.lane = lane
+        self._gen = None
+
+    def __getattr__(self, name):
+        # reached only for names the handle lacks; private names are not
+        # forwarded, so copy and pickle see a plain object
+        if name.startswith("_"):
+            raise AttributeError(name)
+        gen = self._gen
+        if gen is None:
+            seed = _SeedWords(self.block.words[self.lane])
+            gen = self._gen = np.random.Generator(np.random.PCG64(seed))
+        return getattr(gen, name)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Factory for reproducible, statistically independent substreams.
@@ -263,23 +416,26 @@ class RngStream:
     """
 
     seed: int
-    # (worker, purpose) -> (epoch, first iteration, seed words): the last
-    # block of keys derived for each slot, its words a list of row arrays
+    # (worker, purpose) -> the last SeedBlock derived for each slot
     _blocks: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def substream(
         self, worker: int, epoch: int, iteration: int, purpose: int = DRAW_INNER
-    ) -> np.random.Generator:
+    ) -> Substream:
+        """The key's ``Substream``, a lane of the slot's current block.
+
+        The slot ``(worker, purpose)`` keeps one block, derived whole by
+        ``_seed_block`` when a key leaves it and then replaced, never
+        changed: threads that race on a slot at most derive it twice.
+        """
         iteration = operator.index(iteration)
-        first = iteration - iteration % ITER_BLOCK
+        lane = iteration % ITER_BLOCK
+        first = iteration - lane
         slot = (worker, purpose)
-        # entries are replaced whole, never changed: threads that race on a
-        # slot at most derive the same block twice
         block = self._blocks.get(slot)
-        if block is None or block[0] != epoch or block[1] != first:
-            words = list(_seed_block(self.seed, worker, epoch, first, purpose))
-            block = self._blocks[slot] = (epoch, first, words)
-        words = block[2][iteration - first]
-        return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        if block is None or block.epoch != epoch or block.first != first:
+            words = _seed_block(self.seed, worker, epoch, first, purpose)
+            block = self._blocks[slot] = SeedBlock(epoch, first, words)
+        return Substream(block, lane)

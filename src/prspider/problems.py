@@ -108,8 +108,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
+    LANE_OUTPUTS,
     SCALAR_ENTRIES,
     ParamVector,
+    Substream,
     as_vector,
     mean_reduce,
     ordered_sum,
@@ -159,11 +161,10 @@ QUAD_ROWS = 16
 
 # draw_indices' words: a raw output is two 32-bit words, low word first
 _LE64, _LE32, _WORD_BITS = np.dtype("<u8"), np.dtype("<u4"), np.uint64(32)
-_MASK32 = 0xFFFFFFFF
 
-# Batches up to this size are drawn on Python ints, faster than arrays up
-# to about 7 indices (10 with rejections) on a 2-vCPU x86-64 host
-SCALAR_DRAWS = 6
+# Batches up to this size read a substream's indices from its seed block's
+# lane outputs, whose six words serve a lane without rejections
+SCALAR_DRAWS = 2 * LANE_OUTPUTS
 
 
 def sigmoid_block_rows(dim: int) -> int:
@@ -448,47 +449,76 @@ class LocalObjective:
 
     # -- sampling ---------------------------------------------------------
 
-    def draw_indices(self, gen: np.random.Generator, size: int) -> np.ndarray:
+    def draw_indices(
+        self, gen: Substream | np.random.Generator, size: int
+    ) -> np.ndarray:
         """Draw ``size`` i.i.d. sample indices (with replacement).
 
         Values and dtype of ``gen.integers(0, pool, size)``: each raw output
         gives two 32-bit words, low first, and a word ``u`` gives ``(u *
         pool) >> 32`` unless that product's low half is below ``(2**32 -
-        pool) mod pool``. Up to ``SCALAR_DRAWS`` indices are drawn on Python
-        ints, more on arrays; the words and the rule are the same. ``gen``
-        must be a fresh ``substream``, used once.
+        pool) mod pool``. A ``Substream`` batch of 1 to ``SCALAR_DRAWS``
+        indices is read from a read-only table of every lane of its seed
+        block, made once per block, pool and size from the lanes' first
+        outputs; a lane whose words run short, a larger batch and any other
+        generator draw on arrays. ``gen`` must be fresh, used once.
         """
         size = int(size)
         if size < 0:
             raise ValueError("negative dimensions are not allowed")
-        if size <= SCALAR_DRAWS:
-            raw = gen.bit_generator.random_raw
-            pool, bound = self._pool_size, self._reject_below
-            picks = []
-            while len(picks) < size:
-                out = raw()
-                low = (out & _MASK32) * pool
-                if low & _MASK32 >= bound:
-                    picks.append(low >> 32)
-                high = (out >> 32) * pool
-                if high & _MASK32 >= bound:
-                    picks.append(high >> 32)
-            del picks[size:]
-            return np.array(picks, dtype=np.int64)
+        if 0 < size <= SCALAR_DRAWS and isinstance(gen, Substream):
+            block = gen.block
+            key = (self._pool_size, size)
+            rows = block.tables.get(key)
+            if rows is None:
+                rows = self._lane_rows(block.lane_outputs(), size)
+                block.tables[key] = rows
+            row = rows[gen.lane]
+            if row is not None:
+                return row
+        if size == 0:
+            return np.empty(0, dtype=np.int64)
         parts, need = [], size
         while need > 0:
-            raw = gen.bit_generator.random_raw((need + 1) // 2)
-            words = raw.astype(_LE64, copy=False).view(_LE32).astype(np.uint64)
-            words *= self._scale
+            words = self._scaled(gen.bit_generator.random_raw((need + 1) // 2))
             if self._reject_below:
-                low = words.astype(_LE64, copy=False).view(_LE32)[::2]
-                if low.min(initial=self._reject_below) < self._reject_below:
-                    words = words[low >= self._reject_below]
+                kept = self._kept(words)
+                if not kept.all():
+                    words = words[kept]
             parts.append(words)
             need -= words.shape[0]
         scaled = parts[0] if len(parts) == 1 else np.concatenate(parts)
         scaled >>= _WORD_BITS
         return scaled[:size].view(np.int64)
+
+    def _scaled(self, raw: np.ndarray) -> np.ndarray:
+        """Each 32-bit word of ``raw``'s outputs times the pool, low first."""
+        words = raw.astype(_LE64, copy=False).view(_LE32).astype(np.uint64)
+        words *= self._scale
+        return words
+
+    def _kept(self, scaled: np.ndarray) -> np.ndarray:
+        """Which scaled words the bounded draw keeps."""
+        low = scaled.astype(_LE64, copy=False).view(_LE32)[..., ::2]
+        return low >= self._reject_below
+
+    def _lane_rows(self, outputs: np.ndarray, size: int) -> list:
+        """Each lane's first ``size`` indices from its outputs' words, or
+        ``None`` where rejections leave fewer than ``size``."""
+        scaled = self._scaled(outputs)
+        short = ()
+        if self._reject_below:
+            kept = self._kept(scaled)
+            # a stable sort moves each lane's kept words ahead, in order
+            order = np.argsort(~kept, axis=1, kind="stable")[:, :size]
+            scaled = np.take_along_axis(scaled, order, axis=1)
+            short = np.flatnonzero(np.count_nonzero(kept, axis=1) < size)
+        table = (scaled[:, :size] >> _WORD_BITS).view(np.int64)
+        table.flags.writeable = False  # its rows are shared by every caller
+        rows = list(table)
+        for lane in short:
+            rows[lane] = None
+        return rows
 
     # -- metered oracle surface --------------------------------------------
     # Each cost below is charged to ``meter``, when one is given.

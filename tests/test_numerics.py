@@ -347,7 +347,9 @@ class TestRngStreamPin:
         ]
 
         def draw(key):
-            return draws(stream.substream(*key))
+            # the tiny draw races on the block's lane table
+            idx = _pool(300).draw_indices(stream.substream(*key), 2)
+            return draws(stream.substream(*key)), idx.tolist()
 
         # more threads than cores, switching often, over one stream's cache
         interval = sys.getswitchinterval()
@@ -357,7 +359,11 @@ class TestRngStreamPin:
                 got = list(pool.map(draw, keys * 3, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        want = [draws(reference_generator(12345, key)) for key in keys] * 3
+        want = [
+            (draws(reference_generator(12345, key)),
+             reference_generator(12345, key).integers(0, 300, 2).tolist())
+            for key in keys
+        ] * 3
         assert got == want
 
     @pytest.mark.parametrize("bad", [-1, 1.0])
@@ -401,15 +407,20 @@ class TestDrawIndices:
 
     @pytest.mark.parametrize("n", POOLS)
     def test_small_sizes_on_both_paths(self, n):
-        # every size the scalar path draws, and the first the array path does
+        # every size the lane table serves, and the first the array path
+        # does; every lane of a block and two of the next, with a second
+        # pool drawn from the same blocks in between
         sizes = {0, 1, 2, 3, SCALAR_DRAWS - 1, SCALAR_DRAWS, SCALAR_DRAWS + 1}
+        pools = (n, POOLS[POOLS.index(n) - 1])
         stream = RngStream(7)
         for size in sizes:
-            for it in range(40):
-                got = _pool(n).draw_indices(stream.substream(1, 2, it), size)
-                want = stream.substream(1, 2, it).integers(0, n, size)
-                assert got.dtype == want.dtype == np.int64
-                assert got.tolist() == want.tolist()
+            for it in range(ITER_BLOCK + 2):
+                for pool in pools:
+                    gen = stream.substream(1, 2, it)
+                    got = _pool(pool).draw_indices(gen, size)
+                    want = stream.substream(1, 2, it).integers(0, pool, size)
+                    assert got.dtype == want.dtype == np.int64
+                    assert got.tolist() == want.tolist()
 
     def test_rejected_first_word_is_redrawn(self):
         # at pool 2**31 + 1 about half the words fall below the rejection
@@ -423,10 +434,49 @@ class TestDrawIndices:
             if (raw & 0xFFFFFFFF) * n % 2**32 < bound:
                 break
             it += 1
+        # every lane of that key's block, whose lane table has short lanes
+        first = it - it % ITER_BLOCK
         for size in range(1, SCALAR_DRAWS + 2):
-            got = _pool(n).draw_indices(stream.substream(0, 0, it), size)
-            want = stream.substream(0, 0, it).integers(0, n, size)
-            assert got.tolist() == want.tolist()
+            for t in range(first, first + ITER_BLOCK):
+                got = _pool(n).draw_indices(stream.substream(0, 0, t), size)
+                want = stream.substream(0, 0, t).integers(0, n, size)
+                assert got.tolist() == want.tolist()
+
+    def test_tiny_draws_build_no_generator(self, monkeypatch):
+        # a whole block of draws of 1 .. SCALAR_DRAWS indices reads the
+        # lane table; pools without rejections leave no lane short
+        built = []
+
+        class CountingPCG64(np.random.PCG64):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        stream = RngStream(11)
+        want = {
+            (n, size, t): reference_generator(11, (0, 1, t, 0)).integers(
+                0, n, size
+            )
+            for n in (1, 256, 2**32)
+            for size in range(1, SCALAR_DRAWS + 1)
+            for t in range(ITER_BLOCK)
+        }
+        monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+        for (n, size, t), ref in want.items():
+            got = _pool(n).draw_indices(stream.substream(0, 1, t), size)
+            assert got.tolist() == ref.tolist()
+        assert built == []
+        # any generator attribute of a handle builds the key's generator
+        key = (0, 1, 5, DRAW_INNER)
+        for name, call in [
+            ("integers", lambda g: g.integers(0, 1000, size=4)),
+            ("normal", lambda g: g.normal(size=3)),
+            ("random_raw", lambda g: g.bit_generator.random_raw()),
+        ]:
+            built.clear()
+            got = call(stream.substream(*key))
+            assert len(built) == 1, name
+            assert np.array_equal(got, call(reference_generator(11, key)))
 
     @pytest.mark.parametrize("size", [-1, -3])
     def test_negative_size_is_refused(self, size):
