@@ -1,8 +1,8 @@
 """Algorithm runners and the hyperparameter derivation rules.
 
 All runners are bulk-synchronous: within one inner iteration the N worker
-updates are independent (and may execute on a thread pool), barriers and
-metrics run on the coordinator between them. Runners never mutate the
+updates are independent and run on the calling thread in worker-index
+order; barriers and metrics run between them. Runners never mutate the
 suite they are given: objectives hold no run state, and each run charges
 its oracle calls to a ``Meter`` of its own, so repeated and concurrent runs
 over one suite object are safe. Every runner shares one set-up, schedule
@@ -24,6 +24,14 @@ worker. The baselines are plain distributed SGD with iterate averaging
 every iteration (``run_parallel_minibatch_sgd``) or every ``I``
 iterations (``run_parallel_restarted_sgd``); their boundary is the
 trailing average at the horizon.
+
+Every runner takes ``parallel`` and echoes it in the sidecar, but it
+selects nothing: workers always step on the calling thread, which beat a
+thread pool on every measured workload. The key stays so that existing
+configs and sidecars reload and rerun byte-identically, since every
+sidecar, and so every golden digest, carries it. It goes with the next
+re-baseline of the digests (ROADMAP items 2 and 13); giving it a
+process-level meaning (item 14) is later work.
 """
 
 from __future__ import annotations
@@ -246,18 +254,11 @@ def _check_finite(vectors, N, s, t):
 
 
 def _map_workers(pool, fn, workers):
-    # results are applied in worker-index order either way, so scheduling
-    # cannot change the outcome
-    if pool is None:
-        return [fn(w) for w in workers]
-    # numpy's error state is thread-local: each task takes the caller's
-    errors = np.geterr()
-
-    def task(w):
-        with np.errstate(**errors):
-            return fn(w)
-
-    return list(pool.map(task, workers))
+    # every worker steps on the calling thread, in worker-index order; the
+    # unused ``pool`` and the one call per step stay because
+    # perfbench/spans.py wraps this signature and perfbench/workloads.py
+    # pins the call count, until the benchmark changes (ROADMAP item 3)
+    return [fn(w) for w in workers]
 
 
 class _Run:
@@ -265,11 +266,9 @@ class _Run:
 
     ``trace`` is built once, with the config echo, the seed and the run's
     ``Meter`` as its ledger; records and epoch-start residuals are appended
-    to it as the run goes. As a context manager it shuts the worker thread
-    pool down however the run ends, and gives a ``DivergedError`` or
-    ``CertificateError`` the trace so far with its outcome set. The pool,
-    and ``concurrent.futures`` with it, loads only for a parallel run of
-    two or more workers.
+    to it as the run goes. As a context manager it gives a
+    ``DivergedError`` or ``CertificateError`` the trace so far with its
+    outcome set. ``parallel`` is only echoed (see the module docstring).
     """
 
     def __init__(self, suite, seed, algorithm, metrics_every, parallel, hooks):
@@ -294,19 +293,11 @@ class _Run:
             },
         }
         self.trace = MetricsTrace(echo, seed, self.meter)
-        N = suite.num_workers
-        self.pool = None
-        if parallel and N > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self.pool = ThreadPoolExecutor(max_workers=N)
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self.pool is not None:
-            self.pool.shutdown()
         if isinstance(exc, (DivergedError, CertificateError)):
             self.trace.outcome = exc.outcome
             exc.trace = self.trace
@@ -397,7 +388,7 @@ def _run_spider(
                     w.v, prev[w.worker_id], w.obj, w.x, idx, meter
                 )
 
-            for w, v in zip(workers, _map_workers(run.pool, estimate, workers)):
+            for w, v in zip(workers, _map_workers(None, estimate, workers)):
                 w.v = v
 
     def boundary(s):
@@ -486,7 +477,7 @@ def _run_local_sgd(
                 grad = obj.batch_gradient_mean(w.x, idx, meter)
             return axpy(w.x, -gamma, grad)
 
-        for w, x_new in zip(workers, _map_workers(run.pool, one_step, workers)):
+        for w, x_new in zip(workers, _map_workers(None, one_step, workers)):
             w.x = x_new
         _check_finite([w.x for w in workers], len(workers), s, t)
 

@@ -162,6 +162,7 @@ RUN = {
     "out_dir": Key(str, default="runs"),
     "eps_targets": Key(list, default=[], item=Key(float, 0)),
     "metrics_every": Key(int, 1, default=1),
+    # accepted and echoed, selecting nothing (see the algorithms module)
     "parallel": Key(bool, default=False),
 }
 # the params that size an array of sample indices, and numpy's longest one

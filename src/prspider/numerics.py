@@ -1,7 +1,7 @@
 """Deterministic vector arithmetic and keyed random substreams.
 
 Every reduction over workers runs in a fixed worker-index order, so a run
-is bit-identical across repetitions and across execution parallelism.
+is bit-identical across repetitions and across processes.
 Randomness is counter-style: each draw site is keyed by
 (seed, worker, epoch, iteration, purpose), which makes any single worker
 replayable in isolation and keeps draws on distinct workers independent.

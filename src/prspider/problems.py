@@ -236,8 +236,8 @@ def _scratch(slot: str, rows: int, dim: int) -> np.ndarray:
     The buffer is kept across calls and replaced only when ``dim`` changes
     or more rows are asked for, so a warm kernel allocates no block-sized
     memory (see the module docstring). Each thread has its own buffers, so
-    pool threads and concurrent runs over one suite never share one; a
-    thread holds one call's blocks per slot, what a call allocated before.
+    concurrent runs over one suite never share one; a thread holds one
+    call's blocks per slot, what a call allocated before.
     Callers return fresh arrays, never a view of a buffer.
     """
     buffers = _SCRATCH.buffers
@@ -374,11 +374,10 @@ class Meter:
     """Every cost of one run: oracle calls per worker and phase, and rounds.
 
     The runner sets ``phase`` between dispatches. Each worker charges only
-    its own row and its own running total in ``totals``, so workers
-    stepping on a thread pool need no lock, and ``total``, read at every
-    record, sums N ints. ``rounds`` counts synchronized exchanges and
-    ``bytes_equivalent`` the d-vectors shipped in them; only the
-    coordinator's ``sync_round`` writes them.
+    its own row and its own running total in ``totals``, and ``total``,
+    read at every record, sums N ints. ``rounds`` counts synchronized
+    exchanges and ``bytes_equivalent`` the d-vectors shipped in them; only
+    the coordinator's ``sync_round`` writes them.
     """
 
     def __init__(self, num_workers: int):

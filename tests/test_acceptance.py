@@ -7,9 +7,14 @@ first-hit sweep spans the probed accuracy grid; the slope and ratio
 windows themselves come from the stated criteria.
 """
 
+import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,8 @@ from prspider.checks import (
     check_restart_identity,
     check_restart_variance_bound,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def report(criterion, name, measured, requirement, ok):
@@ -224,24 +231,33 @@ def test_criterion_9_exact_counter_formulas():
 
 
 def test_criterion_10_determinism(tmp_path):
-    """Same config and seed give byte-identical traces, threaded or not."""
+    """Same config and seed give byte-identical traces, here or in a fresh
+    interpreter, whose scratch, seed-block and analytic caches start empty."""
     suite = standard_suite()
     hp = auto_params(suite, I=4, eps=0.05)
-    variants = {
-        "serial-a": ps.run_pr_spider_finite(suite, hp, 5, parallel=False),
-        "serial-b": ps.run_pr_spider_finite(suite, hp, 5, parallel=False),
-        "threaded": ps.run_pr_spider_finite(suite, hp, 5, parallel=True),
-    }
     payloads = {}
-    for name, trace in variants.items():
+    for name in ("serial-a", "serial-b"):
         path = tmp_path / f"{name}.csv"
-        trace.write_csv(path)
+        ps.run_pr_spider_finite(suite, hp, 5).write_csv(path)
         payloads[name] = path.read_bytes()
-    identical = (
-        payloads["serial-a"] == payloads["serial-b"] == payloads["threaded"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "problem": {"family": "quadratic", "N": 4, "n": 64, "d": 8,
+                    "heterogeneity": 0.5, "seed": 11},
+        "algorithm": {"name": "pr-spider-finite", "params": hp.as_dict()},
+        "run": {"seeds": [5]},
+    }))
+    out = tmp_path / "fresh"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "prspider", "run", str(config), "--out", str(out)],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path),
+        check=True, timeout=120,
     )
+    payloads["fresh"] = (out / "trace_seed5.csv").read_bytes()
+    identical = payloads["serial-a"] == payloads["serial-b"] == payloads["fresh"]
     report(
-        10, "byte-identical traces (repeat + threading)",
+        10, "byte-identical traces (repeat + fresh process)",
         f"{len(payloads['serial-a'])} bytes each", "all equal", identical,
     )
 

@@ -314,13 +314,6 @@ class TestSpiderFinite:
         b = run_pr_spider_finite(suite, hp, 9)
         assert list(a.csv_lines()) == list(b.csv_lines())
 
-    def test_parallel_workers_bitwise_equal_serial(self):
-        suite = quad_suite()
-        hp = HyperParams(gamma=1.0 / 16, I=2, m=8, B=2, S=2, N=4)
-        serial = run_pr_spider_finite(suite, hp, 9, parallel=False)
-        threaded = run_pr_spider_finite(suite, hp, 9, parallel=True)
-        assert list(serial.csv_lines()) == list(threaded.csv_lines())
-
 
 class TestSpiderOnline:
     def test_counters_follow_online_formulas(self):
@@ -576,18 +569,15 @@ RUNNERS = {
 }
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
 @pytest.mark.parametrize("name", sorted(RUNNERS))
-def test_on_sync_fires_once_per_counted_round(name, parallel):
+def test_on_sync_fires_once_per_counted_round(name):
     # the initial gradient round of PR-SPIDER is a counted round too
     calls = []
 
     def on_sync(s, t, payload, workers):
         calls.append(payload)
 
-    trace = RUNNERS[name](
-        quad_suite(), parallel=parallel, hooks=RunHooks(on_sync=on_sync)
-    )
+    trace = RUNNERS[name](quad_suite(), hooks=RunHooks(on_sync=on_sync))
     assert trace.outcome == "completed"
     assert len(calls) == trace.comm_rounds > 0
     if name.startswith("pr-spider"):
@@ -669,9 +659,8 @@ SCHEDULES = {
 
 
 @pytest.mark.parametrize("metrics_every", [1, 3])
-@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
 @pytest.mark.parametrize("case", sorted(SCHEDULES))
-def test_hooks_follow_the_schedule(case, parallel, metrics_every):
+def test_hooks_follow_the_schedule(case, metrics_every):
     # on_record fires at every iteration whatever the metrics cadence
     run, expected = SCHEDULES[case]
     log = []
@@ -679,7 +668,7 @@ def test_hooks_follow_the_schedule(case, parallel, metrics_every):
         on_record=lambda s, t, workers: log.append(("record", s, t)),
         on_sync=lambda s, t, payload, workers: log.append(("sync", s, t, payload)),
     )
-    trace = run(parallel=parallel, metrics_every=metrics_every, hooks=hooks)
+    trace = run(metrics_every=metrics_every, hooks=hooks)
     assert trace.outcome == "completed"
     assert log == expected
     records = sum(e[0] == "record" for e in expected)
@@ -687,9 +676,8 @@ def test_hooks_follow_the_schedule(case, parallel, metrics_every):
     assert len(trace.records) == -(-records // metrics_every)
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
 @pytest.mark.parametrize("name", sorted(RUNNERS))
-def test_worker_vectors_at_every_record(name, parallel):
+def test_worker_vectors_at_every_record(name):
     # a worker is its iterate and, in PR-SPIDER, the finite direction its
     # next move takes; the baselines hold no direction
     spider = name.startswith("pr-spider")
@@ -703,8 +691,6 @@ def test_worker_vectors_at_every_record(name, parallel):
             else:
                 seen.append(w.v is None)
 
-    trace = RUNNERS[name](
-        quad_suite(), parallel=parallel, hooks=RunHooks(on_record=on_record)
-    )
+    trace = RUNNERS[name](quad_suite(), hooks=RunHooks(on_record=on_record))
     assert trace.outcome == "completed"
     assert seen and all(seen)

@@ -18,6 +18,7 @@ import json
 from pathlib import Path
 
 import pytest
+from blas_kernel import digest_note
 
 from prspider.cli import build_suite, resolve_algorithm, run_one
 
@@ -61,7 +62,7 @@ def test_tiny_traces_match_benchmark_golden(workload, tmp_path):
         trace = run_one(name, params, suite, seed, config["run"])
         assert trace.outcome == "completed"
         got = _digests(trace, tmp_path, seed)
-        assert got == golden[str(seed)], f"{workload} seed {seed}"
+        assert got == golden[str(seed)], f"{workload} seed {seed}: {digest_note()}"
 
 
 def test_full_sigmoid_trace_matches_benchmark_golden(tmp_path):
@@ -75,4 +76,4 @@ def test_full_sigmoid_trace_matches_benchmark_golden(tmp_path):
     assert trace.outcome == "completed"
     assert len(trace.records) == 61 * 128
     got = _digests(trace, tmp_path, seed)
-    assert got == GOLDEN["sigmoid-finite"]["full"][str(seed)]
+    assert got == GOLDEN["sigmoid-finite"]["full"][str(seed)], digest_note()

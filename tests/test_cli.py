@@ -66,6 +66,35 @@ class TestCmdRun:
         b = (tmp_path / "b" / "trace_seed0.csv").read_bytes()
         assert a == b
 
+    def test_parallel_key_is_echoed_and_changes_nothing_else(self, tmp_path):
+        # workers step on the calling thread either way; the key is kept so
+        # that configs and sidecars that carry it rerun byte-identically
+        sidecars = {}
+        for parallel in (True, False):
+            cfg = tmp_path / f"cfg_{parallel}.json"
+            write_config(
+                cfg,
+                problem={"family": "sigmoid", "N": 3, "n": 48, "d": 4,
+                         "heterogeneity": 0.5, "seed": 2},
+                algorithm={
+                    "name": "pr-spider-finite",
+                    "params": {"gamma": 0.1, "I": 2, "m": 6, "B": 3, "S": 3},
+                },
+                run={"seeds": [0, 1], "eps_targets": [0.05],
+                     "parallel": parallel},
+            )
+            out = tmp_path / str(parallel)
+            assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+            sidecars[parallel] = []
+            for seed in (0, 1):
+                sidecar = json.loads((out / f"trace_seed{seed}.json").read_text())
+                assert sidecar["run"].pop("parallel") is parallel
+                sidecars[parallel].append(sidecar)
+        assert sidecars[True] == sidecars[False]
+        for name in ("trace_seed0.csv", "trace_seed1.csv", "summary.csv"):
+            a = (tmp_path / "True" / name).read_bytes()
+            assert a == (tmp_path / "False" / name).read_bytes()
+
     def test_zero_step_size_never_hits(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(

@@ -598,13 +598,11 @@ def test_families_override_hooks_not_metered_oracles():
 
 
 class TestSharedData:
-    def _run(self, suite, seed, parallel=False, hooks=None):
+    def _run(self, suite, seed, hooks=None):
         hp = HyperParams(
             gamma=0.1, I=2, m=6, B=BLOCK_ROWS + 3, S=2, N=suite.num_workers
         )
-        return run_pr_spider_finite(
-            suite, hp, seed, parallel=parallel, hooks=hooks
-        )
+        return run_pr_spider_finite(suite, hp, seed, hooks=hooks)
 
     def test_run_shares_data_and_leaves_input_counters_alone(self):
         # a run works on the suite's own objectives and charges its oracle
@@ -621,32 +619,18 @@ class TestSharedData:
             assert all(objs[i] is obj for objs in seen)
         assert trace.ifo_total > 0
 
-    def test_parallel_quadratic_run_matches_serial_run(self):
-        # the pool's threads run the workers' kernels at once, each on its
-        # own scratch; B spans three blocks of QUAD_ROWS
-        suite = make_quadratic_suite(N=4, n=90, d=64, heterogeneity=0.5, seed=5)
-        assert BLOCK_ROWS + 3 > 2 * QUAD_ROWS
-        serial = list(self._run(suite, 0).csv_lines())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            parallel = list(self._run(suite, 0, parallel=True).csv_lines())
-        finally:
-            sys.setswitchinterval(interval)
-        assert parallel == serial
-
     def test_threaded_runs_match_serial_runs(self):
         suite = make_quadratic_suite(N=2, n=70, d=5, heterogeneity=0.5, seed=3)
         serial = [list(self._run(suite, seed).csv_lines()) for seed in range(4)]
-        # more runs than cores, switching threads often, over one suite
+        # more runs than cores, switching threads often, over one suite;
+        # each thread's kernels use their own scratch, and B spans three
+        # blocks of QUAD_ROWS
+        assert BLOCK_ROWS + 3 > 2 * QUAD_ROWS
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [
-                    pool.submit(self._run, suite, seed, parallel=seed % 2 == 1)
-                    for seed in range(4)
-                ]
+                futures = [pool.submit(self._run, suite, seed) for seed in range(4)]
                 threaded = [list(f.result(timeout=60).csv_lines()) for f in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -659,18 +643,15 @@ class TestSharedData:
         suite = make_nonconvex_suite(N=4, n=256, d=4, heterogeneity=0.5, seed=9)
         hp = HyperParams(gamma=0.02, I=4, m=32, B=2, S=2, N=4)
 
-        def run(seed, parallel=False):
-            return run_pr_spider_finite(suite, hp, seed, parallel=parallel)
+        def run(seed):
+            return run_pr_spider_finite(suite, hp, seed)
 
         serial = [list(run(seed).csv_lines()) for seed in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [
-                    pool.submit(run, seed, parallel=seed % 2 == 1)
-                    for seed in range(4)
-                ]
+                futures = [pool.submit(run, seed) for seed in range(4)]
                 threaded = [list(f.result(timeout=60).csv_lines()) for f in futures]
         finally:
             sys.setswitchinterval(interval)

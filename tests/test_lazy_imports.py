@@ -1,9 +1,10 @@
-"""A serial run loads no module it does not use.
+"""A run loads no module it does not use.
 
-``concurrent.futures`` (the worker thread pool) and ``statistics`` (the
-sweep summary) cost a run's memory only when it uses them. Each case runs
-in a fresh interpreter, since this test process has long since imported
-both.
+``statistics`` (the sweep summary) costs a run's memory only in ``sweep``.
+``concurrent.futures`` once ran the workers on a thread pool; workers now
+step on the calling thread, so no run, ``parallel: true`` with two workers
+included, may load it. Each case runs in a fresh interpreter, since this
+test process has long since imported both.
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ def _loaded(tmp_path, N: int, parallel: bool) -> list[str]:
     return json.loads(done.stdout)
 
 
-@pytest.mark.parametrize("N, parallel", [(2, False), (1, True)])
-def test_a_run_without_a_pool_loads_no_lazy_module(tmp_path, N, parallel):
-    # a one-worker run has no pool to build, parallel or not
+@pytest.mark.parametrize("N, parallel", [(2, False), (1, True), (2, True)])
+def test_a_run_loads_no_lazy_module(tmp_path, N, parallel):
     assert _loaded(tmp_path, N, parallel) == []
-
-
-def test_a_parallel_run_loads_the_pool_module_only(tmp_path):
-    assert _loaded(tmp_path, 2, True) == ["concurrent.futures"]
