@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -554,17 +556,18 @@ def test_a_check_that_measures_nothing_fails():
 
 
 RUNNERS = {
-    "pr-spider-finite": lambda suite, **kw: run_pr_spider_finite(
-        suite, HyperParams(gamma=1.0 / 16, I=2, m=6, B=2, S=3, N=4), 0, **kw
+    "pr-spider-finite": lambda suite, seed=0, **kw: run_pr_spider_finite(
+        suite, HyperParams(gamma=1.0 / 16, I=2, m=6, B=2, S=3, N=4), seed, **kw
     ),
-    "pr-spider-online": lambda suite, **kw: run_pr_spider_online(
-        suite, HyperParams(gamma=1.0 / 16, I=3, m=6, B=2, S=2, N=4, n_b=8), 1, **kw
+    "pr-spider-online": lambda suite, seed=1, **kw: run_pr_spider_online(
+        suite, HyperParams(gamma=1.0 / 16, I=3, m=6, B=2, S=2, N=4, n_b=8),
+        seed, **kw,
     ),
-    "par-sgd": lambda suite, **kw: run_parallel_minibatch_sgd(
-        suite, 0.05, batch=2, horizon=7, seed=2, **kw
+    "par-sgd": lambda suite, seed=2, **kw: run_parallel_minibatch_sgd(
+        suite, 0.05, batch=2, horizon=7, seed=seed, **kw
     ),
-    "par-restarted-sgd": lambda suite, **kw: run_parallel_restarted_sgd(
-        suite, 0.05, batch=2, I=3, horizon=10, seed=3, **kw
+    "par-restarted-sgd": lambda suite, seed=3, **kw: run_parallel_restarted_sgd(
+        suite, 0.05, batch=2, I=3, horizon=10, seed=seed, **kw
     ),
 }
 
@@ -694,3 +697,61 @@ def test_worker_vectors_at_every_record(name):
     trace = RUNNERS[name](quad_suite(), hooks=RunHooks(on_record=on_record))
     assert trace.outcome == "completed"
     assert seen and all(seen)
+
+
+SUITES = {
+    "quadratic": quad_suite,
+    "sigmoid": lambda: make_nonconvex_suite(
+        N=4, n=64, d=4, heterogeneity=0.5, seed=9
+    ),
+    "sigmoid-online": lambda: make_nonconvex_suite(
+        N=4, n="online", d=4, heterogeneity=0.5, seed=8, online_pool=32
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, family",
+    [
+        (name, family)
+        for name in sorted(RUNNERS)
+        for family in sorted(SUITES)
+        # PR-SPIDER's finite sampling needs a finite suite
+        if (name, family) != ("pr-spider-finite", "sigmoid-online")
+    ],
+)
+def test_concurrent_runs_over_one_suite_match_serial_runs(name, family):
+    # workers step on the thread that runs them, so runs on separate threads
+    # are what share one suite's data, caches and kernel scratch at once;
+    # each run's hooks see its own workers, in its own schedule
+    suite = SUITES[family]()
+
+    def iterates(workers):
+        return b"".join(w.x.tobytes() for w in workers)
+
+    def run(seed):
+        log = []
+        hooks = RunHooks(
+            on_record=lambda s, t, workers: log.append(
+                ("record", s, t, iterates(workers))
+            ),
+            on_sync=lambda s, t, payload, workers: log.append(
+                ("sync", s, t, payload, iterates(workers))
+            ),
+        )
+        trace = RUNNERS[name](suite, seed, hooks=hooks)
+        assert trace.outcome == "completed"
+        return list(trace.csv_lines()), log
+
+    serial = [run(seed) for seed in range(4)]
+    # runs that differ, so one that took another's state would show
+    assert len({tuple(lines) for lines, _ in serial}) == 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, seed) for seed in range(4)]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial

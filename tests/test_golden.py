@@ -25,6 +25,7 @@ A failed digest assertion names the kernel the run used.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 from blas_kernel import digest_note
@@ -224,3 +225,24 @@ def test_trace_matches_golden_digest(name, tmp_path):
     outcome = "diverged" if name in DIVERGING else "completed"
     got = trace_digests(CONFIGS[name], tmp_path, outcome)
     assert got == GOLDEN[name], digest_note()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_flipping_parallel_changes_only_its_echo(name, tmp_path):
+    # workers step on the calling thread whatever the key says: the flipped
+    # run writes the pinned CSV, and its sidecar differs only in the echo
+    outcome = "diverged" if name in DIVERGING else "completed"
+    config = CONFIGS[name]
+    parallel = config["run"]["parallel"]
+    flipped = dict(config, run=dict(config["run"], parallel=not parallel))
+    sidecars = []
+    for sub, cfg, echo in (("pinned", config, parallel),
+                           ("flipped", flipped, not parallel)):
+        out = tmp_path / sub
+        out.mkdir()
+        digests = trace_digests(cfg, out, outcome)
+        assert digests[0] == GOLDEN[name][0], digest_note()
+        sidecar = json.loads((out / "trace.json").read_text())
+        assert sidecar["run"].pop("parallel") is echo
+        sidecars.append(sidecar)
+    assert sidecars[0] == sidecars[1]
