@@ -6,21 +6,22 @@ Randomness is counter-style: each draw site is keyed by
 (seed, worker, epoch, iteration, purpose), which makes any single worker
 replayable in isolation and keeps draws on distinct workers independent.
 
-A key becomes a generator exactly as
+A key's draws are those of
 ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(worker, epoch,
-iteration, purpose))))`` would make it: same seed words, same draws.
-``SeedSequence``'s hash is fixed by NEP 19, so ``RngStream`` computes it
-itself, for ``ITER_BLOCK`` consecutive iterations of one (worker, epoch,
-purpose) at a time, in one vectorised numpy pass: a ``SeedBlock``, whose
-lanes are the iterations. ``substream`` returns a ``Substream`` handle on
-one lane, whose generator is built only when an attribute of it is read.
-A tiny draw builds none: on its block's first one, ``SeedBlock`` derives
-every lane's first ``LANE_OUTPUTS`` PCG64 outputs in one more pass, on
-uint64 limbs (seeding as numpy's ``pcg64_set_seed``, XSL-RR output), and
-``LocalObjective.draw_indices`` reads its indices from them. On a 2-vCPU
-x86-64 host a draw site of two indices costs about 1.9 us, block passes
-included; with ``Generator.integers`` on the handle, about 9.9 us; through
-``SeedSequence``, about 22 us.
+iteration, purpose))))``: same seed words, same indices. This module owns
+the whole scheme. ``SeedSequence``'s hash is fixed by NEP 19, so
+``RngStream`` computes it itself, for ``ITER_BLOCK`` consecutive
+iterations of one (worker, epoch, purpose) at a time, in one vectorised
+numpy pass: a ``SeedBlock``, whose lanes are the iterations.
+``substream`` returns a ``Substream``, a plain (block, lane) value, and
+``Substream.indices(pool, size)`` turns the lane's PCG64 outputs into
+indices by numpy's bounded rule, as ``Generator.integers(0, pool, size)``
+does. A batch of at most ``SCALAR_DRAWS`` indices builds no PCG64: the
+first one of its pool and size on a block derives every lane's first
+``LANE_OUTPUTS`` PCG64 outputs in one more pass, on uint64 limbs (seeding
+as numpy's ``pcg64_set_seed``, XSL-RR output), and turns them into a table
+of every lane's indices, kept on the ``SeedBlock``. A larger batch seeds
+one PCG64 straight from the lane's words and draws on arrays.
 
 Tiny stacks skip numpy's per-call cost. ``mean_reduce`` stacks every
 input once; a float64 stack of at most ``SCALAR_ENTRIES`` entries is then
@@ -33,6 +34,7 @@ kernel the same way, after margins taken by BLAS gemv through
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -185,15 +187,19 @@ def _words(value) -> list[int]:
             return words
 
 
+@functools.lru_cache(maxsize=None)
 def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
-    """Constants of ``calls`` successive hash steps, as a uint32 column.
+    """Constants of ``calls`` successive hash steps, as a read-only uint32
+    column, computed once per word count.
 
     Step ``k`` xors with entry ``k`` and multiplies by entry ``k + 1``.
     """
     consts = [init]
     for _ in range(calls):
         consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 # generate_state(4, uint64) hashes eight 32-bit words, cycling the pool
@@ -259,6 +265,13 @@ class _SeedWords(ISeedSequence):
 
 # Raw outputs derived per lane by the lane pass: six 32-bit words.
 LANE_OUTPUTS = 3
+
+# Batches up to this size read a key's indices from its seed block's lane
+# outputs, whose six words serve a lane without rejections
+SCALAR_DRAWS = 2 * LANE_OUTPUTS
+
+# a raw output is two 32-bit words, low word first
+_LE64, _LE32, _WORD_BITS = np.dtype("<u8"), np.dtype("<u4"), np.uint64(32)
 
 # PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905). Limb
 # arithmetic runs on uint64 arrays with uint64 operands only: NumPy 1.x
@@ -347,60 +360,120 @@ def _pcg64_outputs(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
+def _check_pool_size(pool: int) -> None:
+    # indices are scaled 32-bit words; factories check before they draw
+    if not 1 <= pool <= 2**32:
+        raise ValueError(f"sample pool of {pool} outside 1 .. 2**32")
+
+
+def _scaled(raw: np.ndarray, pool: int) -> np.ndarray:
+    """Each 32-bit word of ``raw``'s outputs times the pool, low first."""
+    words = raw.astype(_LE64, copy=False).view(_LE32).astype(np.uint64)
+    words *= np.uint64(pool)
+    return words
+
+
+def _kept(scaled: np.ndarray, reject_below: int) -> np.ndarray:
+    """Which scaled words the bounded rule keeps."""
+    low = scaled.astype(_LE64, copy=False).view(_LE32)[..., ::2]
+    return low >= reject_below
+
+
+def _lane_rows(words: np.ndarray, pool: int, size: int) -> list:
+    """Each lane's first ``size`` indices from the words of its first
+    ``LANE_OUTPUTS`` outputs, or ``None`` where rejections leave fewer."""
+    scaled = _scaled(_pcg64_outputs(words), pool)
+    reject_below = (2**32 - pool) % pool
+    short = ()
+    if reject_below:
+        kept = _kept(scaled, reject_below)
+        # a stable sort moves each lane's kept words ahead, in order
+        order = np.argsort(~kept, axis=1, kind="stable")[:, :size]
+        scaled = np.take_along_axis(scaled, order, axis=1)
+        short = np.flatnonzero(np.count_nonzero(kept, axis=1) < size)
+    table = (scaled[:, :size] >> _WORD_BITS).view(np.int64)
+    table.flags.writeable = False  # its rows are shared by every caller
+    rows = list(table)
+    for lane in short:
+        rows[lane] = None
+    return rows
+
+
 class SeedBlock:
     """The keys of one slot's ``ITER_BLOCK`` iterations, one lane each.
 
     ``words[lane]`` seeds iteration ``first + lane`` of ``epoch``.
-    ``tables`` caches what a caller derives from ``lane_outputs``, under the
-    caller's own keys. A block is never changed, only filled: threads that
-    race on a table or on the outputs at most compute it twice.
+    ``tables`` caches ``Substream.indices``' lane tables under ``(pool,
+    size)``; a run draws one pool and size per slot. A block is never
+    changed, only filled: threads that race on a table at most compute it
+    twice.
     """
 
-    __slots__ = ("epoch", "first", "words", "tables", "_outputs")
+    __slots__ = ("epoch", "first", "words", "tables")
 
     def __init__(self, epoch: int, first: int, words: np.ndarray):
         self.epoch = epoch
         self.first = first
         self.words = words
         self.tables = {}
-        self._outputs = None
-
-    def lane_outputs(self) -> np.ndarray:
-        """Every lane's first ``LANE_OUTPUTS`` raw outputs, an
-        ``(ITER_BLOCK, LANE_OUTPUTS)`` uint64 array derived on first use.
-        """
-        out = self._outputs
-        if out is None:
-            out = self._outputs = _pcg64_outputs(self.words)
-        return out
 
 
 class Substream:
     """One key's substream: its ``SeedBlock`` and its lane in it.
 
-    Every public attribute (``integers``, ``normal``, ``bit_generator``, ...)
-    is that of the key's ``Generator``, built on first use from the lane's
-    seed words. ``LocalObjective.draw_indices`` reads a batch of at most
-    ``SCALAR_DRAWS`` indices from the block's lane outputs and builds none.
+    A plain value: ``indices`` is a pure function of the key, the pool and
+    the size, so a handle can be read any number of times.
     """
 
-    __slots__ = ("block", "lane", "_gen")
+    __slots__ = ("block", "lane")
 
     def __init__(self, block: SeedBlock, lane: int):
         self.block = block
         self.lane = lane
-        self._gen = None
 
-    def __getattr__(self, name):
-        # reached only for names the handle lacks; private names are not
-        # forwarded, so copy and pickle see a plain object
-        if name.startswith("_"):
-            raise AttributeError(name)
-        gen = self._gen
-        if gen is None:
-            seed = _SeedWords(self.block.words[self.lane])
-            gen = self._gen = np.random.Generator(np.random.PCG64(seed))
-        return getattr(gen, name)
+    def indices(self, pool: int, size: int) -> np.ndarray:
+        """``size`` i.i.d. indices in ``0 .. pool - 1``, with replacement.
+
+        Values and dtype of the key's ``Generator.integers(0, pool, size)``,
+        by numpy's bounded rule (Lemire, arXiv:1805.10941): each raw output
+        gives two 32-bit words, low first, and a word ``u`` gives ``(u *
+        pool) >> 32`` unless that product's low half is below ``(2**32 -
+        pool) mod pool``. A batch of 1 to ``SCALAR_DRAWS`` indices is read
+        from a read-only table of every lane of the block, made once per
+        pool and size from the lanes' first outputs; a lane whose words run
+        short, and a larger batch, draw on arrays from the key's PCG64.
+        """
+        size = int(size)
+        if size < 0:
+            raise ValueError("negative dimensions are not allowed")
+        block = self.block
+        if 0 < size <= SCALAR_DRAWS:
+            key = (pool, size)
+            rows = block.tables.get(key)
+            if rows is None:
+                _check_pool_size(pool)
+                rows = _lane_rows(block.words, pool, size)
+                block.tables[key] = rows
+            row = rows[self.lane]
+            if row is not None:
+                return row
+        _check_pool_size(pool)
+        if size == 0:
+            return np.empty(0, dtype=np.int64)
+        bits = np.random.PCG64(_SeedWords(block.words[self.lane]))
+        reject_below = (2**32 - pool) % pool
+        parts, need = [], size
+        while need > 0:
+            words = _scaled(bits.random_raw((need + 1) // 2), pool)
+            if reject_below:
+                kept = _kept(words, reject_below)
+                if not kept.all():
+                    words = words[kept]
+            parts.append(words)
+            need -= words.shape[0]
+        scaled = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        scaled >>= _WORD_BITS
+        return scaled[:size].view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -408,11 +481,9 @@ class RngStream:
     """Factory for reproducible, statistically independent substreams.
 
     A substream is addressed by (worker, epoch, iteration, purpose) on top
-    of the run seed. Identical keys always produce identical draw
-    sequences; distinct keys produce independent ones. Draw sites consume
-    values sequentially from their own generator, so no draw site can
-    perturb another. A substream's ``bit_generator.seed_seq`` holds only its
-    seed words, not a ``SeedSequence``, so the generator cannot ``spawn``.
+    of the run seed. Identical keys always produce identical draws;
+    distinct keys produce independent ones. A draw is a pure function of
+    its key, so no draw site can perturb another.
     """
 
     seed: int

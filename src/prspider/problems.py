@@ -92,10 +92,9 @@ Every metered oracle takes a batch of sample indices; one sample is
 ``[j]``, and a full gradient is the batch of every sample, ``0 .. n-1``.
 Online objectives refuse ``full_gradient``. Their batch oracles
 take the indices ``draw_indices`` returns, into a finite atom pool, which
-is what makes the analytic expectation oracles exact. They are
-``gen.integers(0, pool, size)`` bit for bit, drawn from the generator's raw
-64-bit outputs by numpy's own bounded draw (Lemire, arXiv:1805.10941)
-without ``integers``' argument handling, most of its cost for a few indices.
+is what makes the analytic expectation oracles exact. ``draw_indices``
+hands its pool to ``numerics.Substream.indices``, which owns the keyed
+draw: the key's ``Generator.integers(0, pool, size)``, bit for bit.
 """
 
 from __future__ import annotations
@@ -108,10 +107,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
-    LANE_OUTPUTS,
     SCALAR_ENTRIES,
     ParamVector,
-    Substream,
+    _check_pool_size,
     as_vector,
     mean_reduce,
     ordered_sum,
@@ -158,13 +156,6 @@ BLOCK_ROWS = 32
 # both points tiled) fit a 2 MiB L2 together. Quadratic bits do not depend
 # on it, since _carry adds rows in index order at any height.
 QUAD_ROWS = 16
-
-# draw_indices' words: a raw output is two 32-bit words, low word first
-_LE64, _LE32, _WORD_BITS = np.dtype("<u8"), np.dtype("<u4"), np.uint64(32)
-
-# Batches up to this size read a substream's indices from its seed block's
-# lane outputs, whose six words serve a lane without rejections
-SCALAR_DRAWS = 2 * LANE_OUTPUTS
 
 
 def sigmoid_block_rows(dim: int) -> int:
@@ -400,12 +391,6 @@ class Meter:
         return {p: sum(row[p] for row in self.rows) for p in PHASES}
 
 
-def _check_pool_size(pool_size: int) -> None:
-    # draw_indices scales 32-bit words; factories check before they draw
-    if not 1 <= pool_size <= 2**32:
-        raise ValueError(f"sample pool of {pool_size} outside 1 .. 2**32")
-
-
 class LocalObjective:
     """One worker's cost function plus its metered batch oracles.
 
@@ -434,9 +419,6 @@ class LocalObjective:
         self.variance_bound = variance_bound
         _check_pool_size(pool_size)
         self._pool_size = pool_size
-        # draw_indices' factor, and the bound on a kept product's low half
-        self._scale = np.uint64(pool_size)
-        self._reject_below = (2**32 - pool_size) % pool_size
 
     @property
     def is_finite_sum(self) -> bool:
@@ -448,76 +430,14 @@ class LocalObjective:
 
     # -- sampling ---------------------------------------------------------
 
-    def draw_indices(
-        self, gen: Substream | np.random.Generator, size: int
-    ) -> np.ndarray:
+    def draw_indices(self, gen, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. sample indices (with replacement).
 
-        Values and dtype of ``gen.integers(0, pool, size)``: each raw output
-        gives two 32-bit words, low first, and a word ``u`` gives ``(u *
-        pool) >> 32`` unless that product's low half is below ``(2**32 -
-        pool) mod pool``. A ``Substream`` batch of 1 to ``SCALAR_DRAWS``
-        indices is read from a read-only table of every lane of its seed
-        block, made once per block, pool and size from the lanes' first
-        outputs; a lane whose words run short, a larger batch and any other
-        generator draw on arrays. ``gen`` must be fresh, used once.
+        ``gen`` is a key's ``numerics.Substream``, and the indices are its
+        ``indices`` over this objective's pool: the key's
+        ``Generator.integers(0, pool, size)``, bit for bit.
         """
-        size = int(size)
-        if size < 0:
-            raise ValueError("negative dimensions are not allowed")
-        if 0 < size <= SCALAR_DRAWS and isinstance(gen, Substream):
-            block = gen.block
-            key = (self._pool_size, size)
-            rows = block.tables.get(key)
-            if rows is None:
-                rows = self._lane_rows(block.lane_outputs(), size)
-                block.tables[key] = rows
-            row = rows[gen.lane]
-            if row is not None:
-                return row
-        if size == 0:
-            return np.empty(0, dtype=np.int64)
-        parts, need = [], size
-        while need > 0:
-            words = self._scaled(gen.bit_generator.random_raw((need + 1) // 2))
-            if self._reject_below:
-                kept = self._kept(words)
-                if not kept.all():
-                    words = words[kept]
-            parts.append(words)
-            need -= words.shape[0]
-        scaled = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        scaled >>= _WORD_BITS
-        return scaled[:size].view(np.int64)
-
-    def _scaled(self, raw: np.ndarray) -> np.ndarray:
-        """Each 32-bit word of ``raw``'s outputs times the pool, low first."""
-        words = raw.astype(_LE64, copy=False).view(_LE32).astype(np.uint64)
-        words *= self._scale
-        return words
-
-    def _kept(self, scaled: np.ndarray) -> np.ndarray:
-        """Which scaled words the bounded draw keeps."""
-        low = scaled.astype(_LE64, copy=False).view(_LE32)[..., ::2]
-        return low >= self._reject_below
-
-    def _lane_rows(self, outputs: np.ndarray, size: int) -> list:
-        """Each lane's first ``size`` indices from its outputs' words, or
-        ``None`` where rejections leave fewer than ``size``."""
-        scaled = self._scaled(outputs)
-        short = ()
-        if self._reject_below:
-            kept = self._kept(scaled)
-            # a stable sort moves each lane's kept words ahead, in order
-            order = np.argsort(~kept, axis=1, kind="stable")[:, :size]
-            scaled = np.take_along_axis(scaled, order, axis=1)
-            short = np.flatnonzero(np.count_nonzero(kept, axis=1) < size)
-        table = (scaled[:, :size] >> _WORD_BITS).view(np.int64)
-        table.flags.writeable = False  # its rows are shared by every caller
-        rows = list(table)
-        for lane in short:
-            rows[lane] = None
-        return rows
+        return gen.indices(self._pool_size, size)
 
     # -- metered oracle surface --------------------------------------------
     # Each cost below is charged to ``meter``, when one is given.

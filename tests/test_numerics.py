@@ -11,6 +11,7 @@ from prspider.numerics import (
     DRAW_INNER,
     DRAW_RESTART,
     ITER_BLOCK,
+    SCALAR_DRAWS,
     SCALAR_ENTRIES,
     RngStream,
     as_vector,
@@ -20,7 +21,7 @@ from prspider.numerics import (
     sq_norm,
     sq_norms,
 )
-from prspider.problems import SCALAR_DRAWS, LocalObjective
+from prspider.problems import LocalObjective
 
 
 def vecs(*rows):
@@ -231,36 +232,6 @@ class TestStackedReductions:
         ]
 
 
-class TestRngStream:
-    def test_same_key_same_sequence(self):
-        s = RngStream(seed=42)
-        a = s.substream(1, 2, 3).normal(size=10)
-        b = s.substream(1, 2, 3).normal(size=10)
-        assert a.tobytes() == b.tobytes()
-
-    def test_distinct_keys_differ(self):
-        s = RngStream(seed=42)
-        base = s.substream(1, 2, 3).normal(size=10)
-        for key in [(0, 2, 3), (1, 0, 3), (1, 2, 0)]:
-            other = s.substream(*key).normal(size=10)
-            assert not np.array_equal(base, other)
-
-    def test_purpose_tags_are_disjoint(self):
-        s = RngStream(seed=7)
-        a = s.substream(0, 0, 0, DRAW_INNER).integers(0, 1000, size=8)
-        b = s.substream(0, 0, 0, DRAW_RESTART).integers(0, 1000, size=8)
-        assert not np.array_equal(a, b)
-
-    def test_single_worker_replayable_in_isolation(self):
-        # draws for worker 3 do not depend on whether other workers drew
-        s = RngStream(seed=5)
-        for w in range(3):
-            s.substream(w, 0, 0).normal(size=4)
-        isolated = RngStream(seed=5).substream(3, 0, 0).normal(size=4)
-        interleaved = s.substream(3, 0, 0).normal(size=4)
-        assert isolated.tobytes() == interleaved.tobytes()
-
-
 def reference_generator(seed, key):
     # the key-to-generator map that RngStream reproduces, built the slow way
     return np.random.Generator(
@@ -268,8 +239,54 @@ def reference_generator(seed, key):
     )
 
 
-def draws(gen):
-    return gen.integers(0, 2**63, size=5).tobytes() + gen.random(3).tobytes()
+# raw 32-bit words, from the lane table and from the array path: they pin
+# every seed word of the key
+WORD_SIZES = (SCALAR_DRAWS, 2 * SCALAR_DRAWS)
+
+
+def draws(handle):
+    return [handle.indices(2**32, size).tolist() for size in WORD_SIZES]
+
+
+def reference_draws(seed, key):
+    return [
+        reference_generator(seed, key).integers(0, 2**32, size).tolist()
+        for size in WORD_SIZES
+    ]
+
+
+class TestRngStream:
+    def test_same_key_same_sequence(self):
+        s = RngStream(seed=42)
+        a = draws(s.substream(1, 2, 3))
+        b = draws(s.substream(1, 2, 3))
+        assert a == b == reference_draws(42, (1, 2, 3, DRAW_INNER))
+
+    def test_distinct_keys_differ(self):
+        s = RngStream(seed=42)
+        base = draws(s.substream(1, 2, 3))
+        for key in [(0, 2, 3), (1, 0, 3), (1, 2, 0)]:
+            other = draws(s.substream(*key))
+            assert other == reference_draws(42, (*key, DRAW_INNER))
+            assert other != base
+
+    def test_purpose_tags_are_disjoint(self):
+        s = RngStream(seed=7)
+        a = s.substream(0, 0, 0, DRAW_INNER).indices(1000, 8)
+        b = s.substream(0, 0, 0, DRAW_RESTART).indices(1000, 8)
+        for got, purpose in [(a, DRAW_INNER), (b, DRAW_RESTART)]:
+            want = reference_generator(7, (0, 0, 0, purpose)).integers(0, 1000, 8)
+            assert got.tolist() == want.tolist()
+        assert not np.array_equal(a, b)
+
+    def test_single_worker_replayable_in_isolation(self):
+        # draws for worker 3 do not depend on whether other workers drew
+        s = RngStream(seed=5)
+        for w in range(3):
+            draws(s.substream(w, 0, 0))
+        isolated = draws(RngStream(seed=5).substream(3, 0, 0))
+        interleaved = draws(s.substream(3, 0, 0))
+        assert isolated == interleaved == reference_draws(5, (3, 0, 0, 0))
 
 
 SEEDS = st.one_of(
@@ -302,9 +319,7 @@ class TestRngStreamPin:
         # the iteration, across block edges and between slots
         stream = RngStream(seed)
         for key in keys:
-            assert draws(stream.substream(*key)) == draws(
-                reference_generator(seed, key)
-            )
+            assert draws(stream.substream(*key)) == reference_draws(seed, key)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=SEEDS, worker=st.integers(0, 5), epoch=st.integers(0, 5))
@@ -314,27 +329,24 @@ class TestRngStreamPin:
         order = [block + 3, 2, block - 1, block, 0, 3 * block, 1]
         for t in order + order[::-1]:
             key = (worker, epoch, t, DRAW_INNER)
-            assert draws(stream.substream(*key)) == draws(
-                reference_generator(seed, key)
-            )
+            assert draws(stream.substream(*key)) == reference_draws(seed, key)
 
     def test_same_key_twice_gives_fresh_equal_generators(self):
         stream = RngStream(0)
         a = stream.substream(1, 2, 3)
         b = stream.substream(1, 2, 3)
         assert a is not b
-        assert draws(a) == draws(b) == draws(reference_generator(0, (1, 2, 3, 0)))
+        assert draws(a) == draws(b) == reference_draws(0, (1, 2, 3, 0))
 
     def test_live_generators_drawn_interleaved(self):
         stream = RngStream(2**32)
         keys = [(0, 0, 5, 0), (0, 0, ITER_BLOCK + 5, 0), (1, 0, 5, 0)]
+        # handles outlive their slot's block, which the next key replaces
         live = [stream.substream(*k) for k in keys]
-        refs = [reference_generator(2**32, k) for k in keys]
+        refs = [reference_generator(2**32, k).integers(0, 1000, 3) for k in keys]
         for _ in range(4):
-            for gen, ref in zip(live, refs):
-                assert gen.integers(0, 1000, size=3).tolist() == ref.integers(
-                    0, 1000, size=3
-                ).tolist()
+            for handle, ref in zip(live, refs):
+                assert handle.indices(1000, 3).tolist() == ref.tolist()
 
     def test_calls_from_a_thread_pool(self):
         stream = RngStream(12345)
@@ -360,7 +372,7 @@ class TestRngStreamPin:
         finally:
             sys.setswitchinterval(interval)
         want = [
-            (draws(reference_generator(12345, key)),
+            (reference_draws(12345, key),
              reference_generator(12345, key).integers(0, 300, 2).tolist())
             for key in keys
         ] * 3
@@ -389,7 +401,7 @@ def _pool(n):
 
 
 class TestDrawIndices:
-    """``draw_indices`` draws what ``Generator.integers`` draws."""
+    """``Substream.indices`` draws what ``Generator.integers`` draws."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -399,9 +411,8 @@ class TestDrawIndices:
         size=st.one_of(st.sampled_from([1, 2, 3, 2493]), st.integers(1, 2493)),
     )
     def test_matches_generator_integers(self, seed, key, n, size):
-        stream = RngStream(seed)
-        got = _pool(n).draw_indices(stream.substream(*key), size)
-        want = stream.substream(*key).integers(0, n, size)
+        got = RngStream(seed).substream(*key).indices(n, size)
+        want = reference_generator(seed, key).integers(0, n, size)
         assert got.dtype == want.dtype == np.int64
         assert got.tolist() == want.tolist()
 
@@ -416,9 +427,10 @@ class TestDrawIndices:
         for size in sizes:
             for it in range(ITER_BLOCK + 2):
                 for pool in pools:
-                    gen = stream.substream(1, 2, it)
-                    got = _pool(pool).draw_indices(gen, size)
-                    want = stream.substream(1, 2, it).integers(0, pool, size)
+                    got = stream.substream(1, 2, it).indices(pool, size)
+                    want = reference_generator(7, (1, 2, it, 0)).integers(
+                        0, pool, size
+                    )
                     assert got.dtype == want.dtype == np.int64
                     assert got.tolist() == want.tolist()
 
@@ -430,7 +442,7 @@ class TestDrawIndices:
         stream = RngStream(3)
         it = 0
         while True:
-            raw = stream.substream(0, 0, it).bit_generator.random_raw()
+            raw = reference_generator(3, (0, 0, it, 0)).bit_generator.random_raw()
             if (raw & 0xFFFFFFFF) * n % 2**32 < bound:
                 break
             it += 1
@@ -438,8 +450,8 @@ class TestDrawIndices:
         first = it - it % ITER_BLOCK
         for size in range(1, SCALAR_DRAWS + 2):
             for t in range(first, first + ITER_BLOCK):
-                got = _pool(n).draw_indices(stream.substream(0, 0, t), size)
-                want = stream.substream(0, 0, t).integers(0, n, size)
+                got = stream.substream(0, 0, t).indices(n, size)
+                want = reference_generator(3, (0, 0, t, 0)).integers(0, n, size)
                 assert got.tolist() == want.tolist()
 
     def test_tiny_draws_build_no_generator(self, monkeypatch):
@@ -461,32 +473,29 @@ class TestDrawIndices:
             for size in range(1, SCALAR_DRAWS + 1)
             for t in range(ITER_BLOCK)
         }
+        key = (0, 1, 5, DRAW_INNER)
+        larger = reference_generator(11, key).integers(0, 1000, SCALAR_DRAWS + 1)
         monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
         for (n, size, t), ref in want.items():
-            got = _pool(n).draw_indices(stream.substream(0, 1, t), size)
+            got = stream.substream(0, 1, t).indices(n, size)
             assert got.tolist() == ref.tolist()
         assert built == []
-        # any generator attribute of a handle builds the key's generator
-        key = (0, 1, 5, DRAW_INNER)
-        for name, call in [
-            ("integers", lambda g: g.integers(0, 1000, size=4)),
-            ("normal", lambda g: g.normal(size=3)),
-            ("random_raw", lambda g: g.bit_generator.random_raw()),
-        ]:
-            built.clear()
-            got = call(stream.substream(*key))
-            assert len(built) == 1, name
-            assert np.array_equal(got, call(reference_generator(11, key)))
+        # one array-path draw builds exactly one PCG64
+        got = stream.substream(*key).indices(1000, SCALAR_DRAWS + 1)
+        assert len(built) == 1
+        assert got.tolist() == larger.tolist()
 
     @pytest.mark.parametrize("size", [-1, -3])
     def test_negative_size_is_refused(self, size):
-        stream = RngStream(0)
         with pytest.raises(ValueError, match="negative dimensions"):
-            stream.substream(0, 0, 0).integers(0, 5, size)
+            reference_generator(0, (0, 0, 0, 0)).integers(0, 5, size)
         with pytest.raises(ValueError, match="negative dimensions"):
-            _pool(5).draw_indices(stream.substream(0, 0, 0), size)
+            RngStream(0).substream(0, 0, 0).indices(5, size)
 
     @pytest.mark.parametrize("n", [0, 2**32 + 1])
     def test_pool_outside_the_32_bit_range_is_refused(self, n):
         with pytest.raises(ValueError, match="sample pool of"):
             _pool(n)
+        for size in (1, SCALAR_DRAWS + 1):
+            with pytest.raises(ValueError, match="sample pool of"):
+                RngStream(0).substream(0, 0, 0).indices(n, size)

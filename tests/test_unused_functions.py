@@ -23,7 +23,7 @@ PERFBENCH = ROOT / "perfbench"
 
 # names that code outside the repository calls, with the reason
 PROTOCOL = {
-    "generate_state": "numpy's Generator calls it on a seed sequence",
+    "generate_state": "numpy's PCG64 calls it on a seed sequence",
 }
 
 
