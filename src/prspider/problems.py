@@ -18,15 +18,19 @@ row; called without one it charges nothing. The analytic oracles used for
 metrics are free: each suite has one, built by its factory, that evaluates
 every worker's mean value and mean gradient at once.
 
-The metered batch means sum their per-sample rows in index order, the
-order ``rows.mean(axis=0)`` uses, so they match the row-materialising
-formula bit for bit. All four kernels get there without materialising
-the rows: ``_blocked_mean`` walks the batch in blocks of rows (``QUAD_ROWS``
-for the quadratic kernels, ``sigmoid_block_rows`` for the sigmoid ones),
-the kernel gathers each sample once per block, and the running sum is
-carried from block to block. Since that sum adds rows in index order at
-any height, the quadratic bits do not depend on ``QUAD_ROWS``; the sigmoid
-bits depend on ``BLOCK_ROWS`` through the margins' gemv row groups.
+Each family has one kernel hook, ``_gradient_mean(x, idx, x_old=None)``:
+the mean of the per-sample gradients at ``x`` over a batch, or, with
+``x_old``, the mean of each sample's gradient difference between the two
+points, formed row by row before the sum. The batch means sum their rows
+in index order, the order ``rows.mean(axis=0)`` uses, so they match the
+row-materialising formula bit for bit. Both hooks get there without
+materialising the rows: ``_blocked_mean`` walks the batch in blocks of
+rows (``QUAD_ROWS`` for the quadratic hook, ``sigmoid_block_rows`` for the
+sigmoid one), the hook gathers each sample once per block, for both
+points of a pair, and the running sum is carried from block to block.
+Since that sum adds rows in index order at any height, the quadratic bits
+do not depend on ``QUAD_ROWS``; the sigmoid bits depend on ``BLOCK_ROWS``
+through the margins' gemv row groups.
 
 Block buffers are each thread's scratch (``_scratch``), kept across calls,
 so a warm kernel allocates only its running sum and its result: fresh
@@ -37,24 +41,26 @@ gives 16 bytes): alone, a subtract of (16, 2048) blocks at 16-, 32- or
 48-byte offsets ran up to twice as long. The end-to-end effect is
 unresolved, and kernel speed still depends on the heap: ``_blocked_mean``
 fills its buffer from row 1, and sums, results and iterates keep
-``np.empty``'s alignment. The quadratic kernels tile their points into the
-scratch once per call, so every subtract takes (h, d) operands: that runs
-faster than a broadcast (d,) operand, which numpy buffers. The pair
-kernel's first subtract writes its block's rows straight from the gathered
-centers, with no copy of them first.
+``np.empty``'s alignment. The quadratic hook gathers each block of centers
+once into scratch and writes the block's rows by subtracting the centers
+from its points, which it tiles into the scratch once per call, so every
+subtract takes (h, d) operands: that runs faster than a broadcast (d,)
+operand, which numpy buffers.
 
-Both sigmoid kernels take their margins by BLAS gemv, block by block,
-through ``ndarray.dot``: the gemv ``np.matmul`` reaches, at about half its
-call cost. One per-block fill serves both. The restart gathers a block's
-rows into the block and scales them there by their slopes, a broadcast
-multiply. The pair gathers them into scratch once and writes the rows at
-both points and their difference, tiling the slopes by a copy: a ufunc
-with a broadcast operand allocates a 64 KiB buffer. The restart keeps that
-buffer, since a tiled copy is one more pass over the block: a d=256
-restart ran 10-15 % longer with it. For a pair batch of at most
-``numerics.SCALAR_ENTRIES`` entries and d >= 2, the tail after the margins
-runs on Python floats, bit for bit as the numpy path: ``+ - * /`` round as
-numpy's elementwise ufuncs do, the row sum starts from 0.0 as
+The sigmoid hook takes its margins by BLAS gemv, block by block, through
+``ndarray.dot``: the gemv ``np.matmul`` reaches, at about half its call
+cost. One per-block fill serves the restart and the pair. The restart
+gathers a block's rows into the block and scales them there by their
+slopes, a broadcast multiply. The pair gathers them into scratch once and
+writes the rows at both points and their difference, tiling the slopes by
+a copy: a ufunc with a broadcast operand allocates a 64 KiB buffer. The
+restart keeps that buffer, since a tiled copy is one more pass over the
+block: a d=256 restart ran 10-15 % longer with it.
+
+A pair batch of at most ``numerics.SCALAR_ENTRIES`` entries and d >= 2
+never reaches the walker. At the top of the hook, the tail after its
+margins runs on Python floats, bit for bit as the numpy path: ``+ - * /``
+round as numpy's elementwise ufuncs do, the row sum starts from 0.0 as
 ``np.add.reduce`` over d >= 2 columns does, and the slope's square is
 ``q * q``, since ``q ** 2`` raises ``OverflowError`` on a Python float. At
 d = 1 numpy sums 8 or more rows of the lone column pairwise, so that case
@@ -64,13 +70,11 @@ The analytic oracles behind ``ProblemSuite.value``/``gradient`` evaluate
 all workers at once. ``QuadraticAnalytic`` holds the per-worker center
 means and spreads from the set-up's two passes; ``SigmoidAnalytic`` takes
 its margins over the worker-stacked data that the factories share with the
-objectives, through the BLAS gemv of ``features[i] @ x`` per worker: one
-``ndarray.dot`` over the flat (N*n, d) view while BLAS runs it unthreaded
-and each worker's rows start a gemv row group, else a stacked
-``np.matmul`` per block of ``sigmoid_block_rows`` rows. It keeps the
-terms ``phi`` and ``phi'`` share at the last point, ``t``, ``t*t`` and ``1 +
-t*t``, read-only, with the point's bytes as their key, so a record's
-``value`` and ``gradient`` at one ``x_bar`` take them once.
+objectives, by one stacked ``np.matmul`` per block of ``sigmoid_block_rows``
+rows, which gives each worker the bits of its own gemv of ``features[i] @
+x``. It keeps ``phi`` and ``phi'`` at the last point, read-only, with the
+point's bytes as their key, so a record's ``value`` and ``gradient`` at
+one ``x_bar`` take them once and only reduce them.
 
 Data arrays (centers, features, offsets) are read-only, so any number of
 runs, serial or concurrent, can share one suite.
@@ -364,27 +368,22 @@ def _mean_sq_distances(centers: np.ndarray, point: np.ndarray) -> float:
 class Meter:
     """Every cost of one run: oracle calls per worker and phase, and rounds.
 
-    The runner sets ``phase`` between dispatches. Each worker charges only
-    its own row and its own running total in ``totals``, and ``total``,
-    read at every record, sums N ints. ``rounds`` counts synchronized
-    exchanges and ``bytes_equivalent`` the d-vectors shipped in them; only
-    the coordinator's ``sync_round`` writes them.
+    The runner sets ``phase`` between dispatches. A charge adds to the
+    worker's row and to ``total``, the run's oracle calls, read at every
+    record. ``rounds`` counts synchronized exchanges and
+    ``bytes_equivalent`` the d-vectors shipped in them; only the
+    coordinator's ``sync_round`` writes them.
     """
 
     def __init__(self, num_workers: int):
         self.phase = PHASES[0]
         self.rows = [dict.fromkeys(PHASES, 0) for _ in range(num_workers)]
-        self.totals = [0] * num_workers
-        self.rounds = self.bytes_equivalent = 0
+        self.total = self.rounds = self.bytes_equivalent = 0
 
     def charge(self, worker: int, amount: int) -> None:
         amount = int(amount)
         self.rows[worker][self.phase] += amount
-        self.totals[worker] += amount
-
-    @property
-    def total(self) -> int:
-        return sum(self.totals)
+        self.total += amount
 
     def breakdown(self) -> dict:
         """Calls per phase over all workers, in ``PHASES`` order."""
@@ -465,7 +464,7 @@ class LocalObjective:
         averaging: equal inputs give an exactly zero result.
         """
         idx = np.asarray(indices)
-        delta = self._pair_difference_mean(x_new, x_old, idx)
+        delta = self._gradient_mean(x_new, idx, x_old)
         self._charge(meter, 2 * idx.shape[0])
         return delta
 
@@ -483,9 +482,11 @@ class LocalObjective:
         return grad
 
     # -- family internals ----------------------------------------------------
-    # Families define ``_gradient_mean`` and ``_pair_difference_mean`` over
-    # a batch of indices, never the metered methods above, which own the
-    # charging. A full gradient is the batch of every sample, ``0 .. n-1``.
+    # Each family defines one hook, ``_gradient_mean(x, idx, x_old=None)``,
+    # over a batch of indices, never the metered methods above, which own
+    # the charging: the mean gradient at ``x``, or with ``x_old`` the mean
+    # of the per-sample differences. A full gradient is the batch of every
+    # sample, ``0 .. n-1``.
 
 
 class QuadraticObjective(LocalObjective):
@@ -538,40 +539,31 @@ class QuadraticObjective(LocalObjective):
     def variance_bound(self, value: float | None) -> None:
         self._variance_bound = value
 
-    def _gradient_mean(self, x, idx):
-        _check_indices(idx, self._pool_size)
-        edges = _block_edges(idx.shape[0], self.dim, QUAD_ROWS)
-        point = _scratch("points", _block_height(edges), self.dim)
-        point[...] = x
-
-        def fill(lo, hi, rows):
-            np.take(self.centers, idx[lo:hi], axis=0, out=rows, mode="wrap")
-            np.subtract(point[: hi - lo], rows, out=rows)
-
-        return _blocked_mean(idx.shape[0], self.dim, fill, QUAD_ROWS)
-
-    def _pair_difference_mean(self, x_new, x_old, idx):
+    def _gradient_mean(self, x, idx, x_old=None):
         _check_indices(idx, self._pool_size)
         centers = self.centers
         edges = _block_edges(idx.shape[0], self.dim, QUAD_ROWS)
         height = _block_height(edges)
         gathered = _scratch("gathered", height, self.dim)
-        # both points tiled once per call: an (h, d) operand runs faster
+        # the points tiled once per call: an (h, d) operand runs faster
         # than a broadcast (d,) one, which numpy buffers
-        points = _scratch("points", 2 * height, self.dim)
-        points[:height] = x_new
-        points[height:] = x_old
+        pair = x_old is not None
+        points = _scratch("points", (1 + pair) * height, self.dim)
         new, old = points[:height], points[height:]
+        new[...] = x
+        if pair:
+            old[...] = x_old
 
         def fill(lo, hi, rows):
-            # each sampled center is read once for both points; the
-            # difference stays (x_new - c) - (x_old - c), row by row
+            # each sampled center is read once, for both points of a pair,
+            # whose difference stays (x - c) - (x_old - c), row by row
             count = hi - lo
             c = gathered[:count]
             np.take(centers, idx[lo:hi], axis=0, out=c, mode="wrap")
             np.subtract(new[:count], c, out=rows)
-            np.subtract(old[:count], c, out=c)
-            np.subtract(rows, c, out=rows)
+            if pair:
+                np.subtract(old[:count], c, out=c)
+                np.subtract(rows, c, out=rows)
 
         return _blocked_mean(idx.shape[0], self.dim, fill, QUAD_ROWS)
 
@@ -615,19 +607,6 @@ class SigmoidObjective(LocalObjective):
         # t + t is 2t exactly, without converting a Python float
         return (t + t) / ((1.0 + t2) ** 2)
 
-    def _pair_difference_mean(self, x_new, x_old, idx):
-        # a tiny batch's tail on Python floats (see the module docstring);
-        # an empty one is refused by _block_edges
-        if self.dim > 1 and 0 < idx.shape[0] * self.dim <= SCALAR_ENTRIES:
-            a = self.features.take(idx, axis=0)
-            return _pair_mean_on_floats(
-                a.dot(x_new).tolist(),
-                a.dot(x_old).tolist(),
-                self.offsets.take(idx).tolist(),
-                a.tolist(),
-            )
-        return self._gradient_mean(x_new, idx, x_old)
-
     def _gradient_mean(self, x, idx, x_old=None):
         """Mean of the rows ``phi'(<a, x> - b) * a`` over ``idx``, by blocks.
 
@@ -637,6 +616,17 @@ class SigmoidObjective(LocalObjective):
         formed before the sum: the pair kernel. Margins are taken per block,
         so no gemv is big enough for BLAS to thread it.
         """
+        # a tiny pair batch's tail on Python floats (see the module
+        # docstring); an empty one is refused by _block_edges
+        tiny = 0 < idx.shape[0] * self.dim <= SCALAR_ENTRIES
+        if x_old is not None and self.dim > 1 and tiny:
+            a = self.features.take(idx, axis=0)
+            return _pair_mean_on_floats(
+                a.dot(x).tolist(),
+                a.dot(x_old).tolist(),
+                self.offsets.take(idx).tolist(),
+                a.tolist(),
+            )
         _check_indices(idx, self._pool_size)
         edges = _block_edges(idx.shape[0], self.dim, self._block_rows)
         if x_old is not None:
@@ -712,29 +702,23 @@ class SigmoidAnalytic:
     """Every sigmoid worker's mean value and mean gradient at once.
 
     ``features`` (N, n, d) and ``offsets`` (N, n) are the arrays whose
-    worker slices the objectives hold, not copies of them. The terms that
-    ``phi`` and ``phi'`` share at the last point asked for are kept: the
-    margins ``t``, ``t * t`` and ``q = t * t + 1``. So ``values`` (``t*t /
-    q``) and ``gradients`` (``(t + t) / (q * q)``) at one point compute them
-    once; runs sharing the suite may race on the cache, and at worst
-    compute the terms again.
+    worker slices the objectives hold, not copies of them. The margins
+    ``t`` are taken by one stacked ``np.matmul`` per row block, which gives
+    each worker its own gemv's bits. ``phi(t) = t*t / (t*t + 1)`` and
+    ``phi'(t) = (t + t) / (q * q)``, ``q = t*t + 1``, at the last point
+    asked for are kept, so ``values`` and ``gradients`` at one point only
+    reduce them; runs sharing the suite may race on the cache, and at worst
+    compute the pair again.
     """
 
     def __init__(self, features: np.ndarray, offsets: np.ndarray):
         self.features = features
         self.offsets = offsets
         self._features_t = features.transpose(0, 2, 1)
-        N, n, d = features.shape
-        rows = sigmoid_block_rows(d)
+        _, n, d = features.shape
         # row blocks BLAS won't thread, as in the metered kernels
-        self._edges = _block_edges(n, d, rows)
-        # one gemv over every worker's rows while BLAS won't thread it and
-        # each worker's first row starts a gemv row group, as in its own
-        self._flat = (
-            features.reshape(N * n, d)
-            if N * n <= rows and n % BLOCK_ROWS == 0 else None
-        )
-        self._last = None  # (x.tobytes(), read-only (t, t*t, t*t + 1) at x)
+        self._edges = _block_edges(n, d, sigmoid_block_rows(d))
+        self._last = None  # (x.tobytes(), read-only (phi, phi') at x)
 
     def _terms(self, x):
         # key and terms are one tuple, replaced whole, so runs sharing the
@@ -744,27 +728,24 @@ class SigmoidAnalytic:
         last = self._last
         if last is not None and last[0] == key:
             return last[1]
-        if self._flat is not None:
-            t = self._flat.dot(x).reshape(self.offsets.shape)
-        else:
-            t = np.empty(self.offsets.shape)
-            for lo, hi in zip(self._edges, self._edges[1:]):
-                np.matmul(self.features[:, lo:hi], x, out=t[:, lo:hi])
+        t = np.empty(self.offsets.shape)
+        for lo, hi in zip(self._edges, self._edges[1:]):
+            np.matmul(self.features[:, lo:hi], x, out=t[:, lo:hi])
         t -= self.offsets
         t2 = t * t
-        terms = (t, t2, t2 + 1.0)
+        q = t2 + 1.0
+        terms = (t2 / q, (t + t) / (q * q))
         for term in terms:
             term.flags.writeable = False
         self._last = (key, terms)
         return terms
 
     def values(self, x: ParamVector) -> np.ndarray:
-        _, t2, q = self._terms(x)
-        return np.add.reduce(t2 / q, axis=1) / q.shape[1]
+        phi, _ = self._terms(x)
+        return np.add.reduce(phi, axis=1) / phi.shape[1]
 
     def gradients(self, x: ParamVector) -> np.ndarray:
-        t, _, q = self._terms(x)
-        slopes = (t + t) / (q * q)
+        _, slopes = self._terms(x)
         # a stack of (d, n) @ (n, 1): per worker, the gemv of features.T @ p
         grads = np.matmul(self._features_t, slopes[:, :, None])
         return grads[:, :, 0] / slopes.shape[1]

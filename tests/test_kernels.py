@@ -365,6 +365,34 @@ def test_sigmoid_pair_kernel_sums_signed_zero_products_from_zero():
         _assert_pair_kernel_matches(features, offsets, x_new, x_old, idx)
 
 
+@pytest.mark.parametrize("B, d", [(1, 2), (8, 2), (3, 4), (2, 8)])
+def test_tiny_sigmoid_restarts_stay_on_the_numpy_walker(B, d, monkeypatch):
+    # only a pair leaves the walker for the Python-float tail: a batch
+    # mean or full gradient of at most SCALAR_ENTRIES entries stays on it
+    assert B * d <= SCALAR_ENTRIES
+
+    class FloatTail(Exception):
+        pass
+
+    def float_tail(*args):
+        raise FloatTail
+
+    monkeypatch.setattr(problems, "_pair_mean_on_floats", float_tail)
+    for seed in range(10):
+        features, offsets, x, x_old, idx = _sigmoid_pair_case(seed, B, d)
+        obj = SigmoidObjective(0, features, offsets)
+        got = obj.batch_gradient_mean(x, idx)
+        ref = _sigmoid_row_mean(features, offsets, x, idx)
+        assert got.tobytes() == ref.tobytes()
+        with pytest.raises(FloatTail):
+            obj.pair_difference_mean(x, x_old, idx)
+        # a full gradient over B samples has B * d entries too
+        head, head_offsets = features[:B], offsets[:B]
+        full = SigmoidObjective(0, head, head_offsets).full_gradient(x)
+        ref = _sigmoid_row_mean(head, head_offsets, x, np.arange(B))
+        assert full.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("B", [8, 9, SCALAR_ENTRIES])
 def test_sigmoid_pair_kernel_sums_a_lone_column_as_numpy_does(B):
     # at d = 1 numpy sums 8 or more rows pairwise, not in order
@@ -590,11 +618,15 @@ def test_out_of_range_sample_index_raises():
 
 def test_families_override_hooks_not_metered_oracles():
     # the metered methods own the charging, and tracers patch them on the
-    # base class only
+    # base class only; each family has one kernel hook, for the restart
+    # and the pair alike
     for cls in (QuadraticObjective, SigmoidObjective):
+        assert "_gradient_mean" in vars(cls)
         for name in METERED:
             assert name not in vars(cls)
             assert getattr(cls, name) is getattr(LocalObjective, name)
+    classes = [c for c in vars(problems).values() if isinstance(c, type)]
+    assert not any(hasattr(c, "_pair_difference_mean") for c in classes)
 
 
 class TestSharedData:
@@ -638,8 +670,8 @@ class TestSharedData:
 
     def test_threaded_sigmoid_runs_share_the_margins_cache(self):
         # B * d = 8 takes the pair kernel's Python-float tail and N * d = 16
-        # mean_reduce's; every record asks the suite's cache of the terms
-        # phi and phi' share twice, and the four runs share the one cache
+        # mean_reduce's; every record asks the suite's cache of phi and
+        # phi' twice, and the four runs share the one cache
         suite = make_nonconvex_suite(N=4, n=256, d=4, heterogeneity=0.5, seed=9)
         hp = HyperParams(gamma=0.02, I=4, m=32, B=2, S=2, N=4)
 
@@ -659,11 +691,11 @@ class TestSharedData:
         x = suite.initial_point
         terms = suite.analytic._terms(x)
         assert suite.analytic._terms(x.copy()) is terms
-        t, t2, q = terms
-        margins = np.matmul(suite.analytic.features, x) - suite.analytic.offsets
-        assert t.tobytes() == margins.tobytes()
-        assert t2.tobytes() == (t * t).tobytes()
-        assert q.tobytes() == (t * t + 1.0).tobytes()
+        phi, slopes = terms
+        t = np.matmul(suite.analytic.features, x) - suite.analytic.offsets
+        assert phi.tobytes() == (t * t / (t * t + 1.0)).tobytes()
+        want = (t + t) / ((t * t + 1.0) * (t * t + 1.0))
+        assert slopes.tobytes() == want.tobytes()
         # key and terms are one tuple, replaced whole: CPython 3.11 does not
         # switch threads between two adjacent attribute stores, so the runs
         # above cannot show a cache that keeps them apart
