@@ -280,12 +280,22 @@ def _parse_problem(problem) -> tuple[Callable[..., ProblemSuite], dict]:
 def build_suite(problem: dict) -> ProblemSuite:
     factory, args = _parse_problem(problem)
     try:
-        return factory(**args)
+        # data that overflows is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            suite = factory(**args)
+            # the worker values, not ``suite.value``, whose call count the
+            # benchmark's span gate pins
+            start = suite.analytic.values(suite.initial_point)
     except (ValueError, TypeError, MemoryError) as exc:
         # the factories check the explicit arrays, which the tables take as
         # plain lists: shape, element type and finiteness, naming the key;
         # a size past the memory fails as it allocates
         raise ConfigError(f"problem: {exc}") from exc
+    if not math.isfinite(suite.smoothness):
+        raise ConfigError(f"problem: smoothness is {suite.smoothness}")
+    if not np.isfinite(start).all():
+        raise ConfigError("problem: the objective at the start point is not finite")
+    return suite
 
 
 def _parse_algorithm(algorithm) -> tuple[str, str, dict]:
@@ -298,16 +308,23 @@ def _parse_algorithm(algorithm) -> tuple[str, str, dict]:
     return block["name"], mode, parse_block(block[mode], schema, f"algorithm.{mode}")
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is {value}")
+    return value
+
+
 def _auto_params(name: str, suite: ProblemSuite, eps: float, I: int) -> dict:
     L = suite.smoothness
-    gap = suite.initial_gap()
+    gap = _finite("the start point's optimality gap", suite.initial_gap())
     N = suite.num_workers
     if name == "pr-spider-finite":
         return choose_params_finite(N, suite.sample_count, I, L, gap, eps).as_dict()
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = _finite("the variance bound sigma", suite.variance_bound)
     if name == "pr-spider-online":
-        hp = choose_params_online(N, suite.variance_bound, I, L, gap, eps)
-        return hp.as_dict()
-    params = choose_params_baseline(N, suite.variance_bound, I, L, gap, eps)
+        return choose_params_online(N, sigma, I, L, gap, eps).as_dict()
+    params = choose_params_baseline(N, sigma, I, L, gap, eps)
     if name == "par-restarted-sgd":
         params["I"] = I
     return params

@@ -15,13 +15,14 @@ iterations of one (worker, epoch, purpose) at a time, in one vectorised
 numpy pass: a ``SeedBlock``, whose lanes are the iterations.
 ``substream`` returns a ``Substream``, a plain (block, lane) value, and
 ``Substream.indices(pool, size)`` turns the lane's PCG64 outputs into
-indices by numpy's bounded rule, as ``Generator.integers(0, pool, size)``
-does. A batch of at most ``SCALAR_DRAWS`` indices builds no PCG64: the
-first one of its pool and size on a block derives every lane's first
-``LANE_OUTPUTS`` PCG64 outputs in one more pass, on uint64 limbs (seeding
-as numpy's ``pcg64_set_seed``, XSL-RR output), and turns them into a table
-of every lane's indices, kept on the ``SeedBlock``. A larger batch seeds
-one PCG64 straight from the lane's words and draws on arrays.
+indices by numpy's bounded rule (``_bounded``), as ``Generator.integers(0,
+pool, size)`` does. A batch of at most ``SCALAR_DRAWS`` indices builds no
+PCG64: the first one of its pool and size on a block derives every lane's
+first ``LANE_OUTPUTS`` PCG64 outputs in one more pass, on uint64 limbs
+(seeding as numpy's ``pcg64_set_seed``, XSL-RR output), and turns them
+into a table of every lane's indices, kept on the ``SeedBlock``. A larger
+batch, or a lane with a rejected word among its first ``size``, seeds one
+PCG64 from the lane's words and draws on arrays, redrawing rejected words.
 
 Tiny stacks skip numpy's per-call cost. ``mean_reduce`` stacks every
 input once; a float64 stack of at most ``SCALAR_ENTRIES`` entries is then
@@ -95,15 +96,19 @@ def mean_reduce(vectors: Sequence[ParamVector] | np.ndarray) -> ParamVector:
     bitwise. ``np.add.accumulate`` adds row by row for any d, where
     ``np.add.reduce`` would sum a lone column (d = 1) pairwise. A float64
     stack of 2 or more rows and at most ``SCALAR_ENTRIES`` entries is
-    reduced on Python floats in the same order, with the same bits.
+    reduced on Python floats in the same order, with the same bits. Integer
+    and bool stacks are averaged as float64, float32 ones on float32.
     """
     stack = np.asarray(vectors, order="C")
     if stack.ndim != 2 or stack.shape[0] == 0:
         raise ValueError(f"mean_reduce needs N >= 1 vectors, got {stack.shape}")
+    f64 = stack.dtype == np.float64
+    if not f64 and stack.dtype.kind in "biu":
+        stack, f64 = stack.astype(np.float64), True
     first = stack[0]
     if stack.shape[0] == 1:
         return first.copy()
-    if stack.size > SCALAR_ENTRIES or stack.dtype != np.float64:
+    if stack.size > SCALAR_ENTRIES or not f64:
         acc = np.add.accumulate(stack[1:] - first, axis=0)[-1]
         acc /= stack.shape[0]
         # a zero accumulated deviation means the mean IS the anchor;
@@ -366,35 +371,30 @@ def _check_pool_size(pool: int) -> None:
         raise ValueError(f"sample pool of {pool} outside 1 .. 2**32")
 
 
-def _scaled(raw: np.ndarray, pool: int) -> np.ndarray:
-    """Each 32-bit word of ``raw``'s outputs times the pool, low first."""
-    words = raw.astype(_LE64, copy=False).view(_LE32).astype(np.uint64)
-    words *= np.uint64(pool)
-    return words
+def _bounded(raw: np.ndarray, pool: int) -> tuple:
+    """Numpy's bounded rule on the 32-bit words of raw outputs, low first.
 
-
-def _kept(scaled: np.ndarray, reject_below: int) -> np.ndarray:
-    """Which scaled words the bounded rule keeps."""
+    Word ``u`` gives index ``(u * pool) >> 32``, kept unless the product's
+    low half is below ``(2**32 - pool) mod pool``. Returns the int64
+    indices, one per word, and the mask of the words kept.
+    """
+    scaled = raw.astype(_LE64, copy=False).view(_LE32).astype(np.uint64)
+    scaled *= np.uint64(pool)
     low = scaled.astype(_LE64, copy=False).view(_LE32)[..., ::2]
-    return low >= reject_below
+    kept = low >= (2**32 - pool) % pool
+    scaled >>= _WORD_BITS
+    return scaled.view(np.int64), kept
 
 
 def _lane_rows(words: np.ndarray, pool: int, size: int) -> list:
-    """Each lane's first ``size`` indices from the words of its first
-    ``LANE_OUTPUTS`` outputs, or ``None`` where rejections leave fewer."""
-    scaled = _scaled(_pcg64_outputs(words), pool)
-    reject_below = (2**32 - pool) % pool
-    short = ()
-    if reject_below:
-        kept = _kept(scaled, reject_below)
-        # a stable sort moves each lane's kept words ahead, in order
-        order = np.argsort(~kept, axis=1, kind="stable")[:, :size]
-        scaled = np.take_along_axis(scaled, order, axis=1)
-        short = np.flatnonzero(np.count_nonzero(kept, axis=1) < size)
-    table = (scaled[:, :size] >> _WORD_BITS).view(np.int64)
+    """Each lane's first ``size`` indices from its first ``LANE_OUTPUTS``
+    outputs, or ``None`` where the bounded rule rejects one of its first
+    ``size`` words."""
+    indices, kept = _bounded(_pcg64_outputs(words), pool)
+    table = indices[:, :size]
     table.flags.writeable = False  # its rows are shared by every caller
     rows = list(table)
-    for lane in short:
+    for lane in np.flatnonzero(~kept[:, :size].all(axis=1)):
         rows[lane] = None
     return rows
 
@@ -435,13 +435,12 @@ class Substream:
         """``size`` i.i.d. indices in ``0 .. pool - 1``, with replacement.
 
         Values and dtype of the key's ``Generator.integers(0, pool, size)``,
-        by numpy's bounded rule (Lemire, arXiv:1805.10941): each raw output
-        gives two 32-bit words, low first, and a word ``u`` gives ``(u *
-        pool) >> 32`` unless that product's low half is below ``(2**32 -
-        pool) mod pool``. A batch of 1 to ``SCALAR_DRAWS`` indices is read
-        from a read-only table of every lane of the block, made once per
-        pool and size from the lanes' first outputs; a lane whose words run
-        short, and a larger batch, draw on arrays from the key's PCG64.
+        by numpy's bounded rule (Lemire, arXiv:1805.10941; ``_bounded``). A
+        batch of 1 to ``SCALAR_DRAWS`` indices is read from a read-only
+        table of every lane of the block, made once per pool and size from
+        the lanes' first outputs. A lane with a rejected word among its
+        first ``size``, and a larger batch, draw on arrays from the key's
+        PCG64, whose loop alone redraws rejected words.
         """
         size = int(size)
         if size < 0:
@@ -461,19 +460,13 @@ class Substream:
         if size == 0:
             return np.empty(0, dtype=np.int64)
         bits = np.random.PCG64(_SeedWords(block.words[self.lane]))
-        reject_below = (2**32 - pool) % pool
         parts, need = [], size
         while need > 0:
-            words = _scaled(bits.random_raw((need + 1) // 2), pool)
-            if reject_below:
-                kept = _kept(words, reject_below)
-                if not kept.all():
-                    words = words[kept]
-            parts.append(words)
-            need -= words.shape[0]
-        scaled = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        scaled >>= _WORD_BITS
-        return scaled[:size].view(np.int64)
+            drawn, kept = _bounded(bits.random_raw((need + 1) // 2), pool)
+            parts.append(drawn[kept])
+            need -= parts[-1].shape[0]
+        drawn = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return drawn[:size]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import statistics
+import warnings
 
 import pytest
 
@@ -371,6 +372,72 @@ class TestCmdRun:
             "config error: key 'eps_targets' in run block repeats a target: "
             "[1e-09, 1e-09]\n"
         )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "problem, algorithm, message",
+        [
+            (
+                {"family": "quadratic", "N": 2, "n": 3, "d": 2, "seed": 1,
+                 "center_spread": 1e200},
+                {"name": "pr-spider-finite",
+                 "params": {"gamma": 0.01, "I": 2, "m": 2, "B": 1, "S": 1}},
+                "problem: the objective at the start point is not finite",
+            ),
+            (
+                {"family": "quadratic", "N": 2, "n": 3, "d": 2, "seed": 1,
+                 "center_spread": 1e308},
+                {"name": "pr-spider-online", "auto": {"eps": 0.1}},
+                "problem: the objective at the start point is not finite",
+            ),
+            (
+                {"family": "quadratic-explicit",
+                 "centers": [[[1e308, -1e308]], [[-1e308, 1e308]]],
+                 "initial_point": [0.0, 0.0]},
+                {"name": "pr-spider-finite", "auto": {"eps": 0.1}},
+                "problem: the objective at the start point is not finite",
+            ),
+            (
+                {"family": "sigmoid-explicit",
+                 "features": [[[1e200, 1e200]], [[-1e200, 1e200]]],
+                 "offsets": [[0.5], [0.5]], "initial_point": [1.0, 1.0]},
+                {"name": "pr-spider-finite",
+                 "params": {"gamma": 0.01, "I": 2, "m": 2, "B": 1, "S": 1}},
+                "problem: smoothness is inf",
+            ),
+            (
+                # three finite worker values whose sum overflows
+                {"family": "quadratic-explicit",
+                 "centers": [[[1.3e154]], [[1.3e154]], [[1.3e154]]],
+                 "initial_point": [0.0]},
+                {"name": "pr-spider-finite", "auto": {"eps": 0.1}},
+                "algorithm.auto: the start point's optimality gap is inf",
+            ),
+            (
+                # finite worker spreads, but four rows of 1e308 around the
+                # grand mean
+                {"family": "quadratic-explicit",
+                 "centers": [[[1e154], [1e154]], [[-1e154], [-1e154]]],
+                 "initial_point": [0.0]},
+                {"name": "pr-spider-online", "auto": {"eps": 0.1}},
+                "algorithm.auto: the variance bound sigma is inf",
+            ),
+        ],
+        ids=[
+            "spread-1e200-params", "spread-1e308-auto", "centers-1e308",
+            "sigmoid-features-1e200", "gap-overflow", "sigma-overflow",
+        ],
+    )
+    def test_overflowing_suite_exits_config_with_one_line(
+        self, tmp_path, capsys, problem, algorithm, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, problem=problem, algorithm=algorithm)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -150,6 +150,23 @@ class TestMeanReduce:
             got = mean_reduce(narrow)
             assert got.tobytes() == accumulate_mean(narrow).tobytes()
 
+    @pytest.mark.parametrize(
+        "n, d",
+        # N * d at SCALAR_ENTRIES (Python floats), just past it (arrays),
+        # and one vector (a copy)
+        [(2, SCALAR_ENTRIES // 2), (2, SCALAR_ENTRIES // 2 + 1), (1, 3)],
+    )
+    def test_integer_and_bool_stacks_average_as_floats(self, n, d):
+        rng = np.random.default_rng(n * 100 + d)
+        ints = rng.integers(-(2**40), 2**40, size=(n, d))
+        bools = rng.random((n, d)) < 0.5
+        for stack in (ints, ints.astype(np.int32), ints.astype(np.uint8), bools):
+            want = mean_reduce(stack.astype(np.float64)).tobytes()
+            got = mean_reduce(stack)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want
+            assert mean_reduce(stack.tolist()).tobytes() == want
+
     def test_ragged_list_and_3d_array_rejected(self):
         with pytest.raises(ValueError):
             mean_reduce([np.zeros(2), np.zeros(2), np.zeros(3)])
@@ -446,7 +463,8 @@ class TestDrawIndices:
             if (raw & 0xFFFFFFFF) * n % 2**32 < bound:
                 break
             it += 1
-        # every lane of that key's block, whose lane table has short lanes
+        # every lane of that key's block, whose lane table leaves out the
+        # lanes with a rejected word
         first = it - it % ITER_BLOCK
         for size in range(1, SCALAR_DRAWS + 2):
             for t in range(first, first + ITER_BLOCK):
@@ -484,6 +502,45 @@ class TestDrawIndices:
         got = stream.substream(*key).indices(1000, SCALAR_DRAWS + 1)
         assert len(built) == 1
         assert got.tolist() == larger.tolist()
+
+    def test_rejected_lanes_take_the_array_path(self, monkeypatch):
+        # at pool 2**31 + 1 about half the words fall below the rejection
+        # bound: a lane with one among its first `size` words seeds one
+        # PCG64, every other lane reads the lane table
+        n = 2**31 + 1
+        bound = (2**32 - n) % n
+        built = []
+
+        class CountingPCG64(np.random.PCG64):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        refs, rejected = {}, {}
+        for t in range(ITER_BLOCK):
+            raw = reference_generator(3, (0, 0, t, 0)).bit_generator.random_raw(
+                SCALAR_DRAWS // 2
+            )
+            words = [
+                w >> shift & 0xFFFFFFFF for w in raw.tolist() for shift in (0, 32)
+            ]
+            for size in range(1, SCALAR_DRAWS + 1):
+                refs[t, size] = reference_generator(3, (0, 0, t, 0)).integers(
+                    0, n, size
+                )
+                low = [w * n % 2**32 for w in words[:size]]
+                rejected[t, size] = min(low) < bound
+        # both kinds of lane occur at every size
+        for size in range(1, SCALAR_DRAWS + 1):
+            kinds = {rejected[t, size] for t in range(ITER_BLOCK)}
+            assert kinds == {False, True}
+        stream = RngStream(3)
+        monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+        for (t, size), ref in refs.items():
+            del built[:]
+            got = stream.substream(0, 0, t).indices(n, size)
+            assert got.tolist() == ref.tolist()
+            assert len(built) == rejected[t, size]
 
     @pytest.mark.parametrize("size", [-1, -3])
     def test_negative_size_is_refused(self, size):
