@@ -59,6 +59,7 @@ from .numerics import (
     axpy,
     mean_reduce,
     sq_norm,
+    sq_norms,
 )
 from .problems import (
     LocalObjective,
@@ -269,6 +270,13 @@ class _Run:
     to it as the run goes. As a context manager it gives a
     ``DivergedError`` or ``CertificateError`` the trace so far with its
     outcome set. ``parallel`` is only echoed (see the module docstring).
+
+    A record point is taken as a pending entry: (s, t), the (N, d)
+    iterates, their mean by ``mean_reduce`` and a ledger snapshot, whose
+    totals the record holds. ``flush`` makes the pending records, in
+    order, from one stacked pass of the suite's analytic oracles over
+    their means and one ``sq_norms`` of every worker's deviation from its
+    mean; a chunk holds at most ``suite.analytic.chunk`` records.
     """
 
     def __init__(self, suite, seed, algorithm, metrics_every, parallel, hooks):
@@ -283,6 +291,7 @@ class _Run:
             WorkerState(worker_id=i, obj=obj, x=suite.initial_point.copy())
             for i, obj in enumerate(suite.objectives)
         ]
+        self.pending = []
         echo = {
             "problem": dict(suite.config),
             "algorithm": algorithm,
@@ -308,26 +317,65 @@ class _Run:
         if self.hooks.on_sync:
             self.hooks.on_sync(s, t, payload, self.workers)
 
+    def take_record(self, s: int, t: int) -> None:
+        """Take the record point ``(s, t)``; a full chunk is flushed."""
+        iterates = np.array([w.x for w in self.workers])
+        x_bar = mean_reduce(iterates)
+        self.pending.append((s, t, iterates, x_bar, self.meter.snapshot()))
+        if len(self.pending) == self.suite.analytic.chunk:
+            self.flush()
+
+    def flush(self) -> None:
+        """Make the pending records, in order, into the trace.
+
+        A ``CertificateError`` at one of them ends the trace before it,
+        with the ledger set back to that record's snapshot.
+        """
+        pending, self.pending = self.pending, []
+        if not pending:
+            return
+        suite = self.suite
+        x_bars = np.array([entry[3] for entry in pending])
+        suite.analytic.evaluate(x_bars)
+        deviations = np.array([entry[2] for entry in pending])
+        deviations -= x_bars[:, None]
+        deviations = sq_norms(deviations)
+        for (s, t, _, x_bar, ledger), dev in zip(pending, deviations):
+            total, rounds = ledger[:2]
+            try:
+                record = make_record(s, t, suite, x_bar, dev, total, rounds)
+            except CertificateError:
+                self.meter.restore(ledger)
+                raise
+            self.trace.records.append(record)
+
     def loop(self, S: int, m: int, I: int, payload: str, step, boundary) -> None:
         """The schedule both families share: ``S`` epochs of ``m`` iterations.
 
-        Iteration ``t`` of epoch ``s`` records (into the trace every
-        ``metrics_every`` iterations, to ``on_record`` at each), takes
-        ``step(s, t)``, and averages ``payload`` at ``(s, t + 1)`` when that
-        is an in-epoch averaging step; ``boundary(s)`` closes each epoch.
+        Iteration ``t`` of epoch ``s`` takes a record point (every
+        ``metrics_every`` iterations) and calls ``on_record`` (at each),
+        takes ``step(s, t)``, and averages ``payload`` at ``(s, t + 1)``
+        when that is an in-epoch averaging step; ``boundary(s)`` closes
+        each epoch. Pending records are flushed when a chunk is full,
+        before each boundary, so the last one's flush ends the run's
+        records, and before a ``DivergedError`` leaves the run; a
+        certificate failure among them takes precedence over it.
         """
-        for s in range(S):
-            for t in range(m):
-                if (s * m + t) % self.metrics_every == 0:
-                    self.trace.records.append(
-                        make_record(s, t, self.suite, self.workers, self.meter)
-                    )
-                if self.hooks.on_record:
-                    self.hooks.on_record(s, t, self.workers)
-                step(s, t)
-                if t + 1 < m and (t + 1) % I == 0:
-                    self.sync(s, t + 1, payload)
-            boundary(s)
+        try:
+            for s in range(S):
+                for t in range(m):
+                    if (s * m + t) % self.metrics_every == 0:
+                        self.take_record(s, t)
+                    if self.hooks.on_record:
+                        self.hooks.on_record(s, t, self.workers)
+                    step(s, t)
+                    if t + 1 < m and (t + 1) % I == 0:
+                        self.sync(s, t + 1, payload)
+                self.flush()
+                boundary(s)
+        except DivergedError:
+            self.flush()
+            raise
 
 
 def _run_spider(

@@ -7,7 +7,10 @@ event, whatever rides in it. The run's ``problems.Meter`` is its one cost
 ledger: ``sync_round`` counts each round and the d-vectors it ships there,
 beside the oracle calls, and a ``MetricsTrace`` reads its totals from it.
 Metrics come from the analytic suite oracles and charge neither oracle
-calls nor rounds.
+calls nor rounds. ``make_record`` takes the workers' mean iterate, their
+squared distances to it and the ledger's totals at a record point, so the
+runner can make a chunk of records after one stacked pass of the analytic
+oracles over their means.
 
 Every output file goes through ``open_atomic``: its writer streams into a
 temporary file beside the target, row by row or JSON chunk by chunk, so a
@@ -32,7 +35,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .numerics import ParamVector, mean_reduce, ordered_sum, sq_norm, sq_norms
+from .numerics import ParamVector, mean_reduce, ordered_sum, sq_norm
 from .problems import LocalObjective, Meter, ProblemSuite
 
 __all__ = [
@@ -180,7 +183,9 @@ class RunHooks:
     ``on_record(s, t, workers)`` fires at each metrics point, and
     ``on_sync(s, t, payload, workers)`` once per counted round, after its
     broadcast, the initial gradient round included. ``workers`` are the
-    run's ``WorkerState`` objects.
+    run's ``WorkerState`` objects. Records are made a chunk at a time, so
+    both may fire past a record that fails the certificate: ``on_record``
+    for up to chunk - 1 more records, before the run raises.
     """
 
     on_record: Callable | None = None
@@ -345,17 +350,18 @@ def sync_round(
 
 
 def evaluate_fos(
-    suite: ProblemSuite, workers: Sequence[WorkerState]
+    suite: ProblemSuite, x_bar: ParamVector, deviations: np.ndarray
 ) -> tuple[float, float, float]:
     """(f(x_bar), ||grad f(x_bar)||^2, mean squared consensus deviation).
 
-    Uses the analytic oracles only: no oracle charge, no round charge.
+    ``x_bar`` is the workers' mean iterate by ``mean_reduce`` and
+    ``deviations`` their squared distances to it, ``sq_norms(iterates -
+    x_bar)``, in worker order. Uses the analytic oracles only: no oracle
+    charge, no round charge.
     """
-    iterates = np.array([w.x for w in workers])
-    x_bar = mean_reduce(iterates)
     grad_sq = sq_norm(suite.gradient(x_bar))
     # summed in worker order, as a loop of sq_norm(w.x - x_bar) sums it
-    consensus = ordered_sum(sq_norms(iterates - x_bar)) / len(workers)
+    consensus = ordered_sum(deviations) / len(deviations)
     return suite.value(x_bar), grad_sq, consensus
 
 
@@ -363,10 +369,17 @@ def make_record(
     s: int,
     t: int,
     suite: ProblemSuite,
-    workers: Sequence[WorkerState],
-    meter: Meter,
+    x_bar: ParamVector,
+    deviations: np.ndarray,
+    ifo_total: int,
+    comm_rounds: int,
 ) -> MetricsRecord:
-    f_bar, grad_sq, consensus = evaluate_fos(suite, workers)
+    """The record at ``(s, t)`` of workers with mean ``x_bar``.
+
+    ``deviations`` are the workers' squared distances to ``x_bar``, and
+    ``ifo_total`` and ``comm_rounds`` the ledger's totals at that point.
+    """
+    f_bar, grad_sq, consensus = evaluate_fos(suite, x_bar, deviations)
     # opportunistic certificate: the advertised optimum is a true lower
     # bound wherever the run actually goes. A NaN f_bar passes; the
     # divergence check reads only iterates and directions, so a record may
@@ -383,8 +396,8 @@ def make_record(
         grad_sq=grad_sq,
         consensus=consensus,
         fos=grad_sq + consensus,
-        ifo_total=meter.total,
-        comm_rounds=meter.rounds,
+        ifo_total=ifo_total,
+        comm_rounds=comm_rounds,
     )
 
 

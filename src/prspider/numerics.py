@@ -147,14 +147,14 @@ def sq_norm(x: ParamVector) -> float:
 
 
 def sq_norms(rows: np.ndarray) -> np.ndarray:
-    """``sq_norm`` of each row of a 2-D array, bit for bit.
+    """``sq_norm`` of each row (last axis) of an array, bit for bit.
 
     A stacked ``matmul`` of 1 x d by d x 1 runs the same BLAS dot per row
     that ``np.dot`` runs; ``einsum`` and ``(rows * rows).sum(1)`` sum in
-    other orders.
+    other orders. The result has the leading axes of ``rows``.
     """
     rows = np.ascontiguousarray(rows)
-    return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
+    return np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0]
 
 
 def ordered_sum(values: np.ndarray) -> float:

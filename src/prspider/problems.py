@@ -67,14 +67,20 @@ d = 1 numpy sums 8 or more rows of the lone column pairwise, so that case
 stays on numpy.
 
 The analytic oracles behind ``ProblemSuite.value``/``gradient`` evaluate
-all workers at once. ``QuadraticAnalytic`` holds the per-worker center
-means and spreads from the set-up's two passes; ``SigmoidAnalytic`` takes
-its margins over the worker-stacked data that the factories share with the
-objectives, by one stacked ``np.matmul`` per block of ``sigmoid_block_rows``
-rows, which gives each worker the bits of its own gemv of ``features[i] @
-x``. It keeps ``phi`` and ``phi'`` at the last point, read-only, with the
-point's bytes as their key, so a record's ``value`` and ``gradient`` at
-one ``x_bar`` take them once and only reduce them.
+all workers at a chunk of points at once. ``evaluate(points)`` takes every
+worker's values and gradients at each of R points in one stacked pass and
+keeps them, read-only, in one dict keyed by each point's bytes; ``values``
+and ``gradients`` read it, and evaluate a point it lacks as a chunk of one.
+A runner stacks up to ``chunk`` record points, ``CHUNK_ENTRIES`` entries
+over a point's largest (N, .) array: 8 at N=4, n=256, where a point of a
+chunk costs about half as much as a point alone. Every point gets its own
+bits at any chunk size and position. ``QuadraticAnalytic`` holds the
+per-worker center means and spreads from the set-up's two passes and
+takes a chunk's values by stacked ``sq_norms``; ``SigmoidAnalytic`` takes
+its margins over the worker-stacked data that the factories share with
+the objectives, by one broadcast ``np.matmul`` per block of
+``sigmoid_block_rows`` rows, which gives each worker the bits of its own
+gemv of ``features[i] @ x``.
 
 Data arrays (centers, features, offsets) are read-only, so any number of
 runs, serial or concurrent, can share one suite.
@@ -154,6 +160,13 @@ PHASES = ("init", "inner", "refresh")
 # the quadratic set-up passes: the margins' BLAS gemv row groups fix this
 # height, and with it the sigmoid bits.
 BLOCK_ROWS = 32
+
+# Float64 entries of a chunk's largest analytic array: a point's largest
+# (N, .) array times the points the runner evaluates in one stacked pass.
+# 64 KiB an array: at N=4, n=256 a chunk of 14 or more points (112 KiB
+# arrays) met glibc's 128 KiB trim and mmap thresholds, and each pass
+# faulted its pages in again at twice the cost a point.
+CHUNK_ENTRIES = 2**13
 
 # Rows per quadratic kernel block: at d=2048 a block of float64 rows is
 # 256 KiB, so the pair kernel's four buffers (gathered centers, rows, and
@@ -388,6 +401,15 @@ class Meter:
     def breakdown(self) -> dict:
         """Calls per phase over all workers, in ``PHASES`` order."""
         return {p: sum(row[p] for row in self.rows) for p in PHASES}
+
+    def snapshot(self) -> tuple:
+        """``(total, rounds, bytes_equivalent, rows)`` as they stand now."""
+        rows = [row.copy() for row in self.rows]
+        return self.total, self.rounds, self.bytes_equivalent, rows
+
+    def restore(self, snapshot: tuple) -> None:
+        """Set the ledger back to ``snapshot``, taking its rows; the phase stays."""
+        self.total, self.rounds, self.bytes_equivalent, self.rows = snapshot
 
 
 class LocalObjective:
@@ -678,77 +700,110 @@ def _pair_mean_on_floats(new, old, offsets, rows) -> np.ndarray:
     return np.array(mean)
 
 
-class QuadraticAnalytic:
+class _StackedAnalytic:
+    """Every worker's mean value and mean gradient, a chunk of points at once.
+
+    ``evaluate(points)`` takes each of R points, an (R, d) stack, in one
+    stacked pass (the family's ``_stacked``) and keeps the results in one
+    dict keyed by each point's bytes, replaced whole, so runs sharing the
+    suite never pair one point's key with another's results; a point
+    given twice keeps its last position's, the same bytes. ``values(x)``
+    and ``gradients(x)`` read that dict, read-only; a point it lacks is
+    evaluated as a chunk of one. ``chunk`` is how many points a runner
+    stacks: ``CHUNK_ENTRIES`` over a point's largest (N, .) array.
+    """
+
+    def __init__(self, entries_per_point: int):
+        self.chunk = max(1, CHUNK_ENTRIES // entries_per_point)
+        self._results = {}
+
+    def evaluate(self, points) -> dict:
+        """The results at each of ``points``, kept until the next pass."""
+        points = np.asarray(points, dtype=np.float64)
+        values, grads = self._stacked(points)
+        values.flags.writeable = False
+        grads.flags.writeable = False
+        results = {x.tobytes(): (v, g) for x, v, g in zip(points, values, grads)}
+        self._results = results
+        return results
+
+    def _at(self, x) -> tuple:
+        x = np.asarray(x, dtype=np.float64)
+        key = x.tobytes()
+        found = self._results.get(key)
+        if found is None:
+            found = self.evaluate(x[None])[key]
+        return found
+
+    def values(self, x: ParamVector) -> np.ndarray:
+        return self._at(x)[0]
+
+    def gradients(self, x: ParamVector) -> np.ndarray:
+        return self._at(x)[1]
+
+
+class QuadraticAnalytic(_StackedAnalytic):
     """Every quadratic worker's mean value and mean gradient at once.
 
     ``center_means`` (N, d) are the workers' center means, from the set-up's
     first pass, and ``spread_sq`` (N,) their mean squared spreads around
     them, the exact value offsets, from its second; both are held as
-    read-only views.
+    read-only views. A chunk's (R, N, d) differences ``x - mean`` are its
+    gradients, and their stacked ``sq_norms`` give its values.
     """
 
     def __init__(self, center_means: np.ndarray, spread_sq: np.ndarray):
+        super().__init__(center_means.size)
         self.center_means = _read_only(center_means)
         self.spread_sq = _read_only(spread_sq)
 
-    def values(self, x: ParamVector) -> np.ndarray:
-        return 0.5 * sq_norms(x - self.center_means) + 0.5 * self.spread_sq
-
-    def gradients(self, x: ParamVector) -> np.ndarray:
-        return x - self.center_means
+    def _stacked(self, points):
+        diff = points[:, None, :] - self.center_means
+        return 0.5 * sq_norms(diff) + 0.5 * self.spread_sq, diff
 
 
-class SigmoidAnalytic:
+class SigmoidAnalytic(_StackedAnalytic):
     """Every sigmoid worker's mean value and mean gradient at once.
 
     ``features`` (N, n, d) and ``offsets`` (N, n) are the arrays whose
-    worker slices the objectives hold, not copies of them. The margins
-    ``t`` are taken by one stacked ``np.matmul`` per row block, which gives
-    each worker its own gemv's bits. ``phi(t) = t*t / (t*t + 1)`` and
-    ``phi'(t) = (t + t) / (q * q)``, ``q = t*t + 1``, at the last point
-    asked for are kept, so ``values`` and ``gradients`` at one point only
-    reduce them; runs sharing the suite may race on the cache, and at worst
-    compute the pair again.
+    worker slices the objectives hold, not copies of them. A chunk's
+    (R, N, n) margins ``t`` are taken by one broadcast ``np.matmul`` per
+    row block, which gives each worker at each point its own gemv's bits.
+    ``phi(t) = t*t / (t*t + 1)`` and ``phi'(t) = (t + t) / (q * q)``,
+    ``q = t*t + 1``, are taken over the whole stack, and the gradients by
+    the gemvs of ``features.T @ phi'``. Where ``t*t`` overflows, ``phi`` is
+    1.0, its correctly rounded value, and ``phi'`` is 0 with the sign of
+    ``t``; elsewhere the formulas stand, so finite entries keep their bits.
     """
 
     def __init__(self, features: np.ndarray, offsets: np.ndarray):
+        num_workers, n, d = features.shape
+        super().__init__(num_workers * max(n, d))
         self.features = features
         self.offsets = offsets
         self._features_t = features.transpose(0, 2, 1)
-        _, n, d = features.shape
         # row blocks BLAS won't thread, as in the metered kernels
         self._edges = _block_edges(n, d, sigmoid_block_rows(d))
-        self._last = None  # (x.tobytes(), read-only (phi, phi') at x)
 
-    def _terms(self, x):
-        # key and terms are one tuple, replaced whole, so runs sharing the
-        # suite never pair one point's key with another's terms
-        x = np.asarray(x, dtype=np.float64)
-        key = x.tobytes()
-        last = self._last
-        if last is not None and last[0] == key:
-            return last[1]
-        t = np.empty(self.offsets.shape)
+    def _stacked(self, points):
+        t = np.empty((points.shape[0],) + self.offsets.shape)
+        columns = points[:, None, :, None]
         for lo, hi in zip(self._edges, self._edges[1:]):
-            np.matmul(self.features[:, lo:hi], x, out=t[:, lo:hi])
+            np.matmul(self.features[:, lo:hi], columns, out=t[:, :, lo:hi, None])
         t -= self.offsets
         t2 = t * t
         q = t2 + 1.0
-        terms = (t2 / q, (t + t) / (q * q))
-        for term in terms:
-            term.flags.writeable = False
-        self._last = (key, terms)
-        return terms
-
-    def values(self, x: ParamVector) -> np.ndarray:
-        phi, _ = self._terms(x)
-        return np.add.reduce(phi, axis=1) / phi.shape[1]
-
-    def gradients(self, x: ParamVector) -> np.ndarray:
-        _, slopes = self._terms(x)
-        # a stack of (d, n) @ (n, 1): per worker, the gemv of features.T @ p
-        grads = np.matmul(self._features_t, slopes[:, :, None])
-        return grads[:, :, 0] / slopes.shape[1]
+        phi = t2 / q
+        slopes = (t + t) / (q * q)
+        # where q * q alone overflows, (t + t) / inf is already +-0
+        if not np.isfinite(t2).all():
+            big = np.isinf(t2)
+            phi[big] = 1.0
+            slopes[big] = np.copysign(0.0, t[big])
+        n = t.shape[2]
+        # a stack of (d, n) @ (n, 1): per worker and point, features.T @ phi'
+        grads = np.matmul(self._features_t, slopes[..., None])
+        return np.add.reduce(phi, axis=2) / n, grads[..., 0] / n
 
 
 @dataclass

@@ -7,7 +7,8 @@ by worker, that the stacked evaluators must reproduce bit for bit:
 * quadratic: ``0.5 * ||x - mean||^2 + 0.5 * spread`` and ``x - mean``, with
   the center mean and the mean squared spread around it;
 * sigmoid: the mean of ``phi(F x - b)`` and ``F^T phi'(F x - b) / n``, with
-  each product one BLAS gemv over the worker's whole data.
+  each product one BLAS gemv over the worker's whole data, and ``phi`` and
+  ``phi'`` saturated where ``t * t`` overflows.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ def one_worker_oracles(obj, x):
         return 0.5 * sq_norm(x - mean) + 0.5 * spread, x - mean
     t = obj.features @ x - obj.offsets
     t2 = t * t
-    value = float(np.mean(t2 / (1.0 + t2)))
+    phi = t2 / (1.0 + t2)
     slopes = (t + t) / ((1.0 + t2) ** 2)
+    # past |t| ~ 1.34e154, t * t overflows: phi saturates at 1.0 and
+    # phi' at 0 with the sign of t, where the formulas give inf / inf
+    big = np.isinf(t2)
+    phi[big] = 1.0
+    slopes[big] = np.copysign(0.0, t[big])
+    value = float(np.mean(phi))
     return value, (obj.features.T @ slopes) / obj.features.shape[0]

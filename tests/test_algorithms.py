@@ -316,6 +316,76 @@ class TestSpiderFinite:
         b = run_pr_spider_finite(suite, hp, 9)
         assert list(a.csv_lines()) == list(b.csv_lines())
 
+class TestDeferredRecords:
+    """Records wait for a chunk's stacked analytic pass, yet a certificate
+    failure ends the trace where making each record at once ended it."""
+
+    HP = HyperParams(gamma=1.0 / 16, I=2, m=8, B=2, S=4, N=2)
+
+    @staticmethod
+    def suite():
+        # N * d = 2600 entries a point: chunks of three records, so an
+        # epoch of 8 flushes after records 3 and 6 and before its boundary
+        suite = make_quadratic_suite(N=2, n=16, d=1300, heterogeneity=0.5, seed=20)
+        assert suite.analytic.chunk == 3
+        return suite
+
+    @staticmethod
+    def wrong_optimum(records, k):
+        """An optimum that record ``k`` is the first to pass below."""
+        f = [r.f_bar for r in records]
+        assert f[k] < min(f[:k])
+        wrong = (f[k] + min(f[:k])) / 2
+        slack = 1e-9 * max(1.0, abs(wrong))
+        assert k == next(j for j, v in enumerate(f) if v < wrong - slack)
+        return wrong
+
+    def check_ends_at(self, trace, full, k):
+        want = full.records[k]
+        assert trace.outcome == "below-optimum"
+        assert list(trace.records) == full.records[:k]
+        result = trace.sidecar()["result"]
+        assert result["ifo_total"] == want.ifo_total
+        assert result["comm_rounds"] == want.comm_rounds
+        assert sum(result["ifo_breakdown"].values()) == want.ifo_total
+        residuals = full.epoch_restart_residuals[: want.s + 1]
+        assert result["epoch_restart_residuals"] == residuals
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            12,  # (1, 4): the middle record of the chunk (1, 3)..(1, 5)
+            16,  # (2, 0): an epoch's first record, the first of its chunk
+        ],
+    )
+    def test_certificate_failure_ends_the_trace_at_its_record(self, k):
+        suite = self.suite()
+        full = run_pr_spider_finite(suite, self.HP, 0)
+        wrong = replace(suite, optimum_value=self.wrong_optimum(full.records, k))
+        with pytest.raises(CertificateError) as info:
+            run_pr_spider_finite(wrong, self.HP, 0)
+        self.check_ends_at(info.value.trace, full, k)
+
+    def test_pending_certificate_failure_wins_over_a_divergence(self):
+        # a NaN direction at (1, 4) diverges its step, with records (1, 3)
+        # and (1, 4) pending; the failure at (1, 3) ends the trace
+        def on_record(s, t, workers):
+            if (s, t) == (1, 4):
+                for w in workers:
+                    w.v = np.full_like(w.v, math.nan)
+
+        hooks = RunHooks(on_record=on_record)
+        suite = self.suite()
+        with pytest.raises(DivergedError) as info:
+            run_pr_spider_finite(suite, self.HP, 0, hooks=hooks)
+        full = info.value.trace
+        assert (full.records[-1].s, full.records[-1].t) == (1, 4)
+        wrong = replace(suite, optimum_value=self.wrong_optimum(full.records, 11))
+        with pytest.raises(CertificateError) as info:
+            run_pr_spider_finite(wrong, self.HP, 0, hooks=hooks)
+        assert isinstance(info.value.__context__, DivergedError)
+        self.check_ends_at(info.value.trace, full, 11)
+
 
 class TestSpiderOnline:
     def test_counters_follow_online_formulas(self):

@@ -19,7 +19,7 @@ from prspider.harness import (
     make_record,
     sync_round,
 )
-from prspider.numerics import mean_reduce, sq_norm
+from prspider.numerics import mean_reduce, sq_norm, sq_norms
 from prspider.problems import (
     Meter,
     make_nonconvex_suite,
@@ -37,6 +37,17 @@ def make_workers(suite, xs, with_v=True):
             w.v = np.zeros_like(x)
         workers.append(w)
     return workers
+
+
+def point(workers):
+    """The workers' mean and squared deviations, as a record gets them."""
+    iterates = np.array([w.x for w in workers])
+    x_bar = mean_reduce(iterates)
+    return x_bar, sq_norms(iterates - x_bar)
+
+
+def fos(suite, workers):
+    return evaluate_fos(suite, *point(workers))
 
 
 class TestSyncRound:
@@ -106,26 +117,26 @@ class TestEvaluateFos:
             [[[1.0, 2.0]], [[1.0, 2.0]]], [0.0, 0.0]
         )
         workers = make_workers(suite, [[1.0, 2.0], [1.0, 2.0]], with_v=False)
-        f_bar, grad_sq, consensus = evaluate_fos(suite, workers)
+        f_bar, grad_sq, consensus = fos(suite, workers)
         assert grad_sq + consensus <= 1e-12
 
     def test_consensus_from_split_workers(self):
         suite = make_quadratic_suite(N=2, n=2, d=1, heterogeneity=0, seed=8)
         workers = make_workers(suite, [[0.0], [2.0]], with_v=False)
-        _, _, consensus = evaluate_fos(suite, workers)
+        _, _, consensus = fos(suite, workers)
         assert consensus == pytest.approx(1.0, abs=1e-15)
 
     def test_single_worker_consensus_always_zero(self):
         suite = make_quadratic_suite(N=1, n=4, d=3, heterogeneity=0, seed=9)
         workers = make_workers(suite, [[0.3, -0.4, 0.5]], with_v=False)
-        _, _, consensus = evaluate_fos(suite, workers)
+        _, _, consensus = fos(suite, workers)
         assert consensus == 0.0
 
     def test_metrics_are_free(self):
         suite = make_quadratic_suite(N=2, n=8, d=2, heterogeneity=0.5, seed=10)
         workers = make_workers(suite, [[0.0, 0.0], [1.0, 1.0]], with_v=False)
         meter = Meter(2)
-        record = make_record(0, 0, suite, workers, meter)
+        record = make_record(0, 0, suite, *point(workers), meter.total, meter.rounds)
         assert record.ifo_total == meter.total == 0
         assert record.comm_rounds == meter.rounds == 0
 
@@ -148,7 +159,7 @@ class TestEvaluateFos:
             grads.append(grad)
             consensus += sq_norm(w.x - x_bar)
         want = (f_bar / N, sq_norm(mean_reduce(grads)), consensus / N)
-        got = evaluate_fos(suite, workers)
+        got = fos(suite, workers)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
@@ -269,7 +280,7 @@ class TestTraceSerialization:
         meter = Meter(2)
         meter.charge(1, 7)
         meter.rounds = 5
-        rec = make_record(2, 3, suite, workers, meter)
+        rec = make_record(2, 3, suite, *point(workers), meter.total, meter.rounds)
         assert rec.fos == rec.grad_sq + rec.consensus  # exact sum
         assert (rec.ifo_total, rec.comm_rounds) == (7, 5)
 

@@ -670,8 +670,9 @@ class TestSharedData:
 
     def test_threaded_sigmoid_runs_share_the_margins_cache(self):
         # B * d = 8 takes the pair kernel's Python-float tail and N * d = 16
-        # mean_reduce's; every record asks the suite's cache of phi and
-        # phi' twice, and the four runs share the one cache
+        # mean_reduce's; every record reads the suite's results twice, and
+        # the four runs share them: a run that finds another's chunk there
+        # evaluates its point alone
         suite = make_nonconvex_suite(N=4, n=256, d=4, heterogeneity=0.5, seed=9)
         hp = HyperParams(gamma=0.02, I=4, m=32, B=2, S=2, N=4)
 
@@ -688,25 +689,31 @@ class TestSharedData:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+        # one chunk's results, keyed by point bytes, in one dict replaced
+        # whole: CPython 3.11 does not switch threads between two adjacent
+        # attribute stores, so the runs above cannot show a cache that
+        # keeps keys and results apart
+        analytic = suite.analytic
         x = suite.initial_point
-        terms = suite.analytic._terms(x)
-        assert suite.analytic._terms(x.copy()) is terms
-        phi, slopes = terms
-        t = np.matmul(suite.analytic.features, x) - suite.analytic.offsets
-        assert phi.tobytes() == (t * t / (t * t + 1.0)).tobytes()
-        want = (t + t) / ((t * t + 1.0) * (t * t + 1.0))
-        assert slopes.tobytes() == want.tobytes()
-        # key and terms are one tuple, replaced whole: CPython 3.11 does not
-        # switch threads between two adjacent attribute stores, so the runs
-        # above cannot show a cache that keeps them apart
-        key, cached = suite.analytic._last
-        assert key == x.tobytes() and cached is terms
-        for term in terms:
+        found = analytic.evaluate(np.array([x, x + 1.0]))
+        assert analytic._results is found
+        assert list(found) == [x.tobytes(), (x + 1.0).tobytes()]
+        values, grads = found[x.tobytes()]
+        assert analytic.values(x.copy()) is values
+        assert analytic.gradients(x.copy()) is grads
+        t = np.matmul(analytic.features, x) - analytic.offsets
+        phi = t * t / (t * t + 1.0)
+        slopes = (t + t) / ((t * t + 1.0) * (t * t + 1.0))
+        want = np.add.reduce(phi, axis=1) / phi.shape[1]
+        assert values.tobytes() == want.tobytes()
+        want = np.matmul(analytic._features_t, slopes[:, :, None])[:, :, 0]
+        assert grads.tobytes() == (want / slopes.shape[1]).tobytes()
+        for array in (values, grads):
             with pytest.raises(ValueError):
-                term[0, 0] = 1.0
-        suite.analytic._terms(x + 1.0)
-        assert suite.analytic._last[0] == (x + 1.0).tobytes()
-        assert suite.analytic._last[1] is not terms
+                array[0] = 1.0
+        analytic.gradients(x + 2.0)
+        assert list(analytic._results) == [(x + 2.0).tobytes()]
+        assert list(found) == [x.tobytes(), (x + 1.0).tobytes()]
 
     def test_data_arrays_are_read_only(self):
         quad = make_quadratic_suite(N=1, n=4, d=2, heterogeneity=0.0, seed=0)

@@ -247,6 +247,10 @@ class TestStackedReductions:
         assert sq_norms(rows[:, ::-1]).tolist() == [
             sq_norm(r) for r in rows[:, ::-1]
         ]
+        # a stack of rows keeps its leading axes, each row its own bits
+        stack = np.stack([rows, rows[::-1] * 3.0])
+        want = [want, [sq_norm(r) for r in rows[::-1] * 3.0]]
+        assert sq_norms(stack).tolist() == want
 
 
 def reference_generator(seed, key):

@@ -6,9 +6,10 @@ import pytest
 from oracle_reference import one_worker_oracles
 
 from prspider.algorithms import HyperParams, run_pr_spider_finite
+from prspider.cli import build_suite
 from prspider.checks import expected_ifo_finite
 from prspider.harness import WorkerState, evaluate_fos
-from prspider.numerics import mean_reduce, sq_norm
+from prspider.numerics import mean_reduce, sq_norm, sq_norms
 from prspider.problems import (
     PHI_GRAD_MAX,
     Meter,
@@ -364,6 +365,20 @@ def _stacked_suites():
 STACKED = dict(_stacked_suites())
 
 
+def _sigmoid_d2048(n):
+    rng = np.random.default_rng(n)
+    features = rng.uniform(-1.0, 1.0, size=(2, n, 2048)) / np.sqrt(2048)
+    offsets = rng.uniform(-0.2, 0.2, size=(2, n))
+    return sigmoid_suite_from_params(features, offsets, np.zeros(2048))
+
+
+# at d=2048, n=33 is one margin block of 33 rows and n=65 two, the last
+# with the lone last row
+CHUNKED = dict(
+    STACKED, **{f"sigmoid-n{n}-d2048": _sigmoid_d2048(n) for n in (33, 65)}
+)
+
+
 class TestStackedAnalytic:
     """The worker-stacked oracles give the per-objective loop's bits."""
 
@@ -411,7 +426,8 @@ class TestStackedAnalytic:
         consensus /= len(workers)
         grad = mean_reduce(grads)
         want = (total / suite.num_workers, sq_norm(grad), consensus)
-        assert evaluate_fos(suite, workers) == want
+        deviations = sq_norms(np.array([w.x for w in workers]) - x_bar)
+        assert evaluate_fos(suite, x_bar, deviations) == want
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65])
@@ -433,6 +449,77 @@ class TestStackedAnalytic:
                 value, grad = one_worker_oracles(obj, x)
                 assert values[i] == value
                 assert grads[i].tobytes() == grad.tobytes()
+
+    @staticmethod
+    def _chunk_points(suite, count):
+        # distinct points: scales from 1e-3 to 1e3, then entries whose
+        # margins overflow t * t, an inf entry and a NaN entry
+        rng = np.random.default_rng(count)
+        scale = 10.0 ** rng.uniform(-3, 3, size=(count, 1))
+        points = rng.normal(size=(count, suite.dim)) * scale
+        for k, special in enumerate((1e155, np.inf, np.nan), start=1):
+            if count > 3 * k:
+                points[-3 * k, 0] = special
+        return points
+
+    @pytest.mark.parametrize("name", sorted(CHUNKED))
+    def test_every_chunk_size_gives_each_point_its_one_worker_bits(self, name):
+        # chunk sizes 1 to R + 1: each point's values and gradients are its
+        # one-worker oracles' bits, wherever it sits in the chunk
+        suite = CHUNKED[name]
+        analytic = suite.analytic
+        points = self._chunk_points(suite, analytic.chunk + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [
+                [one_worker_oracles(obj, x) for obj in suite.objectives]
+                for x in points
+            ]
+            values = np.array([[v for v, _ in rows] for rows in want])
+            grads = np.array([[g for _, g in rows] for rows in want])
+            for size in range(1, len(points) + 1):
+                found = list(analytic.evaluate(points[:size]).values())
+                got = np.array([v for v, _ in found])
+                assert got.tobytes() == values[:size].tobytes(), size
+                got = np.array([g for _, g in found])
+                assert got.tobytes() == grads[:size].tobytes(), size
+
+    @pytest.mark.parametrize("name", ["sigmoid-finite", "quadratic"])
+    def test_a_point_twice_in_a_chunk_gets_the_same_bytes(self, name):
+        analytic = STACKED[name].analytic
+        x, y = self._points(STACKED[name], count=2)[1:]
+        first = analytic.evaluate(np.array([x, y]))[x.tobytes()]
+        last = analytic.evaluate(np.array([y, y, x]))
+        assert len(last) == 2
+        for a, b in zip(first, last[x.tobytes()]):
+            assert a.tobytes() == b.tobytes()
+
+    def test_phi_saturates_where_the_margin_squared_overflows(self):
+        def suite_at(start):
+            return sigmoid_suite_from_params(
+                [[[1.0]], [[1.0]]], [[0.0], [0.0]], [start]
+            )
+
+        # |t| >= ~1.34e154: t * t is inf, and phi = inf / inf would be NaN
+        problem = {
+            "family": "sigmoid-explicit",
+            "features": [[[1.0]], [[1.0]]],
+            "offsets": [[0.0], [0.0]],
+            "initial_point": [1e155],
+        }
+        assert build_suite(problem).analytic.values([1e155]).tolist() == [1.0, 1.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in (1e155, -1e300, 1.7e308):
+                suite = suite_at(start)
+                assert suite.analytic.values([start]).tolist() == [1.0, 1.0]
+                assert suite.analytic.gradients([start]).tolist() == [[0.0], [0.0]]
+            # below the overflow, today's formulas and bits
+            t = np.array([1e150])
+            t2 = t * t
+            q = t2 + 1.0
+            analytic = suite_at(1e150).analytic
+            assert analytic.values(t).tobytes() == np.repeat(t2 / q, 2).tobytes()
+            slopes = np.repeat((t + t) / (q * q), 2)
+            assert analytic.gradients(t).ravel().tobytes() == slopes.tobytes()
 
     def test_hand_built_suite_asks_each_objective(self):
         # a hand-built suite needs its family's evaluator: there is no

@@ -51,6 +51,27 @@ def test_traced_span_counts_match_closed_forms(workload):
     assert {key: got[key] for key in expected} == expected
 
 
+def test_traced_span_counts_hold_with_a_partial_last_chunk():
+    # the tiny workloads record 16 times a seed, whole chunks of 8; here
+    # 21 iterations recorded every third give 7 records, 3, 2 and 2 an
+    # epoch, so every record waits for a flush that is not a full chunk
+    config = workloads.make_config("sigmoid-finite", [0, 1], tiny=True)
+    config["algorithm"]["params"].update(m=7, I=3, S=3)
+    config["run"]["metrics_every"] = 3
+    tracer = spans.Tracer()
+    with tracer.installed():
+        suite = build_suite(config["problem"])
+        name, params = resolve_algorithm(config["algorithm"], suite)
+        for seed in config["run"]["seeds"]:
+            trace = run_one(name, params, suite, seed, config["run"])
+            assert trace.outcome == "completed"
+            assert len(trace.records) == 7
+    got = tracer.layer_metrics(int(config["problem"]["d"]))
+    expected = workloads.expected_layers(config)
+    assert expected["harness.make_record.calls"] == 2 * 7
+    assert {key: got[key] for key in expected} == expected
+
+
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_workload_configs_pass_the_config_schema(workload, tmp_path):
     # the tiny config goes through every check; the full one differs from
