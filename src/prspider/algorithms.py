@@ -275,8 +275,9 @@ class _Run:
     iterates, their mean by ``mean_reduce`` and a ledger snapshot, whose
     totals the record holds. ``flush`` makes the pending records, in
     order, from one stacked pass of the suite's analytic oracles over
-    their means and one ``sq_norms`` of every worker's deviation from its
-    mean; a chunk holds at most ``suite.analytic.chunk`` records.
+    their means, row k of which goes to record k, and one ``sq_norms`` of
+    every worker's deviation from its mean; a chunk holds at most
+    ``suite.analytic.chunk`` records, at most ``problems.CHUNK_RECORDS``.
     """
 
     def __init__(self, suite, seed, algorithm, metrics_every, parallel, hooks):
@@ -336,14 +337,17 @@ class _Run:
             return
         suite = self.suite
         x_bars = np.array([entry[3] for entry in pending])
-        suite.analytic.evaluate(x_bars)
+        values, gradients = suite.analytic.evaluate(x_bars)
         deviations = np.array([entry[2] for entry in pending])
         deviations -= x_bars[:, None]
         deviations = sq_norms(deviations)
-        for (s, t, _, x_bar, ledger), dev in zip(pending, deviations):
+        rows = zip(pending, deviations, values, gradients)
+        for (s, t, _, x_bar, ledger), dev, vals, grads in rows:
             total, rounds = ledger[:2]
             try:
-                record = make_record(s, t, suite, x_bar, dev, total, rounds)
+                record = make_record(
+                    s, t, suite, x_bar, dev, total, rounds, values=vals, gradients=grads
+                )
             except CertificateError:
                 self.meter.restore(ledger)
                 raise

@@ -10,7 +10,7 @@ Metrics come from the analytic suite oracles and charge neither oracle
 calls nor rounds. ``make_record`` takes the workers' mean iterate, their
 squared distances to it and the ledger's totals at a record point, so the
 runner can make a chunk of records after one stacked pass of the analytic
-oracles over their means.
+oracles over their means, handing each record its row of the pass.
 
 Every output file goes through ``open_atomic``: its writer streams into a
 temporary file beside the target, row by row or JSON chunk by chunk, so a
@@ -185,7 +185,8 @@ class RunHooks:
     broadcast, the initial gradient round included. ``workers`` are the
     run's ``WorkerState`` objects. Records are made a chunk at a time, so
     both may fire past a record that fails the certificate: ``on_record``
-    for up to chunk - 1 more records, before the run raises.
+    for up to chunk - 1 more records, before the run raises, and a chunk
+    is at most ``problems.CHUNK_RECORDS`` = 16 records.
     """
 
     on_record: Callable | None = None
@@ -350,19 +351,26 @@ def sync_round(
 
 
 def evaluate_fos(
-    suite: ProblemSuite, x_bar: ParamVector, deviations: np.ndarray
+    suite: ProblemSuite,
+    x_bar: ParamVector,
+    deviations: np.ndarray,
+    *,
+    values: np.ndarray | None = None,
+    gradients: np.ndarray | None = None,
 ) -> tuple[float, float, float]:
     """(f(x_bar), ||grad f(x_bar)||^2, mean squared consensus deviation).
 
     ``x_bar`` is the workers' mean iterate by ``mean_reduce`` and
     ``deviations`` their squared distances to it, ``sq_norms(iterates -
-    x_bar)``, in worker order. Uses the analytic oracles only: no oracle
-    charge, no round charge.
+    x_bar)``, in worker order. ``values`` and ``gradients``, when given,
+    are every worker's analytic value and gradient at ``x_bar``, a row of
+    a stacked pass; otherwise the suite evaluates ``x_bar`` alone. Uses
+    the analytic oracles only: no oracle charge, no round charge.
     """
-    grad_sq = sq_norm(suite.gradient(x_bar))
+    grad_sq = sq_norm(suite.gradient(x_bar, worker_gradients=gradients))
     # summed in worker order, as a loop of sq_norm(w.x - x_bar) sums it
     consensus = ordered_sum(deviations) / len(deviations)
-    return suite.value(x_bar), grad_sq, consensus
+    return suite.value(x_bar, worker_values=values), grad_sq, consensus
 
 
 def make_record(
@@ -373,13 +381,19 @@ def make_record(
     deviations: np.ndarray,
     ifo_total: int,
     comm_rounds: int,
+    *,
+    values: np.ndarray | None = None,
+    gradients: np.ndarray | None = None,
 ) -> MetricsRecord:
     """The record at ``(s, t)`` of workers with mean ``x_bar``.
 
     ``deviations`` are the workers' squared distances to ``x_bar``, and
-    ``ifo_total`` and ``comm_rounds`` the ledger's totals at that point.
+    ``ifo_total`` and ``comm_rounds`` the ledger's totals at that point;
+    ``values`` and ``gradients`` go to ``evaluate_fos``.
     """
-    f_bar, grad_sq, consensus = evaluate_fos(suite, x_bar, deviations)
+    f_bar, grad_sq, consensus = evaluate_fos(
+        suite, x_bar, deviations, values=values, gradients=gradients
+    )
     # opportunistic certificate: the advertised optimum is a true lower
     # bound wherever the run actually goes. A NaN f_bar passes; the
     # divergence check reads only iterates and directions, so a record may

@@ -67,23 +67,24 @@ d = 1 numpy sums 8 or more rows of the lone column pairwise, so that case
 stays on numpy.
 
 The analytic oracles behind ``ProblemSuite.value``/``gradient`` evaluate
-all workers at a chunk of points at once. ``evaluate(points)`` takes every
-worker's values and gradients at each of R points in one stacked pass and
-keeps them, read-only, in one dict keyed by each point's bytes; ``values``
-and ``gradients`` read it, and evaluate a point it lacks as a chunk of one.
-A runner stacks up to ``chunk`` record points, ``CHUNK_ENTRIES`` entries
-over a point's largest (N, .) array: 8 at N=4, n=256, where a point of a
-chunk costs about half as much as a point alone. Every point gets its own
-bits at any chunk size and position. ``QuadraticAnalytic`` holds the
-per-worker center means and spreads from the set-up's two passes and
-takes a chunk's values by stacked ``sq_norms``; ``SigmoidAnalytic`` takes
-its margins over the worker-stacked data that the factories share with
-the objectives, by one broadcast ``np.matmul`` per block of
-``sigmoid_block_rows`` rows, which gives each worker the bits of its own
-gemv of ``features[i] @ x``.
+all workers at a chunk of points at once. ``evaluate(points)`` is a pure
+function: every worker's values and gradients at each of R points, from
+one stacked pass; ``values(x)`` and ``gradients(x)`` take ``x`` alone
+through it. A runner stacks up to ``chunk`` record points, at most
+``CHUNK_RECORDS`` and ``CHUNK_ENTRIES`` entries over a point's largest
+(N, .) array: 8 at N=4, n=256, where a point of a chunk costs about half
+as much as a point alone. It hands each record its row of the pass, and
+every point gets its own bits at any chunk size and position.
+``QuadraticAnalytic`` holds the per-worker center means and spreads from
+the set-up's two passes and takes a chunk's values by stacked
+``sq_norms``; ``SigmoidAnalytic`` takes its margins over the
+worker-stacked data that the factories share with the objectives, by one
+broadcast ``np.matmul`` per block of ``sigmoid_block_rows`` rows, which
+gives each worker the bits of its own gemv of ``features[i] @ x``.
 
-Data arrays (centers, features, offsets) are read-only, so any number of
-runs, serial or concurrent, can share one suite.
+Data arrays (centers, features, offsets) are read-only and the analytic
+evaluators keep nothing, so any number of runs, serial or concurrent, can
+share one suite.
 
 A quadratic suite is set up in one pass over row blocks that writes each
 center once, where it lives, with no block buffer and no dataset-sized
@@ -167,6 +168,12 @@ BLOCK_ROWS = 32
 # arrays) met glibc's 128 KiB trim and mmap thresholds, and each pass
 # faulted its pages in again at twice the cost a point.
 CHUNK_ENTRIES = 2**13
+
+# Records a runner keeps pending at most: a pending record costs about
+# 2 KiB of Python objects, not its few array entries. On a quadratic N=4,
+# d=4 suite (512 points by CHUNK_ENTRIES) a run's traced peak was the same
+# at 16 records as at 1, 14 % higher at 32 and 97 % higher at 512.
+CHUNK_RECORDS = 16
 
 # Rows per quadratic kernel block: at d=2048 a block of float64 rows is
 # 256 KiB, so the pair kernel's four buffers (gathered centers, rows, and
@@ -703,43 +710,27 @@ def _pair_mean_on_floats(new, old, offsets, rows) -> np.ndarray:
 class _StackedAnalytic:
     """Every worker's mean value and mean gradient, a chunk of points at once.
 
-    ``evaluate(points)`` takes each of R points, an (R, d) stack, in one
-    stacked pass (the family's ``_stacked``) and keeps the results in one
-    dict keyed by each point's bytes, replaced whole, so runs sharing the
-    suite never pair one point's key with another's results; a point
-    given twice keeps its last position's, the same bytes. ``values(x)``
-    and ``gradients(x)`` read that dict, read-only; a point it lacks is
-    evaluated as a chunk of one. ``chunk`` is how many points a runner
-    stacks: ``CHUNK_ENTRIES`` over a point's largest (N, .) array.
+    ``evaluate(points)`` is a pure function of an (R, d) stack of points:
+    one stacked pass (the family's ``_stacked``) gives the (R, N) values
+    and (R, N, d) gradients. ``values(x)`` and ``gradients(x)`` evaluate
+    ``x`` alone, as a chunk of one; every point gets its own bits at any
+    chunk size and position. ``chunk`` is how many points a runner stacks:
+    ``CHUNK_ENTRIES`` over a point's largest (N, .) array, at most
+    ``CHUNK_RECORDS``.
     """
 
     def __init__(self, entries_per_point: int):
-        self.chunk = max(1, CHUNK_ENTRIES // entries_per_point)
-        self._results = {}
+        self.chunk = max(1, min(CHUNK_RECORDS, CHUNK_ENTRIES // entries_per_point))
 
-    def evaluate(self, points) -> dict:
-        """The results at each of ``points``, kept until the next pass."""
-        points = np.asarray(points, dtype=np.float64)
-        values, grads = self._stacked(points)
-        values.flags.writeable = False
-        grads.flags.writeable = False
-        results = {x.tobytes(): (v, g) for x, v, g in zip(points, values, grads)}
-        self._results = results
-        return results
-
-    def _at(self, x) -> tuple:
-        x = np.asarray(x, dtype=np.float64)
-        key = x.tobytes()
-        found = self._results.get(key)
-        if found is None:
-            found = self.evaluate(x[None])[key]
-        return found
+    def evaluate(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, gradients)`` of every worker at each of ``points``."""
+        return self._stacked(np.asarray(points, dtype=np.float64))
 
     def values(self, x: ParamVector) -> np.ndarray:
-        return self._at(x)[0]
+        return self.evaluate([x])[0][0]
 
     def gradients(self, x: ParamVector) -> np.ndarray:
-        return self._at(x)[1]
+        return self.evaluate([x])[1][0]
 
 
 class QuadraticAnalytic(_StackedAnalytic):
@@ -788,13 +779,16 @@ class SigmoidAnalytic(_StackedAnalytic):
     def _stacked(self, points):
         t = np.empty((points.shape[0],) + self.offsets.shape)
         columns = points[:, None, :, None]
-        for lo, hi in zip(self._edges, self._edges[1:]):
-            np.matmul(self.features[:, lo:hi], columns, out=t[:, :, lo:hi, None])
-        t -= self.offsets
-        t2 = t * t
-        q = t2 + 1.0
-        phi = t2 / q
-        slopes = (t + t) / (q * q)
+        # the saturation below sets every entry that overflows, margins
+        # included, so it is not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in zip(self._edges, self._edges[1:]):
+                np.matmul(self.features[:, lo:hi], columns, out=t[:, :, lo:hi, None])
+            t -= self.offsets
+            t2 = t * t
+            q = t2 + 1.0
+            phi = t2 / q
+            slopes = (t + t) / (q * q)
         # where q * q alone overflows, (t + t) / inf is already +-0
         if not np.isfinite(t2).all():
             big = np.isinf(t2)
@@ -851,16 +845,28 @@ class ProblemSuite:
     def variance_bound(self) -> float:
         return max(o.variance_bound for o in self.objectives)
 
-    def value(self, x: ParamVector) -> float:
+    def value(self, x: ParamVector, *, worker_values=None) -> float:
         """Analytic global objective value (no oracle charge).
 
-        The worker values are summed in worker order.
+        The worker values, ``analytic.values(x)`` unless given, are summed
+        in worker order. A runner gives each record its row of a stacked
+        pass as ``worker_values``, rather than evaluate ``x`` again, and
+        still makes the call once a record: the benchmark's span gate
+        (``perfbench/workloads.py``) pins its count.
         """
-        return ordered_sum(self.analytic.values(x)) / self.num_workers
+        if worker_values is None:
+            worker_values = self.analytic.values(x)
+        return ordered_sum(worker_values) / self.num_workers
 
-    def gradient(self, x: ParamVector) -> ParamVector:
-        """Analytic global gradient (no oracle charge)."""
-        return mean_reduce(self.analytic.gradients(x))
+    def gradient(self, x: ParamVector, *, worker_gradients=None) -> ParamVector:
+        """Analytic global gradient (no oracle charge).
+
+        The mean of the worker gradients, ``analytic.gradients(x)`` unless
+        given; ``worker_gradients`` is a record's row, as in ``value``.
+        """
+        if worker_gradients is None:
+            worker_gradients = self.analytic.gradients(x)
+        return mean_reduce(worker_gradients)
 
     def initial_gap(self) -> float:
         """Upper bound on the optimality gap at the start point."""

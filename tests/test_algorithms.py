@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -780,16 +781,17 @@ SUITES = {
 }
 
 
-@pytest.mark.parametrize(
-    "name, family",
-    [
-        (name, family)
-        for name in sorted(RUNNERS)
-        for family in sorted(SUITES)
-        # PR-SPIDER's finite sampling needs a finite suite
-        if (name, family) != ("pr-spider-finite", "sigmoid-online")
-    ],
-)
+# every runner on every suite family; PR-SPIDER's finite sampling needs a
+# finite suite
+RUNS = [
+    (name, family)
+    for name in sorted(RUNNERS)
+    for family in sorted(SUITES)
+    if (name, family) != ("pr-spider-finite", "sigmoid-online")
+]
+
+
+@pytest.mark.parametrize("name, family", RUNS)
 def test_concurrent_runs_over_one_suite_match_serial_runs(name, family):
     # workers step on the thread that runs them, so runs on separate threads
     # are what share one suite's data, caches and kernel scratch at once;
@@ -825,3 +827,55 @@ def test_concurrent_runs_over_one_suite_match_serial_runs(name, family):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def _held(value, alive):
+    # what an attribute holds: its identity, an array's bytes, a container's
+    # items; ``alive`` keeps each object, so no id is reused
+    alive.append(value)
+    if isinstance(value, np.ndarray):
+        return id(value), value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return id(value), [_held(v, alive) for v in value]
+    if isinstance(value, dict):
+        return id(value), {k: _held(v, alive) for k, v in value.items()}
+    return id(value)
+
+
+@pytest.mark.parametrize("name, family", RUNS)
+def test_runs_leave_the_suite_as_they_found_it(name, family):
+    # every attribute of the suite, its objectives and its analytic
+    # evaluator holds the same objects and bytes after a run
+    suite = SUITES[family]()
+    alive = []
+
+    def state():
+        owners = [suite, suite.analytic, *suite.objectives]
+        return [
+            {key: _held(value, alive) for key, value in vars(owner).items()}
+            for owner in owners
+        ]
+
+    before = state()
+    assert RUNNERS[name](suite).outcome == "completed"
+    assert state() == before
+
+
+def test_pending_records_take_no_more_memory_than_records_made_one_by_one():
+    # a point of this suite is 16 entries, so CHUNK_ENTRIES alone would keep
+    # 512 records pending, about 2 KiB of Python objects each
+    hp = HyperParams(gamma=0.03, I=4, m=128, B=2, S=8, N=4)
+
+    def peak(chunk=None):
+        suite = make_quadratic_suite(N=4, n=16, d=4, heterogeneity=0.5, seed=7)
+        if chunk is not None:
+            suite.analytic.chunk = chunk
+        run_pr_spider_finite(suite, hp, 0)
+        tracemalloc.start()
+        try:
+            run_pr_spider_finite(suite, hp, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= 1.2 * peak(1)

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -477,21 +478,20 @@ class TestStackedAnalytic:
             values = np.array([[v for v, _ in rows] for rows in want])
             grads = np.array([[g for _, g in rows] for rows in want])
             for size in range(1, len(points) + 1):
-                found = list(analytic.evaluate(points[:size]).values())
-                got = np.array([v for v, _ in found])
-                assert got.tobytes() == values[:size].tobytes(), size
-                got = np.array([g for _, g in found])
-                assert got.tobytes() == grads[:size].tobytes(), size
+                got_values, got_grads = analytic.evaluate(points[:size])
+                assert got_values.tobytes() == values[:size].tobytes(), size
+                assert got_grads.tobytes() == grads[:size].tobytes(), size
 
     @pytest.mark.parametrize("name", ["sigmoid-finite", "quadratic"])
     def test_a_point_twice_in_a_chunk_gets_the_same_bytes(self, name):
         analytic = STACKED[name].analytic
         x, y = self._points(STACKED[name], count=2)[1:]
-        first = analytic.evaluate(np.array([x, y]))[x.tobytes()]
+        first = analytic.evaluate(np.array([x, y]))
         last = analytic.evaluate(np.array([y, y, x]))
-        assert len(last) == 2
-        for a, b in zip(first, last[x.tobytes()]):
-            assert a.tobytes() == b.tobytes()
+        for a, b in zip(first, last):
+            assert len(b) == 3
+            assert a[0].tobytes() == b[2].tobytes()
+            assert a[1].tobytes() == b[0].tobytes() == b[1].tobytes()
 
     def test_phi_saturates_where_the_margin_squared_overflows(self):
         def suite_at(start):
@@ -520,6 +520,20 @@ class TestStackedAnalytic:
             assert analytic.values(t).tobytes() == np.repeat(t2 / q, 2).tobytes()
             slopes = np.repeat((t + t) / (q * q), 2)
             assert analytic.gradients(t).ravel().tobytes() == slopes.tobytes()
+
+    def test_saturated_values_and_gradients_do_not_warn(self):
+        # where q * q or t * t overflows, phi is 1.0 and phi' is +-0 at a
+        # point evaluated for the first time, with no error state around
+        suite = sigmoid_suite_from_params([[[1.0]], [[1.0]]], [[0.0], [0.0]], [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1e100, 1.35e154, -1e155, 1e300, -1.7e308):
+                assert suite.value([x]) == 1.0
+                assert suite.gradient([x]).tolist() == [0.0]
+            # a margin that overflows in its own gemv
+            suite = sigmoid_suite_from_params([[[1.0, 1.0]]], [[0.0]], [0.0, 0.0])
+            assert suite.value([1e308, 1e308]) == 1.0
+            assert suite.gradient([1e308, 1e308]).tolist() == [0.0, 0.0]
 
     def test_hand_built_suite_asks_each_objective(self):
         # a hand-built suite needs its family's evaluator: there is no
