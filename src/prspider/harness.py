@@ -18,7 +18,8 @@ write holds no copy of the file's text, and a finished file is moved into
 place whole. A trace keeps its records as columns (``Records``): two
 ``array.array`` buffers of machine words, 64 bytes a record, and a read
 builds the ``MetricsRecord`` it returns. The CSV writer and ``first_hit``
-read the columns themselves.
+read the columns themselves. A trace's sidecar has one form, the file
+``write_sidecar`` writes.
 """
 
 from __future__ import annotations
@@ -235,28 +236,19 @@ class MetricsTrace:
             for line in self.csv_lines():
                 fh.write(line)
 
-    def sidecar(self) -> dict:
-        """Reloadable config plus run results; run keys stay at top level.
-
-        An explicit suite's data arrays are in it as the lists that reload
-        them.
-        """
-        doc = self._document()
-        if "problem" in doc:
-            doc["problem"] = {
-                key: value.tolist() if isinstance(value, np.ndarray) else value
-                for key, value in doc["problem"].items()
-            }
-        return doc
-
     def write_sidecar(self, path) -> None:
-        """``sidecar()`` as JSON; data arrays are written a row at a time."""
+        """The sidecar: reloadable config plus run results, as JSON.
+
+        Run keys stay at top level. This file is the sidecar's one form: an
+        explicit suite's data arrays are written into it a row at a time,
+        as the lists that reload them.
+        """
         with open_atomic(path) as fh:
             json.dump(self._document(), fh, indent=2, default=_JsonRows.of)
             fh.write("\n")
 
     def _document(self) -> dict:
-        """The sidecar, with an explicit suite's data arrays as arrays."""
+        """What ``write_sidecar`` writes, data arrays still as arrays."""
         doc = dict(self.config_echo)
         calls = self.ledger.breakdown()
         # PR-SPIDER's inner steps cost two oracle accesses per sample and
@@ -362,11 +354,14 @@ def evaluate_fos(
 
     ``x_bar`` is the workers' mean iterate by ``mean_reduce`` and
     ``deviations`` their squared distances to it, ``sq_norms(iterates -
-    x_bar)``, in worker order. ``values`` and ``gradients``, when given,
-    are every worker's analytic value and gradient at ``x_bar``, a row of
-    a stacked pass; otherwise the suite evaluates ``x_bar`` alone. Uses
-    the analytic oracles only: no oracle charge, no round charge.
+    x_bar)``, in worker order. ``values`` and ``gradients``, given
+    together, are every worker's analytic value and gradient at ``x_bar``,
+    a row of a stacked pass; without them ``x_bar`` is evaluated once, as
+    a pass of one point. Uses the analytic oracles only: no oracle charge,
+    no round charge.
     """
+    if values is None:
+        (values,), (gradients,) = suite.analytic.evaluate([x_bar])
     grad_sq = sq_norm(suite.gradient(x_bar, worker_gradients=gradients))
     # summed in worker order, as a loop of sq_norm(w.x - x_bar) sums it
     consensus = ordered_sum(deviations) / len(deviations)

@@ -113,7 +113,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -800,7 +800,7 @@ class SigmoidAnalytic(_StackedAnalytic):
         return np.add.reduce(phi, axis=2) / n, grads[..., 0] / n
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSuite:
     """N worker objectives sharing a dimension and a common start point.
 
@@ -808,10 +808,11 @@ class ProblemSuite:
     lower bound (zero) for the nonnegative sigmoid family. ``analytic``
     evaluates every worker's analytic oracles at once (``values``/
     ``gradients``): the factories build their family's evaluator over the
-    suite's data, so a suite comes from a factory, and a modified copy from
-    ``dataclasses.replace``. ``config`` echoes the construction parameters
-    for experiment bookkeeping; an explicit suite's data arrays are in it as
-    the read-only arrays the suite holds, not as lists, and a sidecar writes
+    suite's data, so a suite comes from a factory. A suite is frozen, its
+    fields set once; a changed copy comes from ``dataclasses.replace``.
+    ``config`` echoes the construction parameters for experiment
+    bookkeeping; an explicit suite's data arrays are in it as the
+    read-only arrays the suite holds, not as lists, and a sidecar writes
     them as lists.
     """
 
@@ -897,8 +898,7 @@ def _finish_quadratic_suite(
         config=config,
     )
     # minimum of the averaged quadratic sits at the grand mean
-    suite.optimum_value = suite.value(grand_mean)
-    return suite
+    return replace(suite, optimum_value=suite.value(grand_mean))
 
 
 def make_quadratic_suite(

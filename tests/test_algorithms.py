@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import tracemalloc
@@ -341,11 +342,12 @@ class TestDeferredRecords:
         assert k == next(j for j, v in enumerate(f) if v < wrong - slack)
         return wrong
 
-    def check_ends_at(self, trace, full, k):
+    def check_ends_at(self, trace, full, k, tmp_path):
         want = full.records[k]
         assert trace.outcome == "below-optimum"
         assert list(trace.records) == full.records[:k]
-        result = trace.sidecar()["result"]
+        trace.write_sidecar(tmp_path / "trace.json")
+        result = json.loads((tmp_path / "trace.json").read_text())["result"]
         assert result["ifo_total"] == want.ifo_total
         assert result["comm_rounds"] == want.comm_rounds
         assert sum(result["ifo_breakdown"].values()) == want.ifo_total
@@ -359,15 +361,15 @@ class TestDeferredRecords:
             16,  # (2, 0): an epoch's first record, the first of its chunk
         ],
     )
-    def test_certificate_failure_ends_the_trace_at_its_record(self, k):
+    def test_certificate_failure_ends_the_trace_at_its_record(self, k, tmp_path):
         suite = self.suite()
         full = run_pr_spider_finite(suite, self.HP, 0)
         wrong = replace(suite, optimum_value=self.wrong_optimum(full.records, k))
         with pytest.raises(CertificateError) as info:
             run_pr_spider_finite(wrong, self.HP, 0)
-        self.check_ends_at(info.value.trace, full, k)
+        self.check_ends_at(info.value.trace, full, k, tmp_path)
 
-    def test_pending_certificate_failure_wins_over_a_divergence(self):
+    def test_pending_certificate_failure_wins_over_a_divergence(self, tmp_path):
         # a NaN direction at (1, 4) diverges its step, with records (1, 3)
         # and (1, 4) pending; the failure at (1, 3) ends the trace
         def on_record(s, t, workers):
@@ -385,7 +387,7 @@ class TestDeferredRecords:
         with pytest.raises(CertificateError) as info:
             run_pr_spider_finite(wrong, self.HP, 0, hooks=hooks)
         assert isinstance(info.value.__context__, DivergedError)
-        self.check_ends_at(info.value.trace, full, 11)
+        self.check_ends_at(info.value.trace, full, 11, tmp_path)
 
 
 class TestSpiderOnline:

@@ -22,6 +22,7 @@ from prspider.harness import (
 from prspider.numerics import mean_reduce, sq_norm, sq_norms
 from prspider.problems import (
     Meter,
+    ProblemSuite,
     make_nonconvex_suite,
     make_quadratic_suite,
     quadratic_suite_from_centers,
@@ -162,6 +163,45 @@ class TestEvaluateFos:
         got = fos(suite, workers)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize(
+        "make_suite", [make_quadratic_suite, make_nonconvex_suite]
+    )
+    def test_a_lone_point_is_one_pass_with_its_rows_bytes(
+        self, make_suite, monkeypatch
+    ):
+        suite = make_suite(N=3, n=16, d=4, heterogeneity=0.5, seed=12)
+        rng = np.random.default_rng(12)
+        workers = make_workers(suite, rng.normal(size=(3, 4)), with_v=False)
+        x_bar, deviations = point(workers)
+        (values,), (gradients,) = suite.analytic.evaluate([x_bar])
+        want = evaluate_fos(
+            suite, x_bar, deviations, values=values, gradients=gradients
+        )
+        calls = []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def call(self, *args, **kwargs):
+                calls.append(name)
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counted(type(suite.analytic), "_stacked")
+        counted(ProblemSuite, "value")
+        counted(ProblemSuite, "gradient")
+        got = evaluate_fos(suite, x_bar, deviations)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert sorted(calls) == ["_stacked", "gradient", "value"]
+
+
+def written_sidecar(trace, tmp_path):
+    """The sidecar ``trace.write_sidecar`` writes, read back."""
+    path = tmp_path / "trace.json"
+    trace.write_sidecar(path)
+    return json.loads(path.read_text())
+
 
 def synthetic_trace(fos_values, echo=None):
     records = [
@@ -266,11 +306,12 @@ class TestRecords:
         assert hit == trace.records[-1]
         assert (hit.t, hit.ifo_total) == (2, 30)
 
-    def test_sidecar_counts_the_records(self):
-        assert synthetic_trace([]).sidecar()["result"]["records"] == 0
+    def test_sidecar_counts_the_records(self, tmp_path):
+        empty = written_sidecar(synthetic_trace([]), tmp_path)
+        assert empty["result"]["records"] == 0
         trace = synthetic_trace([0.5, 0.4, 0.3])
         trace.records.append(record(3))
-        assert trace.sidecar()["result"]["records"] == 4
+        assert written_sidecar(trace, tmp_path)["result"]["records"] == 4
 
 
 class TestTraceSerialization:
@@ -309,7 +350,7 @@ class TestTraceSerialization:
             meter.charge(0, calls - 10)
             meter.charge(1, 10)
         meter.rounds, meter.bytes_equivalent = 7, 12
-        doc = trace.sidecar()
+        doc = written_sidecar(trace, tmp_path)
         assert doc["result"]["comm_rounds"] == trace.comm_rounds == 7
         assert doc["result"]["bytes_equivalent"] == 12
         assert doc["result"]["ifo_total"] == trace.ifo_total == 200
@@ -319,7 +360,7 @@ class TestTraceSerialization:
         assert doc["result"]["ifo_total_pair_normalized"] == 170
 
     @pytest.mark.parametrize("name", ["par-sgd", "par-restarted-sgd"])
-    def test_baseline_sidecar_has_no_pairs_to_normalize(self, name):
+    def test_baseline_sidecar_has_no_pairs_to_normalize(self, name, tmp_path):
         # a baseline step is one oracle access per sample, so its
         # pair-normalized total is its total
         trace = synthetic_trace([0.5], {"algorithm": {"name": name}})
@@ -327,7 +368,7 @@ class TestTraceSerialization:
         meter.phase = "inner"
         meter.charge(0, 20)
         meter.charge(1, 20)
-        result = trace.sidecar()["result"]
+        result = written_sidecar(trace, tmp_path)["result"]
         assert result["ifo_breakdown"] == {"init": 0, "inner": 40, "refresh": 0}
         assert result["ifo_total_pair_normalized"] == result["ifo_total"] == 40
 
@@ -488,7 +529,9 @@ class TestStreamedWrites:
         trace = run_pr_spider_finite(suite, hp, seed=0)
         path = tmp_path / "trace.json"
         peak = _peak_bytes(lambda: trace.write_sidecar(path))
-        assert json.loads(path.read_text()) == trace.sidecar()
+        doc = json.loads(path.read_text())
+        assert doc["problem"]["centers"] == suite.config["centers"].tolist()
+        assert doc["result"]["records"] == len(trace.records)
         assert path.stat().st_size > 1_000_000
         assert peak < path.stat().st_size / 10
 
@@ -503,8 +546,10 @@ class TestStreamedWrites:
         trace = run_pr_spider_finite(suite, hp, seed=0)
         path = tmp_path / "trace.json"
         trace.write_sidecar(path)
-        listed = trace.sidecar()
-        assert path.read_text() == json.dumps(listed, indent=2) + "\n"
+        text = path.read_text()
+        listed = json.loads(text)
+        assert listed["problem"]["centers"] == suite.config["centers"].tolist()
+        assert text == json.dumps(listed, indent=2) + "\n"
         compact = json.dumps(trace._document(), default=harness._JsonRows.of)
         assert compact == json.dumps(listed)
 

@@ -1,6 +1,7 @@
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -312,6 +313,20 @@ class TestSuiteUtilities:
         assert np.array_equal(suite.initial_point, again.initial_point)
         for a, b in zip(suite.objectives, again.objectives):
             assert np.array_equal(a.centers, b.centers)
+
+    @pytest.mark.parametrize(
+        "make_suite", [make_quadratic_suite, make_nonconvex_suite]
+    )
+    def test_suites_are_frozen_and_replace_makes_changed_copies(self, make_suite):
+        suite = make_suite(N=2, n=4, d=3, heterogeneity=0.3, seed=17)
+        for f in fields(ProblemSuite):
+            with pytest.raises(FrozenInstanceError):
+                setattr(suite, f.name, getattr(suite, f.name))
+        optimum = suite.optimum_value
+        lower = replace(suite, optimum_value=optimum - 1.0)
+        assert (lower.optimum_value, suite.optimum_value) == (optimum - 1.0, optimum)
+        assert lower.objectives is suite.objectives
+        assert lower.analytic is suite.analytic
 
 
 def _stacked_suites():
