@@ -23,7 +23,6 @@ from .harness import (
     MetricsTrace,
     RunHooks,
     WorkerState,
-    evaluate_fos,
     first_hit,
     sync_round,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "choose_params_finite",
     "choose_params_online",
     "draw_restart_direction",
-    "evaluate_fos",
     "first_hit",
     "make_nonconvex_suite",
     "make_quadratic_suite",

@@ -7,16 +7,18 @@ event, whatever rides in it. The run's ``problems.Meter`` is its one cost
 ledger: ``sync_round`` counts each round and the d-vectors it ships there,
 beside the oracle calls, and a ``MetricsTrace`` reads its totals from it.
 Metrics come from the analytic suite oracles and charge neither oracle
-calls nor rounds. ``make_record`` takes the workers' mean iterate, their
-squared distances to it and the ledger's totals at a record point, so the
-runner can make a chunk of records after one stacked pass of the analytic
-oracles over their means, handing each record its row of the pass.
+calls nor rounds. ``make_record`` is the one way to a record: it takes
+the workers' mean iterate, their squared distances to it, the ledger's
+totals at a record point and the point's row of the analytic oracles.
+The runner makes a chunk of records from one stacked pass over their
+means.
 
 Every output file goes through ``open_atomic``: its writer streams into a
 temporary file beside the target, row by row or JSON chunk by chunk, so a
 write holds no copy of the file's text, and a finished file is moved into
 place whole. A trace keeps its records as columns (``Records``): two
-``array.array`` buffers of machine words, 64 bytes a record, and a read
+``array.array`` buffers of machine words, 64 bytes a record. A trace
+starts with none and the runner appends each record it makes; a read
 builds the ``MetricsRecord`` it returns. The CSV writer and ``first_hit``
 read the columns themselves. A trace's sidecar has one form, the file
 ``write_sidecar`` writes.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
@@ -47,7 +49,6 @@ __all__ = [
     "MetricsTrace",
     "RunHooks",
     "sync_round",
-    "evaluate_fos",
     "first_hit",
     "CSV_HEADER",
     "open_atomic",
@@ -132,11 +133,9 @@ class Records(Sequence):
 
     __slots__ = ("_ints", "_floats")
 
-    def __init__(self, records: Iterable[MetricsRecord] = ()):
+    def __init__(self):
         self._ints = array("q")
         self._floats = array("d")
-        for record in records:
-            self.append(record)
 
     def append(self, r: MetricsRecord) -> None:
         end = len(self._ints)
@@ -198,22 +197,17 @@ class RunHooks:
 class MetricsTrace:
     """Ordered records, the run's cost ledger, and what reruns the run.
 
-    ``ledger`` is the run's ``Meter``; the runner fills ``records`` and
+    ``ledger`` is the run's ``Meter``. ``records`` starts as an empty
+    ``Records``, 64 bytes a record; the runner appends to it and to
     ``epoch_restart_residuals`` as it goes and sets ``outcome`` at its end.
-    ``records`` is a ``Records``, 64 bytes a record; any iterable of
-    ``MetricsRecord`` given for it is copied into one.
     """
 
     config_echo: dict
     seed: int
     ledger: Meter
-    records: Records = field(default_factory=Records)
+    records: Records = field(default_factory=Records, init=False)
     outcome: str = "completed"  # | "diverged" | "below-optimum"
     epoch_restart_residuals: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not isinstance(self.records, Records):
-            self.records = Records(self.records)
 
     @property
     def ifo_total(self) -> int:
@@ -342,32 +336,6 @@ def sync_round(
     meter.bytes_equivalent += 2 if payload == "both" else 1
 
 
-def evaluate_fos(
-    suite: ProblemSuite,
-    x_bar: ParamVector,
-    deviations: np.ndarray,
-    *,
-    values: np.ndarray | None = None,
-    gradients: np.ndarray | None = None,
-) -> tuple[float, float, float]:
-    """(f(x_bar), ||grad f(x_bar)||^2, mean squared consensus deviation).
-
-    ``x_bar`` is the workers' mean iterate by ``mean_reduce`` and
-    ``deviations`` their squared distances to it, ``sq_norms(iterates -
-    x_bar)``, in worker order. ``values`` and ``gradients``, given
-    together, are every worker's analytic value and gradient at ``x_bar``,
-    a row of a stacked pass; without them ``x_bar`` is evaluated once, as
-    a pass of one point. Uses the analytic oracles only: no oracle charge,
-    no round charge.
-    """
-    if values is None:
-        (values,), (gradients,) = suite.analytic.evaluate([x_bar])
-    grad_sq = sq_norm(suite.gradient(x_bar, worker_gradients=gradients))
-    # summed in worker order, as a loop of sq_norm(w.x - x_bar) sums it
-    consensus = ordered_sum(deviations) / len(deviations)
-    return suite.value(x_bar, worker_values=values), grad_sq, consensus
-
-
 def make_record(
     s: int,
     t: int,
@@ -377,18 +345,23 @@ def make_record(
     ifo_total: int,
     comm_rounds: int,
     *,
-    values: np.ndarray | None = None,
-    gradients: np.ndarray | None = None,
+    values: np.ndarray,
+    gradients: np.ndarray,
 ) -> MetricsRecord:
     """The record at ``(s, t)`` of workers with mean ``x_bar``.
 
-    ``deviations`` are the workers' squared distances to ``x_bar``, and
-    ``ifo_total`` and ``comm_rounds`` the ledger's totals at that point;
-    ``values`` and ``gradients`` go to ``evaluate_fos``.
+    ``x_bar`` is the workers' mean iterate by ``mean_reduce`` and
+    ``deviations`` their squared distances to it, ``sq_norms(iterates -
+    x_bar)``, in worker order; ``ifo_total`` and ``comm_rounds`` are the
+    ledger's totals at that point. ``values`` and ``gradients`` are every
+    worker's analytic value and gradient at ``x_bar``: its row of
+    ``suite.analytic.evaluate``. So a record charges neither oracle calls
+    nor rounds.
     """
-    f_bar, grad_sq, consensus = evaluate_fos(
-        suite, x_bar, deviations, values=values, gradients=gradients
-    )
+    grad_sq = sq_norm(suite.gradient(x_bar, worker_gradients=gradients))
+    # summed in worker order, as a loop of sq_norm(w.x - x_bar) sums it
+    consensus = ordered_sum(deviations) / len(deviations)
+    f_bar = suite.value(x_bar, worker_values=values)
     # opportunistic certificate: the advertised optimum is a true lower
     # bound wherever the run actually goes. A NaN f_bar passes; the
     # divergence check reads only iterates and directions, so a record may

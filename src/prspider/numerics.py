@@ -21,8 +21,8 @@ PCG64: the first one of its pool and size on a block derives every lane's
 first ``LANE_OUTPUTS`` PCG64 outputs in one more pass, on uint64 limbs
 (seeding as numpy's ``pcg64_set_seed``, XSL-RR output), and turns them
 into a table of every lane's indices, kept on the ``SeedBlock``. A larger
-batch, or a lane with a rejected word among its first ``size``, seeds one
-PCG64 from the lane's words and draws on arrays, redrawing rejected words.
+batch, or a lane with a rejected word among its first ``size``, is numpy's
+own ``Generator.integers`` call on one PCG64 seeded from the lane's words.
 
 Tiny stacks skip numpy's per-call cost. ``mean_reduce`` stacks every
 input once; a float64 stack of at most ``SCALAR_ENTRIES`` entries is then
@@ -438,9 +438,9 @@ class Substream:
         by numpy's bounded rule (Lemire, arXiv:1805.10941; ``_bounded``). A
         batch of 1 to ``SCALAR_DRAWS`` indices is read from a read-only
         table of every lane of the block, made once per pool and size from
-        the lanes' first outputs. A lane with a rejected word among its
-        first ``size``, and a larger batch, draw on arrays from the key's
-        PCG64, whose loop alone redraws rejected words.
+        the lanes' first outputs. Any other batch, and a lane with a
+        rejected word among its first ``size``, is that very call on a
+        ``Generator`` over the key's PCG64, which redraws rejected words.
         """
         size = int(size)
         if size < 0:
@@ -457,16 +457,8 @@ class Substream:
             if row is not None:
                 return row
         _check_pool_size(pool)
-        if size == 0:
-            return np.empty(0, dtype=np.int64)
         bits = np.random.PCG64(_SeedWords(block.words[self.lane]))
-        parts, need = [], size
-        while need > 0:
-            drawn, kept = _bounded(bits.random_raw((need + 1) // 2), pool)
-            parts.append(drawn[kept])
-            need -= parts[-1].shape[0]
-        drawn = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return drawn[:size]
+        return np.random.Generator(bits).integers(0, pool, size)
 
 
 @dataclass(frozen=True)

@@ -809,14 +809,16 @@ class ProblemSuite:
     evaluates every worker's analytic oracles at once (``values``/
     ``gradients``): the factories build their family's evaluator over the
     suite's data, so a suite comes from a factory. A suite is frozen, its
-    fields set once; a changed copy comes from ``dataclasses.replace``.
+    fields set once; a changed copy comes from ``dataclasses.replace``. The
+    factories give it a tuple of objectives and a read-only start point,
+    so neither changes under the runs that share the suite.
     ``config`` echoes the construction parameters for experiment
     bookkeeping; an explicit suite's data arrays are in it as the
     read-only arrays the suite holds, not as lists, and a sidecar writes
     them as lists.
     """
 
-    objectives: list[LocalObjective]
+    objectives: tuple[LocalObjective, ...]
     optimum_value: float
     initial_point: ParamVector
     analytic: object = field(repr=False, compare=False)
@@ -891,9 +893,9 @@ def _finish_quadratic_suite(
         QuadraticObjective(i, c, grand_mean) for i, c in enumerate(centers)
     ]
     suite = ProblemSuite(
-        objectives=objectives,
+        objectives=tuple(objectives),
         optimum_value=0.0,
-        initial_point=as_vector(initial_point, centers.shape[2]),
+        initial_point=_read_only(as_vector(initial_point, centers.shape[2])),
         analytic=QuadraticAnalytic(center_means, spreads),
         config=config,
     )
@@ -1038,9 +1040,9 @@ def _finish_sigmoid_suite(
     for obj in objectives:
         obj.variance_bound = PHI_GRAD_MAX * (obj.feature_norm_max + global_amax)
     return ProblemSuite(
-        objectives=objectives,
+        objectives=tuple(objectives),
         optimum_value=0.0,  # certified lower bound: the losses are nonnegative
-        initial_point=as_vector(initial_point, features.shape[2]),
+        initial_point=_read_only(as_vector(initial_point, features.shape[2])),
         analytic=SigmoidAnalytic(features, offsets),
         config=config,
     )

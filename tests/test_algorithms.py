@@ -179,7 +179,7 @@ class TestSpiderFinite:
     def test_input_suite_not_mutated(self):
         suite = quad_suite()
         hp = HyperParams(gamma=1.0 / 16, I=2, m=4, B=1, S=2, N=4)
-        objectives = list(suite.objectives)
+        objectives = tuple(suite.objectives)
         before = [dict(vars(obj)) for obj in objectives]
         x0 = suite.initial_point.copy()
         run_pr_spider_finite(suite, hp, 0)

@@ -14,7 +14,6 @@ from prspider.harness import (
     MetricsRecord,
     MetricsTrace,
     WorkerState,
-    evaluate_fos,
     first_hit,
     make_record,
     sync_round,
@@ -22,7 +21,6 @@ from prspider.harness import (
 from prspider.numerics import mean_reduce, sq_norm, sq_norms
 from prspider.problems import (
     Meter,
-    ProblemSuite,
     make_nonconvex_suite,
     make_quadratic_suite,
     quadratic_suite_from_centers,
@@ -47,8 +45,19 @@ def point(workers):
     return x_bar, sq_norms(iterates - x_bar)
 
 
+def record_at(suite, workers, ifo_total=0, comm_rounds=0, s=0, t=0):
+    """The record of ``workers``, from its point's row of one analytic pass."""
+    x_bar, deviations = point(workers)
+    (values,), (gradients,) = suite.analytic.evaluate([x_bar])
+    return make_record(
+        s, t, suite, x_bar, deviations, ifo_total, comm_rounds,
+        values=values, gradients=gradients,
+    )
+
+
 def fos(suite, workers):
-    return evaluate_fos(suite, *point(workers))
+    record = record_at(suite, workers)
+    return record.f_bar, record.grad_sq, record.consensus
 
 
 class TestSyncRound:
@@ -137,9 +146,19 @@ class TestEvaluateFos:
         suite = make_quadratic_suite(N=2, n=8, d=2, heterogeneity=0.5, seed=10)
         workers = make_workers(suite, [[0.0, 0.0], [1.0, 1.0]], with_v=False)
         meter = Meter(2)
-        record = make_record(0, 0, suite, *point(workers), meter.total, meter.rounds)
+        record = record_at(suite, workers, meter.total, meter.rounds)
         assert record.ifo_total == meter.total == 0
         assert record.comm_rounds == meter.rounds == 0
+
+    def test_a_record_takes_its_row(self):
+        # the rows come from the caller's stacked pass; there is no default
+        suite = make_quadratic_suite(N=2, n=4, d=2, heterogeneity=0.5, seed=10)
+        workers = make_workers(suite, [[0.0, 0.0], [1.0, 1.0]], with_v=False)
+        x_bar, deviations = point(workers)
+        (values,), (gradients,) = suite.analytic.evaluate([x_bar])
+        for rows in ({}, {"values": values}, {"gradients": gradients}):
+            with pytest.raises(TypeError):
+                make_record(0, 0, suite, x_bar, deviations, 0, 0, **rows)
 
     @pytest.mark.parametrize("N", [1, 3, 4])
     @pytest.mark.parametrize("d", [1, 4])
@@ -163,38 +182,6 @@ class TestEvaluateFos:
         got = fos(suite, workers)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
-    @pytest.mark.parametrize(
-        "make_suite", [make_quadratic_suite, make_nonconvex_suite]
-    )
-    def test_a_lone_point_is_one_pass_with_its_rows_bytes(
-        self, make_suite, monkeypatch
-    ):
-        suite = make_suite(N=3, n=16, d=4, heterogeneity=0.5, seed=12)
-        rng = np.random.default_rng(12)
-        workers = make_workers(suite, rng.normal(size=(3, 4)), with_v=False)
-        x_bar, deviations = point(workers)
-        (values,), (gradients,) = suite.analytic.evaluate([x_bar])
-        want = evaluate_fos(
-            suite, x_bar, deviations, values=values, gradients=gradients
-        )
-        calls = []
-
-        def counted(owner, name):
-            original = getattr(owner, name)
-
-            def call(self, *args, **kwargs):
-                calls.append(name)
-                return original(self, *args, **kwargs)
-
-            monkeypatch.setattr(owner, name, call)
-
-        counted(type(suite.analytic), "_stacked")
-        counted(ProblemSuite, "value")
-        counted(ProblemSuite, "gradient")
-        got = evaluate_fos(suite, x_bar, deviations)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        assert sorted(calls) == ["_stacked", "gradient", "value"]
-
 
 def written_sidecar(trace, tmp_path):
     """The sidecar ``trace.write_sidecar`` writes, read back."""
@@ -204,15 +191,14 @@ def written_sidecar(trace, tmp_path):
 
 
 def synthetic_trace(fos_values, echo=None):
-    records = [
-        MetricsRecord(
+    echo = echo or {"algorithm": {"name": "pr-spider-finite"}}
+    trace = MetricsTrace(config_echo=echo, seed=0, ledger=Meter(1))
+    for k, f in enumerate(fos_values):
+        trace.records.append(MetricsRecord(
             s=0, t=k, f_bar=0.0, grad_sq=f, consensus=0.0, fos=f,
             ifo_total=10 * (k + 1), comm_rounds=k + 1,
-        )
-        for k, f in enumerate(fos_values)
-    ]
-    echo = echo or {"algorithm": {"name": "pr-spider-finite"}}
-    return MetricsTrace(config_echo=echo, seed=0, ledger=Meter(1), records=records)
+        ))
+    return trace
 
 
 class TestFirstHit:
@@ -268,13 +254,6 @@ class TestRecords:
             with pytest.raises(IndexError):
                 trace.records[k]
 
-    def test_trace_from_any_iterable_of_records(self):
-        records = [record(k) for k in range(3)]
-        echo = {"algorithm": {"name": "pr-spider-finite"}}
-        for given in (records, tuple(records), iter(records)):
-            trace = MetricsTrace(echo, 0, Meter(1), records=given)
-            assert list(trace.records) == records
-
     def test_a_value_that_does_not_fit_adds_nothing(self):
         trace = synthetic_trace([0.5, 0.25])
         before = list(trace.records)
@@ -321,7 +300,7 @@ class TestTraceSerialization:
         meter = Meter(2)
         meter.charge(1, 7)
         meter.rounds = 5
-        rec = make_record(2, 3, suite, *point(workers), meter.total, meter.rounds)
+        rec = record_at(suite, workers, meter.total, meter.rounds, s=2, t=3)
         assert rec.fos == rec.grad_sq + rec.consensus  # exact sum
         assert (rec.ifo_total, rec.comm_rounds) == (7, 5)
 

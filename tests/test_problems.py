@@ -10,7 +10,7 @@ from oracle_reference import one_worker_oracles
 from prspider.algorithms import HyperParams, run_pr_spider_finite
 from prspider.cli import build_suite
 from prspider.checks import expected_ifo_finite
-from prspider.harness import WorkerState, evaluate_fos
+from prspider.harness import WorkerState, make_record
 from prspider.numerics import mean_reduce, sq_norm, sq_norms
 from prspider.problems import (
     PHI_GRAD_MAX,
@@ -328,6 +328,38 @@ class TestSuiteUtilities:
         assert lower.objectives is suite.objectives
         assert lower.analytic is suite.analytic
 
+    @pytest.mark.parametrize(
+        "make_suite",
+        [
+            lambda: make_quadratic_suite(N=2, n=4, d=3, heterogeneity=0.3, seed=17),
+            lambda: make_nonconvex_suite(N=2, n=4, d=3, heterogeneity=0.3, seed=17),
+            lambda: make_nonconvex_suite(N=2, n=None, d=3, heterogeneity=0.3, seed=17),
+            lambda: quadratic_suite_from_centers([[[0.0]], [[2.0]]], [5.0]),
+            lambda: sigmoid_suite_from_params(
+                [[[1.0, 0.5]], [[0.5, 1.0]]], [[0.1], [-0.1]], [0.3, 0.7]
+            ),
+        ],
+        ids=["quadratic", "sigmoid", "sigmoid-online", "quadratic-explicit",
+             "sigmoid-explicit"],
+    )
+    def test_start_point_and_objectives_are_read_only(self, make_suite):
+        # a write into a shared suite would move every later run's start
+        # or worker count
+        suite = make_suite()
+        start = suite.initial_point.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            suite.initial_point[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            suite.initial_point += 1.0
+        with pytest.raises(AttributeError):
+            suite.objectives.append(suite.objectives[0])
+        with pytest.raises(TypeError):
+            suite.objectives[0] = suite.objectives[1]
+        assert (suite.initial_point.tobytes(), suite.num_workers) == (start, 2)
+        lower = replace(suite, optimum_value=suite.optimum_value - 1.0)
+        assert not lower.initial_point.flags.writeable
+        assert isinstance(lower.objectives, tuple)
+
 
 def _stacked_suites():
     rng = np.random.default_rng(5)
@@ -443,7 +475,11 @@ class TestStackedAnalytic:
         grad = mean_reduce(grads)
         want = (total / suite.num_workers, sq_norm(grad), consensus)
         deviations = sq_norms(np.array([w.x for w in workers]) - x_bar)
-        assert evaluate_fos(suite, x_bar, deviations) == want
+        (values,), (gradients,) = suite.analytic.evaluate([x_bar])
+        record = make_record(
+            0, 0, suite, x_bar, deviations, 0, 0, values=values, gradients=gradients
+        )
+        assert (record.f_bar, record.grad_sq, record.consensus) == want
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65])
