@@ -95,9 +95,9 @@ just before each block, which is saved, overwritten by the running sum,
 reduced with the block and put back. A second pass reads each worker's
 centers back for its spread around its own mean, the analytic oracle's
 value offset, and nothing more: a worker's sigma, its spread around the
-grand mean, is computed the first time it is read, which no
-``pr-spider-finite`` run does. Draws, means, spreads and sigma equal the
-whole-array formulas bit for bit.
+grand mean, is computed at each read, which costs one more pass over the
+worker's centers and which no ``pr-spider-finite`` run makes. Draws,
+means, spreads and sigma equal the whole-array formulas bit for bit.
 
 Every metered oracle takes a batch of sample indices; one sample is
 ``[j]``, and a full gradient is the batch of every sample, ``0 .. n-1``.
@@ -427,9 +427,11 @@ class LocalObjective:
     ``draw_indices`` returns. ``smoothness`` and ``variance_bound`` are the
     advertised L and sigma; both are certified by the randomized test suite.
     ``variance_bound`` is known once the suite factory has built every
-    worker: the sigmoid factory assigns it, and a quadratic objective
-    computes it on first read.
+    worker: the sigmoid factory assigns it, a quadratic objective computes
+    it at each read, and an objective built alone advertises 0.0.
     """
+
+    variance_bound = 0.0
 
     def __init__(
         self,
@@ -438,13 +440,11 @@ class LocalObjective:
         sample_count: int | None,
         pool_size: int,
         smoothness: float,
-        variance_bound: float,
     ):
         self.worker_id = worker_id
         self.dim = dim
         self.sample_count = sample_count
         self.smoothness = smoothness
-        self.variance_bound = variance_bound
         _check_pool_size(pool_size)
         self._pool_size = pool_size
 
@@ -523,10 +523,10 @@ class QuadraticObjective(LocalObjective):
 
     ``grand_mean`` is the mean of every worker's centers, which the suite
     factory passes. ``variance_bound`` is then computed from the centers
-    and the grand mean the first time it is read, and kept: no
-    ``pr-spider-finite`` run reads it, and its pass over the centers costs
-    as much as the spreads' pass of the set-up. A stand-alone objective,
-    built without ``grand_mean``, advertises 0.0.
+    and the grand mean at each read, which costs one pass over the worker's
+    centers, as much as the spreads' pass of the set-up: no
+    ``pr-spider-finite`` run reads it. A stand-alone objective, built
+    without ``grand_mean``, advertises 0.0.
     """
 
     def __init__(
@@ -544,8 +544,6 @@ class QuadraticObjective(LocalObjective):
             sample_count=n,
             pool_size=n,
             smoothness=1.0,
-            # computed on first read when the suite factory built it
-            variance_bound=0.0 if grand_mean is None else None,
         )
         self.centers = centers
         self._grand_mean = grand_mean
@@ -555,18 +553,11 @@ class QuadraticObjective(LocalObjective):
         """Uniform worker-vs-global deviation, ``sqrt(mean ||c - g||^2)``.
 
         For this family the gradient deviation is x-free and equals the
-        spread of the centers around the grand mean ``g``. Threads that
-        make the first read together each compute the same bits.
+        spread of the centers around the grand mean ``g``.
         """
-        sigma = self._variance_bound
-        if sigma is None:
-            sigma = math.sqrt(_mean_sq_distances(self.centers, self._grand_mean))
-            self._variance_bound = sigma
-        return sigma
-
-    @variance_bound.setter
-    def variance_bound(self, value: float | None) -> None:
-        self._variance_bound = value
+        if self._grand_mean is None:
+            return 0.0
+        return math.sqrt(_mean_sq_distances(self.centers, self._grand_mean))
 
     def _gradient_mean(self, x, idx, x_old=None):
         _check_indices(idx, self._pool_size)
@@ -621,7 +612,6 @@ class SigmoidObjective(LocalObjective):
             sample_count=None if online else pool,
             pool_size=pool,
             smoothness=PHI_CURV_MAX * self.feature_norm_max**2,
-            variance_bound=0.0,  # assigned by the suite factory
         )
         self.features = features
         self.offsets = offsets
@@ -809,10 +799,13 @@ class ProblemSuite:
     evaluates every worker's analytic oracles at once (``values``/
     ``gradients``): the factories build their family's evaluator over the
     suite's data, so a suite comes from a factory. A suite is frozen, its
-    fields set once; a changed copy comes from ``dataclasses.replace``. The
-    factories give it a tuple of objectives and a read-only start point,
-    so neither changes under the runs that share the suite.
-    ``config`` echoes the construction parameters for experiment
+    fields set once; a changed copy comes from ``dataclasses.replace``.
+    Every construction, ``replace`` included, keeps ``objectives`` as a
+    tuple and ``initial_point`` as a read-only float64 copy, checked by
+    ``as_vector`` for the suite's dimension and finite entries, so neither
+    changes under the runs that share the suite. ``variance_bound`` is a
+    pure read: for a quadratic suite it costs one pass over each worker's
+    centers. ``config`` echoes the construction parameters for experiment
     bookkeeping; an explicit suite's data arrays are in it as the
     read-only arrays the suite holds, not as lists, and a sidecar writes
     them as lists.
@@ -823,6 +816,12 @@ class ProblemSuite:
     initial_point: ParamVector
     analytic: object = field(repr=False, compare=False)
     config: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        objectives = tuple(self.objectives)
+        point = _read_only(as_vector(self.initial_point, objectives[0].dim))
+        object.__setattr__(self, "objectives", objectives)
+        object.__setattr__(self, "initial_point", point)
 
     @property
     def num_workers(self) -> int:
@@ -884,7 +883,7 @@ def _finish_quadratic_suite(
     config: dict,
 ) -> ProblemSuite:
     # the set-up's second pass: each worker's spread around its own mean,
-    # the analytic oracle's value offset; sigma waits for its first read
+    # the analytic oracle's value offset; sigma is computed at each read
     spreads = np.array(
         [_mean_sq_distances(c, mean) for c, mean in zip(centers, center_means)]
     )
@@ -893,9 +892,9 @@ def _finish_quadratic_suite(
         QuadraticObjective(i, c, grand_mean) for i, c in enumerate(centers)
     ]
     suite = ProblemSuite(
-        objectives=tuple(objectives),
+        objectives=objectives,
         optimum_value=0.0,
-        initial_point=_read_only(as_vector(initial_point, centers.shape[2])),
+        initial_point=initial_point,
         analytic=QuadraticAnalytic(center_means, spreads),
         config=config,
     )
@@ -1040,9 +1039,9 @@ def _finish_sigmoid_suite(
     for obj in objectives:
         obj.variance_bound = PHI_GRAD_MAX * (obj.feature_norm_max + global_amax)
     return ProblemSuite(
-        objectives=tuple(objectives),
+        objectives=objectives,
         optimum_value=0.0,  # certified lower bound: the losses are nonnegative
-        initial_point=_read_only(as_vector(initial_point, features.shape[2])),
+        initial_point=initial_point,
         analytic=SigmoidAnalytic(features, offsets),
         config=config,
     )

@@ -418,7 +418,7 @@ POOLS = [1, 2, 3, 255, 256, 300, 2**31 + 1, 2**32 - 1, 2**32]
 
 
 def _pool(n):
-    return LocalObjective(0, 1, None, n, smoothness=1.0, variance_bound=0.0)
+    return LocalObjective(0, 1, None, n, smoothness=1.0)
 
 
 class TestDrawIndices:

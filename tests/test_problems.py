@@ -34,6 +34,24 @@ def two_center_suite():
     return quadratic_suite_from_centers([[[0.0]], [[2.0]]], [5.0])
 
 
+# every suite kind: generated quadratic, finite and online sigmoid, and
+# the explicit quadratic and sigmoid
+EVERY_SUITE_KIND = pytest.mark.parametrize(
+    "make_suite",
+    [
+        lambda: make_quadratic_suite(N=2, n=4, d=3, heterogeneity=0.3, seed=17),
+        lambda: make_nonconvex_suite(N=2, n=4, d=3, heterogeneity=0.3, seed=17),
+        lambda: make_nonconvex_suite(N=2, n=None, d=3, heterogeneity=0.3, seed=17),
+        lambda: quadratic_suite_from_centers([[[0.0]], [[2.0]]], [5.0]),
+        lambda: sigmoid_suite_from_params(
+            [[[1.0, 0.5]], [[0.5, 1.0]]], [[0.1], [-0.1]], [0.3, 0.7]
+        ),
+    ],
+    ids=["quadratic", "sigmoid", "sigmoid-online", "quadratic-explicit",
+         "sigmoid-explicit"],
+)
+
+
 class TestQuadraticSuite:
     def test_single_sample_minimum_at_center(self):
         suite = single_center_suite()
@@ -328,20 +346,7 @@ class TestSuiteUtilities:
         assert lower.objectives is suite.objectives
         assert lower.analytic is suite.analytic
 
-    @pytest.mark.parametrize(
-        "make_suite",
-        [
-            lambda: make_quadratic_suite(N=2, n=4, d=3, heterogeneity=0.3, seed=17),
-            lambda: make_nonconvex_suite(N=2, n=4, d=3, heterogeneity=0.3, seed=17),
-            lambda: make_nonconvex_suite(N=2, n=None, d=3, heterogeneity=0.3, seed=17),
-            lambda: quadratic_suite_from_centers([[[0.0]], [[2.0]]], [5.0]),
-            lambda: sigmoid_suite_from_params(
-                [[[1.0, 0.5]], [[0.5, 1.0]]], [[0.1], [-0.1]], [0.3, 0.7]
-            ),
-        ],
-        ids=["quadratic", "sigmoid", "sigmoid-online", "quadratic-explicit",
-             "sigmoid-explicit"],
-    )
+    @EVERY_SUITE_KIND
     def test_start_point_and_objectives_are_read_only(self, make_suite):
         # a write into a shared suite would move every later run's start
         # or worker count
@@ -359,6 +364,32 @@ class TestSuiteUtilities:
         lower = replace(suite, optimum_value=suite.optimum_value - 1.0)
         assert not lower.initial_point.flags.writeable
         assert isinstance(lower.objectives, tuple)
+
+    @EVERY_SUITE_KIND
+    def test_replace_checks_and_copies_the_start_point(self, make_suite):
+        # README starts a suite elsewhere by replace: the copy keeps the
+        # suite's invariants, so a bad start point fails here, not in a run
+        suite = make_suite()
+        d = suite.dim
+        for given in (np.arange(d, dtype=np.float64), list(range(d))):
+            moved = replace(suite, initial_point=given)
+            start = moved.initial_point
+            assert (start.dtype, start.tolist()) == (np.float64, list(range(d)))
+            with pytest.raises(ValueError, match="read-only"):
+                start[0] = 5.0
+        given = np.zeros(d)
+        moved = replace(suite, initial_point=given)
+        given[0] = 5.0  # the caller's array stays writable; the copy does not see it
+        assert moved.initial_point[0] == 0.0
+        for wrong in (np.zeros(d + 1), [0.0] * (d - 1), np.zeros((1, d))):
+            with pytest.raises(ValueError):
+                replace(suite, initial_point=wrong)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                replace(suite, initial_point=np.full(d, bad))
+        listed = replace(suite, objectives=list(suite.objectives))
+        assert listed.objectives == suite.objectives
+        assert isinstance(listed.objectives, tuple)
 
 
 def _stacked_suites():

@@ -204,20 +204,25 @@ def distance_calls(monkeypatch):
     return calls
 
 
-def test_sigma_is_computed_on_first_read_only(distance_calls):
+def test_sigma_is_a_pure_read(distance_calls):
     N, n, d = 3, 70, 8
     suite = make_quadratic_suite(N, n, d, 0.5, 11)
     assert distance_calls == [1] * N  # the spreads' pass
     hp = HyperParams(gamma=0.1, I=2, m=4, B=3, S=2, N=N)
     run_pr_spider_finite(suite, hp, seed=0)
-    assert len(distance_calls) == N
-    sigma = suite.variance_bound
-    assert distance_calls == [1] * (2 * N)
-    bounds = [o.variance_bound.hex() for o in suite.objectives]
-    assert suite.variance_bound == sigma
-    assert len(distance_calls) == 2 * N
+    assert len(distance_calls) == N  # a run reads no sigma
     _, stats, _ = _reference_generated(N, n, d, 0.5, 11, 1.0, None)
-    assert bounds == [b.hex() for b in stats[2]]
+    before = [dict(vars(o)) for o in suite.objectives]
+    for reads in (1, 2):
+        # each read is one pass over every worker's centers, and keeps nothing
+        assert suite.variance_bound.hex() == max(stats[2]).hex()
+        assert distance_calls == [1] * ((1 + reads) * N)
+    assert [o.variance_bound.hex() for o in suite.objectives] == [
+        b.hex() for b in stats[2]
+    ]
+    for obj, attrs in zip(suite.objectives, before):
+        assert vars(obj).keys() == attrs.keys()
+        assert all(vars(obj)[k] is v for k, v in attrs.items())
 
 
 def test_concurrent_first_reads_of_sigma_agree(monkeypatch):
