@@ -278,24 +278,22 @@ def _parse_problem(problem) -> tuple[Callable[..., ProblemSuite], dict]:
 
 
 def build_suite(problem: dict) -> ProblemSuite:
+    """The config's suite, or a ``ConfigError`` naming what is wrong.
+
+    The factory and ``ProblemSuite`` do every check: a suite refuses a
+    non-finite L or start value where it is made, ``replace``, pickle and
+    deepcopy included. This maps their errors to one config line.
+    """
     factory, args = _parse_problem(problem)
     try:
-        # data that overflows is refused below, not warned about
+        # data that overflows is refused by the suite, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            suite = factory(**args)
-            # the worker values, not ``suite.value``, whose call count the
-            # benchmark's span gate pins
-            start = suite.analytic.values(suite.initial_point)
+            return factory(**args)
     except (ValueError, TypeError, MemoryError) as exc:
         # the factories check the explicit arrays, which the tables take as
         # plain lists: shape, element type and finiteness, naming the key;
         # a size past the memory fails as it allocates
         raise ConfigError(f"problem: {exc}") from exc
-    if not math.isfinite(suite.smoothness):
-        raise ConfigError(f"problem: smoothness is {suite.smoothness}")
-    if not np.isfinite(start).all():
-        raise ConfigError("problem: the objective at the start point is not finite")
-    return suite
 
 
 def _parse_algorithm(algorithm) -> tuple[str, str, dict]:

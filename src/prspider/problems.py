@@ -113,7 +113,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -546,7 +546,10 @@ class QuadraticObjective(LocalObjective):
             smoothness=1.0,
         )
         self.centers = centers
-        self._grand_mean = grand_mean
+        self._grand_mean = None if grand_mean is None else _read_only(grand_mean)
+
+    def __reduce__(self):
+        return type(self), (self.worker_id, self.centers, self._grand_mean)
 
     @property
     def variance_bound(self) -> float:
@@ -616,6 +619,11 @@ class SigmoidObjective(LocalObjective):
         self.features = features
         self.offsets = offsets
         self._block_rows = sigmoid_block_rows(d)
+
+    def __reduce__(self):
+        # sigma is the factory's, set after construction
+        args = (self.worker_id, self.features, self.offsets, not self.is_finite_sum)
+        return type(self), args, {"variance_bound": self.variance_bound}
 
     @staticmethod
     def _slopes(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -738,6 +746,9 @@ class QuadraticAnalytic(_StackedAnalytic):
         self.center_means = _read_only(center_means)
         self.spread_sq = _read_only(spread_sq)
 
+    def __reduce__(self):
+        return type(self), (self.center_means, self.spread_sq)
+
     def _stacked(self, points):
         diff = points[:, None, :] - self.center_means
         return 0.5 * sq_norms(diff) + 0.5 * self.spread_sq, diff
@@ -760,11 +771,14 @@ class SigmoidAnalytic(_StackedAnalytic):
     def __init__(self, features: np.ndarray, offsets: np.ndarray):
         num_workers, n, d = features.shape
         super().__init__(num_workers * max(n, d))
-        self.features = features
-        self.offsets = offsets
-        self._features_t = features.transpose(0, 2, 1)
+        self.features = _read_only(features)
+        self.offsets = _read_only(offsets)
+        self._features_t = self.features.transpose(0, 2, 1)
         # row blocks BLAS won't thread, as in the metered kernels
         self._edges = _block_edges(n, d, sigmoid_block_rows(d))
+
+    def __reduce__(self):
+        return type(self), (self.features, self.offsets)
 
     def _stacked(self, points):
         t = np.empty((points.shape[0],) + self.offsets.shape)
@@ -803,7 +817,12 @@ class ProblemSuite:
     Every construction, ``replace`` included, keeps ``objectives`` as a
     tuple and ``initial_point`` as a read-only float64 copy, checked by
     ``as_vector`` for the suite's dimension and finite entries, so neither
-    changes under the runs that share the suite. ``variance_bound`` is a
+    changes under the runs that share the suite. Every construction also
+    refuses, with ``ValueError``, a non-finite ``smoothness`` and a start
+    point where a worker's value is not finite: PR-SPIDER's rules assume a
+    finite L and a finite start gap. Pickle and deepcopy rebuild a suite
+    and its parts through their constructors, checks and read-only flags
+    included. ``variance_bound`` is a
     pure read: for a quadratic suite it costs one pass over each worker's
     centers. ``config`` echoes the construction parameters for experiment
     bookkeeping; an explicit suite's data arrays are in it as the
@@ -822,6 +841,19 @@ class ProblemSuite:
         point = _read_only(as_vector(self.initial_point, objectives[0].dim))
         object.__setattr__(self, "objectives", objectives)
         object.__setattr__(self, "initial_point", point)
+        # PR-SPIDER's rules assume a finite L and a finite start gap
+        if not math.isfinite(self.smoothness):
+            raise ValueError(f"smoothness is {self.smoothness}")
+        # the worker values, not ``value``, whose call count the benchmark's
+        # span gate pins; data that overflows is refused, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = self.analytic.values(point)
+        if not np.isfinite(start).all():
+            raise ValueError("the objective at the start point is not finite")
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor and its checks
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def num_workers(self) -> int:
@@ -887,7 +919,6 @@ def _finish_quadratic_suite(
     spreads = np.array(
         [_mean_sq_distances(c, mean) for c, mean in zip(centers, center_means)]
     )
-    grand_mean = _read_only(grand_mean)
     objectives = [
         QuadraticObjective(i, c, grand_mean) for i, c in enumerate(centers)
     ]

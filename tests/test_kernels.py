@@ -518,6 +518,58 @@ def test_run_outputs_do_not_depend_on_blas_threads(tmp_path):
     assert digests["2"] == digests["1"]
 
 
+# Every golden config's and every tiny benchmark seed's (CSV, sidecar)
+# digests, through the helpers of the two golden test modules, as JSON.
+_GOLDEN_DIGESTS = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import test_bench_golden as bench
+import test_golden as golden
+got = {}
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    for name, config in golden.CONFIGS.items():
+        outcome = "diverged" if name in golden.DIVERGING else "completed"
+        got[name] = list(golden.trace_digests(config, out, outcome))
+    for workload in bench.workloads.WORKLOADS:
+        seeds = list(range(bench.workloads.POOL_SIZE))
+        config = bench.workloads.make_config(workload, seeds, tiny=True)
+        suite = bench.build_suite(config["problem"])
+        name, params = bench.resolve_algorithm(config["algorithm"], suite)
+        for seed in seeds:
+            trace = bench.run_one(name, params, suite, seed, config["run"])
+            got[f"{workload}/{seed}"] = bench._digests(trace, out, seed)
+print(json.dumps(got))
+"""
+
+
+def test_golden_digests_do_not_depend_on_blas_threads():
+    # the recorded bytes, not just the same bytes twice: each child runs the
+    # golden configs and the tiny benchmark seeds under its thread count
+    import test_bench_golden as bench
+    import test_golden as golden
+    from blas_kernel import digest_note
+
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    children = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", _GOLDEN_DIGESTS, tests_dir],
+            stdout=subprocess.PIPE, text=True, env=_blas_env(threads),
+        )
+        for threads in ("1", "2")
+    }
+    want = {name: list(pair) for name, pair in golden.GOLDEN.items()}
+    for workload in bench.workloads.WORKLOADS:
+        for seed, pair in bench.GOLDEN[workload]["tiny"].items():
+            want[f"{workload}/{seed}"] = pair
+    for threads, child in children.items():
+        out, _ = child.communicate()
+        assert child.returncode == 0
+        got = json.loads(out)
+        assert got == want, f"OPENBLAS_NUM_THREADS={threads}: {digest_note()}"
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

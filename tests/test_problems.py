@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -7,7 +9,11 @@ import numpy as np
 import pytest
 from oracle_reference import one_worker_oracles
 
-from prspider.algorithms import HyperParams, run_pr_spider_finite
+from prspider.algorithms import (
+    HyperParams,
+    run_pr_spider_finite,
+    run_pr_spider_online,
+)
 from prspider.cli import build_suite
 from prspider.checks import expected_ifo_finite
 from prspider.harness import WorkerState, make_record
@@ -16,6 +22,7 @@ from prspider.problems import (
     PHI_GRAD_MAX,
     Meter,
     ProblemSuite,
+    QuadraticAnalytic,
     UnsupportedOperationError,
     make_nonconvex_suite,
     make_quadratic_suite,
@@ -230,6 +237,17 @@ class TestSigmoidFamily:
         g = suite.objectives[0].batch_gradient_mean(np.zeros(1), [0])
         assert g[0] == pytest.approx(0.0, abs=0)
 
+    @pytest.mark.parametrize("online", [False, True])
+    def test_suite_refuses_an_infinite_smoothness(self, online):
+        # ||a||^2 overflows, so no step size rule holds; the CLI's error
+        # state keeps the overflow from warning
+        features = [[[1e200, 1.0]], [[1.0, 1.0]]]
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="smoothness is inf"):
+                sigmoid_suite_from_params(
+                    features, [[0.0], [0.0]], [0.0, 0.0], online=online
+                )
+
     def test_values_are_bounded_below_by_certified_optimum(self):
         suite = make_nonconvex_suite(N=3, n=32, d=4, heterogeneity=0.6, seed=10)
         rng = np.random.default_rng(1)
@@ -390,6 +408,34 @@ class TestSuiteUtilities:
         listed = replace(suite, objectives=list(suite.objectives))
         assert listed.objectives == suite.objectives
         assert isinstance(listed.objectives, tuple)
+        # PR-SPIDER's rules need a finite start gap: a quadratic's value at
+        # 1e200 overflows and is refused, with no warning; a sigmoid's
+        # margins saturate there, phi is 1.0 and the start stands
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(suite.analytic, QuadraticAnalytic):
+                with pytest.raises(ValueError, match="start point"):
+                    replace(suite, initial_point=[1e200] * d)
+            else:
+                assert replace(suite, initial_point=[1e155] * d).initial_gap() == 1.0
+
+    @EVERY_SUITE_KIND
+    def test_pickle_and_deepcopy_rebuild_through_the_constructors(self, make_suite):
+        # a copy keeps the suite's invariants: every array it holds is
+        # read-only, and a run over it writes the original's trace
+        suite = make_suite()
+        hp = HyperParams(gamma=0.1, I=2, m=5, B=3, S=2, N=2, n_b=3)
+        trace = "".join(run_pr_spider_online(suite, hp, 4).csv_lines())
+        for copied in (pickle.loads(pickle.dumps(suite)), copy.deepcopy(suite)):
+            arrays = [copied.initial_point]
+            for part in (*copied.objectives, copied.analytic):
+                arrays += [a for a in vars(part).values() if isinstance(a, np.ndarray)]
+            assert len(arrays) >= 7
+            assert not any(a.flags.writeable for a in arrays)
+            assert copied.smoothness == suite.smoothness
+            assert copied.variance_bound == suite.variance_bound
+            again = run_pr_spider_online(copied, hp, 4)
+            assert "".join(again.csv_lines()) == trace
 
 
 def _stacked_suites():
