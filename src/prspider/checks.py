@@ -139,7 +139,7 @@ def check_gd_degeneracy() -> CheckResult:
     gamma = 0.1
     steps = 200
     hp = HyperParams(gamma=gamma, I=1, m=steps, B=16, S=1, N=2)
-    centers = np.concatenate([o.centers for o in suite.objectives], axis=0)
+    centers = suite.analytic.centers.reshape(-1, suite.dim)
     grand = centers.mean(axis=0)
     oracle = [suite.initial_point.copy()]
     for _ in range(steps - 1):

@@ -78,13 +78,14 @@ every point gets its own bits at any chunk size and position.
 ``QuadraticAnalytic`` holds the per-worker center means and spreads from
 the set-up's two passes and takes a chunk's values by stacked
 ``sq_norms``; ``SigmoidAnalytic`` takes its margins over the
-worker-stacked data that the factories share with the objectives, by one
+worker-stacked data, whose worker slices the objectives are, by one
 broadcast ``np.matmul`` per block of ``sigmoid_block_rows`` rows, which
 gives each worker the bits of its own gemv of ``features[i] @ x``.
 
-Data arrays (centers, features, offsets) are read-only and the analytic
-evaluators keep nothing, so any number of runs, serial or concurrent, can
-share one suite.
+Each evaluator owns its suite's read-only data arrays (centers, features,
+offsets); the objectives are views of them, so a copy ships each array
+once. The evaluators keep nothing, so any number of runs, serial or
+concurrent, can share one suite.
 
 A quadratic suite is set up in one pass over row blocks that writes each
 center once, where it lives, with no block buffer and no dataset-sized
@@ -113,7 +114,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -426,8 +427,8 @@ class LocalObjective:
     ``full_gradient``; their batch oracles take the indices that
     ``draw_indices`` returns. ``smoothness`` and ``variance_bound`` are the
     advertised L and sigma; both are certified by the randomized test suite.
-    ``variance_bound`` is known once the suite factory has built every
-    worker: the sigmoid factory assigns it, a quadratic objective computes
+    ``variance_bound`` is known once the suite's evaluator has built every
+    worker: the sigmoid evaluator assigns it, a quadratic objective computes
     it at each read, and an objective built alone advertises 0.0.
     """
 
@@ -521,8 +522,8 @@ class LocalObjective:
 class QuadraticObjective(LocalObjective):
     """Average of ``0.5 * ||x - c_j||^2`` over per-sample centers.
 
-    ``grand_mean`` is the mean of every worker's centers, which the suite
-    factory passes. ``variance_bound`` is then computed from the centers
+    ``grand_mean`` is the mean of every worker's centers, which the suite's
+    evaluator passes. ``variance_bound`` is then computed from the centers
     and the grand mean at each read, which costs one pass over the worker's
     centers, as much as the spreads' pass of the set-up: no
     ``pr-spider-finite`` run reads it. A stand-alone objective, built
@@ -547,9 +548,6 @@ class QuadraticObjective(LocalObjective):
         )
         self.centers = centers
         self._grand_mean = None if grand_mean is None else _read_only(grand_mean)
-
-    def __reduce__(self):
-        return type(self), (self.worker_id, self.centers, self._grand_mean)
 
     @property
     def variance_bound(self) -> float:
@@ -619,11 +617,6 @@ class SigmoidObjective(LocalObjective):
         self.features = features
         self.offsets = offsets
         self._block_rows = sigmoid_block_rows(d)
-
-    def __reduce__(self):
-        # sigma is the factory's, set after construction
-        args = (self.worker_id, self.features, self.offsets, not self.is_finite_sum)
-        return type(self), args, {"variance_bound": self.variance_bound}
 
     @staticmethod
     def _slopes(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -714,11 +707,15 @@ class _StackedAnalytic:
     ``x`` alone, as a chunk of one; every point gets its own bits at any
     chunk size and position. ``chunk`` is how many points a runner stacks:
     ``CHUNK_ENTRIES`` over a point's largest (N, .) array, at most
-    ``CHUNK_RECORDS``.
+    ``CHUNK_RECORDS``. The evaluator makes the arrays its factory made
+    read-only in place, so it never takes a caller's; ``objectives()``
+    builds the per-worker objectives as views of them.
     """
 
-    def __init__(self, entries_per_point: int):
+    def __init__(self, entries_per_point: int, *data: np.ndarray):
         self.chunk = max(1, min(CHUNK_RECORDS, CHUNK_ENTRIES // entries_per_point))
+        for array in data:
+            array.flags.writeable = False
 
     def evaluate(self, points) -> tuple[np.ndarray, np.ndarray]:
         """``(values, gradients)`` of every worker at each of ``points``."""
@@ -734,20 +731,26 @@ class _StackedAnalytic:
 class QuadraticAnalytic(_StackedAnalytic):
     """Every quadratic worker's mean value and mean gradient at once.
 
-    ``center_means`` (N, d) are the workers' center means, from the set-up's
-    first pass, and ``spread_sq`` (N,) their mean squared spreads around
-    them, the exact value offsets, from its second; both are held as
-    read-only views. A chunk's (R, N, d) differences ``x - mean`` are its
-    gradients, and their stacked ``sq_norms`` give its values.
+    ``centers`` (N, n, d) are the suite's data and ``grand_mean`` (d,) their
+    mean; ``center_means`` (N, d) are the workers' center means, from the
+    set-up's first pass, and ``spread_sq`` (N,) their mean squared spreads
+    around them, the exact value offsets, from its second. A chunk's
+    (R, N, d) differences ``x - mean`` are its gradients, and their stacked
+    ``sq_norms`` give its values.
     """
 
-    def __init__(self, center_means: np.ndarray, spread_sq: np.ndarray):
-        super().__init__(center_means.size)
-        self.center_means = _read_only(center_means)
-        self.spread_sq = _read_only(spread_sq)
+    def __init__(self, centers, center_means, grand_mean, spread_sq):
+        data = (centers, center_means, grand_mean, spread_sq)
+        super().__init__(center_means.size, *data)
+        self.centers, self.center_means, self.grand_mean, self.spread_sq = data
 
     def __reduce__(self):
-        return type(self), (self.center_means, self.spread_sq)
+        data = (self.centers, self.center_means, self.grand_mean, self.spread_sq)
+        return type(self), data
+
+    def objectives(self) -> list[QuadraticObjective]:
+        g = self.grand_mean
+        return [QuadraticObjective(i, c, g) for i, c in enumerate(self.centers)]
 
     def _stacked(self, points):
         diff = points[:, None, :] - self.center_means
@@ -757,8 +760,8 @@ class QuadraticAnalytic(_StackedAnalytic):
 class SigmoidAnalytic(_StackedAnalytic):
     """Every sigmoid worker's mean value and mean gradient at once.
 
-    ``features`` (N, n, d) and ``offsets`` (N, n) are the arrays whose
-    worker slices the objectives hold, not copies of them. A chunk's
+    ``features`` (N, n, d) and ``offsets`` (N, n) are the suite's data,
+    ``online`` whether its objectives refuse ``full_gradient``. A chunk's
     (R, N, n) margins ``t`` are taken by one broadcast ``np.matmul`` per
     row block, which gives each worker at each point its own gemv's bits.
     ``phi(t) = t*t / (t*t + 1)`` and ``phi'(t) = (t + t) / (q * q)``,
@@ -768,17 +771,26 @@ class SigmoidAnalytic(_StackedAnalytic):
     ``t``; elsewhere the formulas stand, so finite entries keep their bits.
     """
 
-    def __init__(self, features: np.ndarray, offsets: np.ndarray):
+    def __init__(self, features, offsets, online: bool):
         num_workers, n, d = features.shape
-        super().__init__(num_workers * max(n, d))
-        self.features = _read_only(features)
-        self.offsets = _read_only(offsets)
-        self._features_t = self.features.transpose(0, 2, 1)
+        super().__init__(num_workers * max(n, d), features, offsets)
+        self.features, self.offsets, self.online = features, offsets, online
+        self._features_t = features.transpose(0, 2, 1)
         # row blocks BLAS won't thread, as in the metered kernels
         self._edges = _block_edges(n, d, sigmoid_block_rows(d))
 
     def __reduce__(self):
-        return type(self), (self.features, self.offsets)
+        return type(self), (self.features, self.offsets, self.online)
+
+    def objectives(self) -> list[SigmoidObjective]:
+        data = enumerate(zip(self.features, self.offsets))
+        objectives = [SigmoidObjective(i, a, b, self.online) for i, (a, b) in data]
+        # ||grad sample|| <= max|phi'| * ||a||, so worker-vs-global deviation is
+        # uniformly below max|phi'| * (local max ||a|| + global max ||a||)
+        global_amax = max(o.feature_norm_max for o in objectives)
+        for obj in objectives:
+            obj.variance_bound = PHI_GRAD_MAX * (obj.feature_norm_max + global_amax)
+        return objectives
 
     def _stacked(self, points):
         t = np.empty((points.shape[0],) + self.offsets.shape)
@@ -818,15 +830,17 @@ class ProblemSuite:
     tuple and ``initial_point`` as a read-only float64 copy, checked by
     ``as_vector`` for the suite's dimension and finite entries, so neither
     changes under the runs that share the suite. Every construction also
-    refuses, with ``ValueError``, a non-finite ``smoothness`` and a start
-    point where a worker's value is not finite: PR-SPIDER's rules assume a
-    finite L and a finite start gap. Pickle and deepcopy rebuild a suite
-    and its parts through their constructors, checks and read-only flags
-    included. ``variance_bound`` is a
-    pure read: for a quadratic suite it costs one pass over each worker's
+    refuses, with ``ValueError``, an evaluator whose worker count is not
+    ``len(objectives)``, a non-finite ``smoothness`` and a start point where
+    a worker's value is not finite: PR-SPIDER's rules assume a finite L and
+    a finite start gap. A suite is the unit that pickles: pickle and
+    deepcopy ship its evaluator, start point, config and optimum, each data
+    array once, and rebuild it through ``_build_suite``, the factories' way
+    in, checks and read-only flags included. ``variance_bound`` is a pure
+    read: for a quadratic suite it costs one pass over each worker's
     centers. ``config`` echoes the construction parameters for experiment
     bookkeeping; an explicit suite's data arrays are in it as the
-    read-only arrays the suite holds, not as lists, and a sidecar writes
+    evaluator's own read-only arrays, not as lists, and a sidecar writes
     them as lists.
     """
 
@@ -848,12 +862,16 @@ class ProblemSuite:
         # span gate pins; data that overflows is refused, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             start = self.analytic.values(point)
+        if start.shape != (len(objectives),):
+            count = len(objectives)
+            raise ValueError(f"the evaluator has {len(start)} workers, not {count}")
         if not np.isfinite(start).all():
             raise ValueError("the objective at the start point is not finite")
 
     def __reduce__(self):
-        # pickle and deepcopy rebuild through the constructor and its checks
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        # the evaluator ships the data once; the objectives are its views
+        args = (self.analytic, self.initial_point, self.config, self.optimum_value)
+        return _build_suite, args
 
     @property
     def num_workers(self) -> int:
@@ -907,6 +925,12 @@ class ProblemSuite:
         return self.value(self.initial_point) - self.optimum_value
 
 
+def _build_suite(analytic, initial_point, config, optimum_value=0.0) -> ProblemSuite:
+    """The suite over ``analytic``'s data: every factory's and every copy's way in."""
+    objectives = analytic.objectives()
+    return ProblemSuite(objectives, optimum_value, initial_point, analytic, config)
+
+
 def _finish_quadratic_suite(
     centers: np.ndarray,
     center_means: np.ndarray,
@@ -919,16 +943,8 @@ def _finish_quadratic_suite(
     spreads = np.array(
         [_mean_sq_distances(c, mean) for c, mean in zip(centers, center_means)]
     )
-    objectives = [
-        QuadraticObjective(i, c, grand_mean) for i, c in enumerate(centers)
-    ]
-    suite = ProblemSuite(
-        objectives=objectives,
-        optimum_value=0.0,
-        initial_point=initial_point,
-        analytic=QuadraticAnalytic(center_means, spreads),
-        config=config,
-    )
+    analytic = QuadraticAnalytic(centers, center_means, grand_mean, spreads)
+    suite = _build_suite(analytic, initial_point, config)
     # minimum of the averaged quadratic sits at the grand mean
     return replace(suite, optimum_value=suite.value(grand_mean))
 
@@ -1039,42 +1055,12 @@ def quadratic_suite_from_centers(centers, initial_point) -> ProblemSuite:
     initial_point = _explicit_array("initial_point", initial_point, centers.shape[2:])
     config = {
         "family": "quadratic-explicit",
-        "centers": _read_only(centers),
+        "centers": centers,
         "initial_point": initial_point.tolist(),
     }
     center_means, grand_mean = _center_means(centers)
     return _finish_quadratic_suite(
         centers, center_means, grand_mean, initial_point, config
-    )
-
-
-def _finish_sigmoid_suite(
-    features: np.ndarray,
-    offsets: np.ndarray,
-    initial_point: ParamVector,
-    online: bool,
-    config: dict,
-) -> ProblemSuite:
-    # one read-only view of the data: the objectives hold its worker
-    # slices, the stacked analytic oracles the whole of it
-    features = _read_only(features)
-    offsets = _read_only(offsets)
-    num_workers = features.shape[0]
-    objectives = [
-        SigmoidObjective(i, features[i], offsets[i], online=online)
-        for i in range(num_workers)
-    ]
-    # ||grad sample|| <= max|phi'| * ||a||, so worker-vs-global deviation is
-    # uniformly below max|phi'| * (local max ||a|| + global max ||a||)
-    global_amax = max(o.feature_norm_max for o in objectives)
-    for obj in objectives:
-        obj.variance_bound = PHI_GRAD_MAX * (obj.feature_norm_max + global_amax)
-    return ProblemSuite(
-        objectives=objectives,
-        optimum_value=0.0,  # certified lower bound: the losses are nonnegative
-        initial_point=initial_point,
-        analytic=SigmoidAnalytic(features, offsets),
-        config=config,
     )
 
 
@@ -1119,7 +1105,8 @@ def make_nonconvex_suite(
         "seed": seed,
         "online_pool": online_pool,
     }
-    return _finish_sigmoid_suite(features, offsets, initial_point, online, config)
+    analytic = SigmoidAnalytic(features, offsets, online)
+    return _build_suite(analytic, initial_point, config)
 
 
 def sigmoid_suite_from_params(
@@ -1131,11 +1118,10 @@ def sigmoid_suite_from_params(
     initial_point = _explicit_array("initial_point", initial_point, features.shape[2:])
     config = {
         "family": "sigmoid-explicit",
-        "features": _read_only(features),
-        "offsets": _read_only(offsets),
+        "features": features,
+        "offsets": offsets,
         "initial_point": initial_point.tolist(),
         "online": online,
     }
-    return _finish_sigmoid_suite(
-        features, offsets, initial_point, online, config
-    )
+    analytic = SigmoidAnalytic(features, offsets, online)
+    return _build_suite(analytic, initial_point, config)

@@ -59,6 +59,38 @@ EVERY_SUITE_KIND = pytest.mark.parametrize(
 )
 
 
+def _data_rng():
+    return np.random.default_rng(11)
+
+
+# every suite kind at N=4, n=256, d=64, with its data's bytes: (N, n, d)
+# centers, or (N, n, d) features and (N, n) offsets
+EVERY_SUITE_KIND_AT_SIZE = pytest.mark.parametrize(
+    "make_suite, data_bytes",
+    [
+        (lambda: make_quadratic_suite(4, 256, 64, 0.5, 1), 524_288),
+        (lambda: make_nonconvex_suite(4, 256, 64, 0.5, 1), 532_480),
+        (lambda: make_nonconvex_suite(4, None, 64, 0.5, 1, online_pool=256), 532_480),
+        (
+            lambda: quadratic_suite_from_centers(
+                _data_rng().normal(size=(4, 256, 64)), np.zeros(64)
+            ),
+            524_288,
+        ),
+        (
+            lambda: sigmoid_suite_from_params(
+                _data_rng().uniform(-0.125, 0.125, size=(4, 256, 64)),
+                _data_rng().uniform(-0.2, 0.2, size=(4, 256)),
+                np.zeros(64),
+            ),
+            532_480,
+        ),
+    ],
+    ids=["quadratic", "sigmoid", "sigmoid-online", "quadratic-explicit",
+         "sigmoid-explicit"],
+)
+
+
 class TestQuadraticSuite:
     def test_single_sample_minimum_at_center(self):
         suite = single_center_suite()
@@ -436,6 +468,54 @@ class TestSuiteUtilities:
             assert copied.variance_bound == suite.variance_bound
             again = run_pr_spider_online(copied, hp, 4)
             assert "".join(again.csv_lines()) == trace
+
+    @EVERY_SUITE_KIND_AT_SIZE
+    def test_a_suite_ships_its_data_once(self, make_suite, data_bytes):
+        # the evaluator owns the data: the objectives are views of its
+        # arrays and an explicit suite's config holds them, so pickle and
+        # deepcopy ship each array once, in a copy or the original
+        suite = make_suite()
+        blob = pickle.dumps(suite)
+        assert len(blob) <= data_bytes + 16 * 2**10
+        explicit = suite.config["family"].endswith("-explicit")
+        for copied in (suite, pickle.loads(blob), copy.deepcopy(suite)):
+            owned = [
+                a for a in vars(copied.analytic).values() if isinstance(a, np.ndarray)
+            ]
+            for obj in copied.objectives:
+                held = [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
+                assert held
+                for array in held:
+                    assert any(np.shares_memory(array, mine) for mine in owned)
+            echoed = [a for a in copied.config.values() if isinstance(a, np.ndarray)]
+            assert bool(echoed) == explicit
+            for array in echoed:
+                assert any(array is mine for mine in owned)
+                assert not array.flags.writeable
+            assert len(pickle.dumps(copied)) == len(blob)
+
+    @EVERY_SUITE_KIND
+    def test_a_suite_refuses_an_evaluator_of_another_worker_count(self, make_suite):
+        # N=2 objectives over a 3-worker evaluator would read a third
+        # worker's values into every metric, and the other way round
+        suite = make_suite()
+        factory = (
+            make_quadratic_suite
+            if isinstance(suite.analytic, QuadraticAnalytic)
+            else make_nonconvex_suite
+        )
+        wider = factory(N=3, n=4, d=suite.dim, heterogeneity=0.3, seed=1)
+        with pytest.raises(ValueError, match="evaluator has 3 workers"):
+            ProblemSuite(
+                objectives=suite.objectives,
+                optimum_value=suite.optimum_value,
+                initial_point=suite.initial_point,
+                analytic=wider.analytic,
+            )
+        with pytest.raises(ValueError, match="evaluator has 3 workers"):
+            replace(suite, analytic=wider.analytic)
+        with pytest.raises(ValueError, match="evaluator has 2 workers"):
+            replace(wider, analytic=suite.analytic)
 
 
 def _stacked_suites():

@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 from prspider import problems
 from prspider.algorithms import HyperParams, run_pr_spider_finite
 from prspider.numerics import ordered_sum, sq_norms
-from prspider.problems import make_quadratic_suite, quadratic_suite_from_centers
+from prspider.problems import (
+    make_quadratic_suite,
+    quadratic_suite_from_centers,
+    sigmoid_suite_from_params,
+)
 
 # sample counts at the block edges (32 rows), plus one over three blocks
 SAMPLE_COUNTS = st.sampled_from([1, 31, 32, 33, 100])
@@ -151,17 +155,28 @@ def test_setup_allocates_no_dataset_sized_temporary():
     assert peak <= dataset + 2**20
 
 
-def test_explicit_suite_holds_its_dataset_once():
+@pytest.mark.parametrize(
+    "factory", [quadratic_suite_from_centers, sigmoid_suite_from_params]
+)
+def test_explicit_suite_holds_its_dataset_once(factory):
     N, n, d = 4, 1024, 64
-    centers = np.random.default_rng(2).normal(size=(N, n, d))
+    rng = np.random.default_rng(2)
+    if factory is quadratic_suite_from_centers:
+        data = {"centers": rng.normal(size=(N, n, d))}
+    else:
+        data = {
+            "features": rng.uniform(-0.125, 0.125, size=(N, n, d)),
+            "offsets": rng.uniform(-0.2, 0.2, size=(N, n)),
+        }
     tracemalloc.start()
     try:
-        suite = quadratic_suite_from_centers(centers, np.zeros(d))
+        suite = factory(*data.values(), np.zeros(d))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert suite.config["centers"].tolist() == centers.tolist()
-    assert held <= centers.nbytes + 2**20
+    for key, array in data.items():
+        assert suite.config[key].tolist() == array.tolist()
+    assert held <= sum(a.nbytes for a in data.values()) + 2**20
 
 
 class _StubGenerator:
